@@ -6,14 +6,20 @@
 //! whole header is padded to a byte boundary only once, at the end.
 //!
 //! Bits are written MSB-first within each byte, matching how network wire
-//! formats are conventionally drawn.
+//! formats are conventionally drawn. Both directions move whole fields
+//! through a `u64` accumulator — one shift/mask per field and one bytewise
+//! flush or load, never a loop over bits.
 
 /// Writes an MSB-first bit stream into a growable byte buffer.
 #[derive(Clone, Debug, Default)]
 pub struct BitWriter {
+    /// Whole bytes flushed so far.
     bytes: Vec<u8>,
-    /// Number of valid bits in the stream (may not be byte-aligned).
-    len_bits: usize,
+    /// Bits not yet flushed, in the low `pending` bits (bits above are
+    /// stale, already-flushed data and never read again).
+    acc: u64,
+    /// Number of valid bits in `acc`; below 8 between calls.
+    pending: usize,
 }
 
 impl BitWriter {
@@ -22,9 +28,18 @@ impl BitWriter {
         Self::default()
     }
 
+    /// An empty stream whose buffer already holds `bytes` bytes, so a
+    /// writer of known final size allocates once.
+    pub fn with_capacity(bytes: usize) -> Self {
+        BitWriter {
+            bytes: Vec::with_capacity(bytes),
+            ..Self::default()
+        }
+    }
+
     /// Number of bits written so far.
     pub fn len_bits(&self) -> usize {
-        self.len_bits
+        self.bytes.len() * 8 + self.pending
     }
 
     /// Append the low `width` bits of `value`, most significant first.
@@ -37,34 +52,49 @@ impl BitWriter {
             width == 64 || value < (1u64 << width),
             "value {value} does not fit in {width} bits"
         );
-        for i in (0..width).rev() {
-            let bit = (value >> i) & 1 == 1;
-            self.write_bit(bit);
+        // `pending < 8`, so at least 57 bits are free; a wider field goes
+        // in as its high part, a flush, and a low part of at most 7 bits.
+        let room = 64 - self.pending;
+        if width > room {
+            let low = width - room;
+            self.push(value >> low, room);
+            self.push(value & ((1 << low) - 1), low);
+        } else {
+            self.push(value, width);
         }
     }
 
     /// Append a single bit.
     pub fn write_bit(&mut self, bit: bool) {
-        let byte_idx = self.len_bits / 8;
-        let bit_idx = 7 - (self.len_bits % 8);
-        if byte_idx == self.bytes.len() {
-            self.bytes.push(0);
+        self.push(bit as u64, 1);
+    }
+
+    /// Shift `width <= 64 - pending` bits into the accumulator and flush
+    /// every whole byte it now holds.
+    fn push(&mut self, value: u64, width: usize) {
+        self.acc = self.acc.checked_shl(width as u32).unwrap_or(0) | value;
+        self.pending += width;
+        if self.pending >= 8 {
+            let whole = self.pending / 8;
+            let aligned = self.acc << (64 - self.pending);
+            self.bytes
+                .extend_from_slice(&aligned.to_be_bytes()[..whole]);
+            self.pending %= 8;
         }
-        if bit {
-            self.bytes[byte_idx] |= 1 << bit_idx;
-        }
-        self.len_bits += 1;
     }
 
     /// Finish the stream, zero-padding to a byte boundary, and return the
     /// bytes.
-    pub fn finish(self) -> Vec<u8> {
+    pub fn finish(mut self) -> Vec<u8> {
+        if self.pending > 0 {
+            self.bytes.push((self.acc << (8 - self.pending)) as u8);
+        }
         self.bytes
     }
 
     /// Total length in bytes after padding.
     pub fn byte_len(&self) -> usize {
-        self.len_bits.div_ceil(8)
+        self.len_bits().div_ceil(8)
     }
 }
 
@@ -109,32 +139,162 @@ impl<'a> BitReader<'a> {
         if self.remaining_bits() < width {
             return Err(OutOfBits);
         }
-        let mut v = 0u64;
-        for _ in 0..width {
-            v = (v << 1) | self.read_bit_unchecked() as u64;
+        if width == 0 {
+            return Ok(0);
         }
-        Ok(v)
+        let tail = &self.bytes[self.pos_bits / 8..];
+        let skew = self.pos_bits % 8;
+        // The eight bytes at the cursor, zero-extended past the end of the
+        // stream (those bits are never selected: the length check passed).
+        let acc = match tail.first_chunk::<8>() {
+            Some(chunk) => u64::from_be_bytes(*chunk),
+            None => {
+                let mut chunk = [0u8; 8];
+                chunk[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(chunk)
+            }
+        };
+        let in_acc = 64 - skew;
+        let value = if width <= in_acc {
+            (acc << skew) >> (64 - width)
+        } else {
+            // A field that starts mid-byte and is wider than 57 bits
+            // spills at most 7 bits into a ninth byte.
+            let spill = width - in_acc;
+            let high = (acc << skew) >> skew;
+            (high << spill) | (tail[8] >> (8 - spill)) as u64
+        };
+        self.pos_bits += width;
+        Ok(value)
     }
 
     /// Read a single bit.
     pub fn read_bit(&mut self) -> Result<bool, OutOfBits> {
-        if self.remaining_bits() == 0 {
-            return Err(OutOfBits);
-        }
-        Ok(self.read_bit_unchecked())
-    }
-
-    fn read_bit_unchecked(&mut self) -> bool {
-        let byte = self.bytes[self.pos_bits / 8];
+        let byte = self.bytes.get(self.pos_bits / 8).ok_or(OutOfBits)?;
         let bit = (byte >> (7 - self.pos_bits % 8)) & 1 == 1;
         self.pos_bits += 1;
-        bit
+        Ok(bit)
+    }
+
+    /// Advance past `width` bits without decoding them.
+    pub fn skip_bits(&mut self, width: usize) -> Result<(), OutOfBits> {
+        if self.remaining_bits() < width {
+            return Err(OutOfBits);
+        }
+        self.pos_bits += width;
+        Ok(())
+    }
+}
+
+/// The bit-at-a-time codec the word-parallel one replaced, kept as the
+/// reference the oracle tests compare against.
+#[cfg(test)]
+pub(crate) mod oracle {
+    pub(crate) fn write_bits(bits: &mut Vec<bool>, value: u64, width: usize) {
+        for i in (0..width).rev() {
+            bits.push((value >> i) & 1 == 1);
+        }
+    }
+
+    pub(crate) fn finish(bits: &[bool]) -> Vec<u8> {
+        let mut bytes = vec![0u8; bits.len().div_ceil(8)];
+        for (i, &bit) in bits.iter().enumerate() {
+            if bit {
+                bytes[i / 8] |= 1 << (7 - i % 8);
+            }
+        }
+        bytes
+    }
+
+    pub(crate) fn read_bits(bytes: &[u8], pos: &mut usize, width: usize) -> Option<u64> {
+        if bytes.len() * 8 - *pos < width {
+            return None;
+        }
+        let mut v = 0u64;
+        for _ in 0..width {
+            let bit = (bytes[*pos / 8] >> (7 - *pos % 8)) & 1;
+            v = (v << 1) | bit as u64;
+            *pos += 1;
+        }
+        Some(v)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
+
+    fn low_bits(value: u64, width: usize) -> u64 {
+        match width {
+            0 => 0,
+            64 => value,
+            _ => value & ((1 << width) - 1),
+        }
+    }
+
+    #[test]
+    fn oracle_every_offset_and_width() {
+        let mut rng = SplitMix64::new(0xb175);
+        for start in 0..8usize {
+            for width in 0..=64usize {
+                let prefix = low_bits(rng.next_u64(), start);
+                let value = low_bits(rng.next_u64(), width);
+                let suffix = low_bits(rng.next_u64(), 13);
+
+                let mut w = BitWriter::new();
+                let mut reference = Vec::new();
+                for (v, n) in [(prefix, start), (value, width), (suffix, 13)] {
+                    w.write_bits(v, n);
+                    oracle::write_bits(&mut reference, v, n);
+                }
+                assert_eq!(w.len_bits(), start + width + 13);
+                assert_eq!(w.byte_len(), (start + width + 13).div_ceil(8));
+                let bytes = w.finish();
+                assert_eq!(
+                    bytes,
+                    oracle::finish(&reference),
+                    "start {start} width {width}"
+                );
+
+                let mut r = BitReader::new(&bytes);
+                let mut pos = 0;
+                for (v, n) in [(prefix, start), (value, width), (suffix, 13)] {
+                    assert_eq!(r.read_bits(n), Ok(v), "start {start} width {width}");
+                    assert_eq!(oracle::read_bits(&bytes, &mut pos, n), Some(v));
+                    assert_eq!(r.pos_bits(), pos);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn oracle_truncated_stream_is_out_of_bits() {
+        let mut rng = SplitMix64::new(0x7e57);
+        for start in 0..8usize {
+            for width in 1..=64usize {
+                let mut w = BitWriter::new();
+                w.write_bits(0, start);
+                w.write_bits(low_bits(rng.next_u64(), width), width);
+                let bytes = w.finish();
+                // Every strict prefix that no longer holds the whole field.
+                for keep in 0..(start + width).div_ceil(8) {
+                    let mut r = BitReader::new(&bytes[..keep]);
+                    let mut pos = 0;
+                    let head = r.read_bits(start);
+                    assert_eq!(
+                        head.ok(),
+                        oracle::read_bits(&bytes[..keep], &mut pos, start)
+                    );
+                    if head.is_ok() {
+                        assert_eq!(r.read_bits(width), Err(OutOfBits));
+                        assert_eq!(r.pos_bits(), start, "a failed read consumes nothing");
+                        assert_eq!(r.skip_bits(width), Err(OutOfBits));
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn roundtrip_mixed_widths() {
@@ -167,7 +327,7 @@ mod tests {
 
     #[test]
     fn byte_len_rounds_up() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::with_capacity(2);
         assert_eq!(w.byte_len(), 0);
         w.write_bits(0, 9);
         assert_eq!(w.byte_len(), 2);
@@ -196,5 +356,7 @@ mod tests {
         r.read_bits(5).unwrap();
         assert_eq!(r.pos_bits(), 5);
         assert_eq!(r.remaining_bits(), 11);
+        r.skip_bits(3).unwrap();
+        assert_eq!(r.read_bits(8).unwrap(), 0xcd);
     }
 }

@@ -17,7 +17,7 @@
 //! model exactly what the egress pipeline's header invalidation does.
 
 use crate::bitmap::PortBitmap;
-use crate::bits::{BitReader, BitWriter};
+use crate::bits::{BitReader, BitWriter, OutOfBits};
 use crate::layout::HeaderLayout;
 
 /// Errors from decoding an Elmo header.
@@ -124,6 +124,45 @@ mod flag {
     pub const D_LEAF_DEFAULT: u64 = 1 << 1;
     /// Reserved, must be zero.
     pub const RESERVED: u64 = 1;
+}
+
+impl From<OutOfBits> for HeaderError {
+    fn from(_: OutOfBits) -> Self {
+        HeaderError::Truncated
+    }
+}
+
+/// The leading flags byte, with the reserved bit refused.
+fn read_flags(r: &mut BitReader<'_>) -> Result<u64, HeaderError> {
+    let flags = r.read_bits(8)?;
+    if flags & flag::RESERVED != 0 {
+        return Err(HeaderError::Malformed);
+    }
+    Ok(flags)
+}
+
+/// One switch identifier and the more-ids flag that follows it.
+fn read_id(r: &mut BitReader<'_>, id_bits: usize) -> Result<(u32, bool), HeaderError> {
+    let field = r.read_bits(id_bits + 1)?;
+    Ok(((field >> 1) as u32, field & 1 == 1))
+}
+
+/// Advance past a downstream rule list (bitmap, identifiers, more-ids and
+/// next-rule flags) and return how many rules it holds.
+fn skip_rules(
+    r: &mut BitReader<'_>,
+    bitmap_width: usize,
+    id_bits: usize,
+) -> Result<usize, HeaderError> {
+    let mut count = 0;
+    loop {
+        r.skip_bits(bitmap_width)?;
+        while read_id(r, id_bits)?.1 {}
+        count += 1;
+        if !r.read_bit()? {
+            return Ok(count);
+        }
+    }
 }
 
 impl ElmoHeader {
@@ -246,7 +285,7 @@ impl ElmoHeader {
         } else {
             (&[], None)
         };
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::with_capacity(self.byte_len_popped(layout, depth));
         let mut flags = 0u64;
         if u_leaf.is_some() {
             flags |= flag::U_LEAF;
@@ -307,8 +346,8 @@ impl ElmoHeader {
             );
             rule.bitmap.write(w);
             for (j, &id) in rule.switches.iter().enumerate() {
-                w.write_bits(id as u64, id_bits);
-                w.write_bit(j + 1 < rule.switches.len()); // more-ids flag
+                let more = j + 1 < rule.switches.len(); // more-ids flag
+                w.write_bits((id as u64) << 1 | more as u64, id_bits + 1);
             }
             w.write_bit(i + 1 < rules.len()); // next-rule flag
         }
@@ -318,10 +357,7 @@ impl ElmoHeader {
     /// occupied (callers slice the remaining payload off that).
     pub fn decode(bytes: &[u8], layout: &HeaderLayout) -> Result<(ElmoHeader, usize), HeaderError> {
         let mut r = BitReader::new(bytes);
-        let flags = r.read_bits(8).map_err(|_| HeaderError::Truncated)?;
-        if flags & flag::RESERVED != 0 {
-            return Err(HeaderError::Malformed);
-        }
+        let flags = read_flags(&mut r)?;
         let mut header = ElmoHeader::empty();
         if flags & flag::U_LEAF != 0 {
             header.u_leaf = Some(Self::read_upstream(
@@ -338,29 +374,55 @@ impl ElmoHeader {
             )?);
         }
         if flags & flag::CORE != 0 {
-            header.core = Some(
-                PortBitmap::read(&mut r, layout.core_ports).map_err(|_| HeaderError::Truncated)?,
-            );
+            header.core = Some(PortBitmap::read(&mut r, layout.core_ports)?);
         }
         if flags & flag::D_SPINE != 0 {
             header.d_spine = Self::read_rules(&mut r, layout.spine_down_ports, layout.pod_id_bits)?;
         }
         if flags & flag::D_SPINE_DEFAULT != 0 {
-            header.d_spine_default = Some(
-                PortBitmap::read(&mut r, layout.spine_down_ports)
-                    .map_err(|_| HeaderError::Truncated)?,
-            );
+            header.d_spine_default = Some(PortBitmap::read(&mut r, layout.spine_down_ports)?);
         }
         if flags & flag::D_LEAF != 0 {
             header.d_leaf = Self::read_rules(&mut r, layout.leaf_down_ports, layout.leaf_id_bits)?;
         }
         if flags & flag::D_LEAF_DEFAULT != 0 {
-            header.d_leaf_default = Some(
-                PortBitmap::read(&mut r, layout.leaf_down_ports)
-                    .map_err(|_| HeaderError::Truncated)?,
-            );
+            header.d_leaf_default = Some(PortBitmap::read(&mut r, layout.leaf_down_ports)?);
         }
         Ok((header, r.pos_bits().div_ceil(8)))
+    }
+
+    /// Walk the grammar [`decode`](Self::decode) accepts without building
+    /// the header: `Ok(n)` exactly when `decode` returns `Ok((_, n))`, the
+    /// same error otherwise, and no allocation either way. For a receiver
+    /// that must refuse a malformed header but forwards nothing (the
+    /// hypervisor edge).
+    pub fn validate(bytes: &[u8], layout: &HeaderLayout) -> Result<usize, HeaderError> {
+        let mut r = BitReader::new(bytes);
+        let flags = read_flags(&mut r)?;
+        let mut fixed = 0;
+        if flags & flag::U_LEAF != 0 {
+            fixed += layout.u_leaf_bits();
+        }
+        if flags & flag::U_SPINE != 0 {
+            fixed += layout.u_spine_bits();
+        }
+        if flags & flag::CORE != 0 {
+            fixed += layout.core_bits();
+        }
+        r.skip_bits(fixed)?;
+        if flags & flag::D_SPINE != 0 {
+            skip_rules(&mut r, layout.spine_down_ports, layout.pod_id_bits)?;
+        }
+        if flags & flag::D_SPINE_DEFAULT != 0 {
+            r.skip_bits(layout.d_spine_default_bits())?;
+        }
+        if flags & flag::D_LEAF != 0 {
+            skip_rules(&mut r, layout.leaf_down_ports, layout.leaf_id_bits)?;
+        }
+        if flags & flag::D_LEAF_DEFAULT != 0 {
+            r.skip_bits(layout.d_leaf_default_bits())?;
+        }
+        Ok(r.pos_bits().div_ceil(8))
     }
 
     fn read_upstream(
@@ -368,9 +430,9 @@ impl ElmoHeader {
         down_ports: usize,
         up_ports: usize,
     ) -> Result<UpstreamRule, HeaderError> {
-        let down = PortBitmap::read(r, down_ports).map_err(|_| HeaderError::Truncated)?;
-        let multipath = r.read_bit().map_err(|_| HeaderError::Truncated)?;
-        let up = PortBitmap::read(r, up_ports).map_err(|_| HeaderError::Truncated)?;
+        let down = PortBitmap::read(r, down_ports)?;
+        let multipath = r.read_bit()?;
+        let up = PortBitmap::read(r, up_ports)?;
         Ok(UpstreamRule {
             down,
             multipath,
@@ -383,23 +445,24 @@ impl ElmoHeader {
         bitmap_width: usize,
         id_bits: usize,
     ) -> Result<Vec<DownstreamRule>, HeaderError> {
-        let mut rules = Vec::new();
-        loop {
-            let bitmap = PortBitmap::read(r, bitmap_width).map_err(|_| HeaderError::Truncated)?;
+        // Count the rules on a copy of the cursor first: the list is
+        // allocated once at its exact size, and a truncated section is
+        // refused before anything is built.
+        let mut probe = *r;
+        let count = skip_rules(&mut probe, bitmap_width, id_bits)?;
+        let mut rules = Vec::with_capacity(count);
+        for _ in 0..count {
+            let bitmap = PortBitmap::read(r, bitmap_width)?;
             let mut switches = Vec::new();
             loop {
-                let id = r.read_bits(id_bits).map_err(|_| HeaderError::Truncated)? as u32;
+                let (id, more) = read_id(r, id_bits)?;
                 switches.push(id);
-                let more = r.read_bit().map_err(|_| HeaderError::Truncated)?;
                 if !more {
                     break;
                 }
             }
             rules.push(DownstreamRule { bitmap, switches });
-            let next = r.read_bit().map_err(|_| HeaderError::Truncated)?;
-            if !next {
-                break;
-            }
+            r.skip_bits(1)?; // next-rule flag, already followed by the count
         }
         Ok(rules)
     }
@@ -634,6 +697,36 @@ mod tests {
             let result = ElmoHeader::decode(&bytes[..cut], &layout);
             assert!(result.is_err(), "cut at {cut} should fail");
         }
+    }
+
+    #[test]
+    fn validate_agrees_with_decode() {
+        let wide = HeaderLayout::for_clos(&Clos::scaled_fabric(6, 24, 16));
+        let layout = example_layout();
+        let full = figure3b_header(&layout).encode(&layout);
+        let mut corpus: Vec<Vec<u8>> = (0..=full.len()).map(|cut| full[..cut].to_vec()).collect();
+        let mut rng = crate::rng::SplitMix64::new(0x5eed);
+        for _ in 0..4000 {
+            let len = rng.next_u64() as usize % 96;
+            let mut bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            if let Some(flags) = bytes.first_mut() {
+                *flags &= !1; // mostly past the reserved-bit check
+            }
+            corpus.push(bytes);
+        }
+        let mut accepted = 0;
+        for bytes in &corpus {
+            for l in [&layout, &wide] {
+                let decoded = ElmoHeader::decode(bytes, l).map(|(_, used)| used);
+                assert_eq!(ElmoHeader::validate(bytes, l), decoded, "{bytes:02x?}");
+                accepted += decoded.is_ok() as usize;
+            }
+        }
+        assert!(accepted > 100, "corpus exercises the accept path");
+        assert_eq!(
+            ElmoHeader::validate(&[0x01], &layout),
+            Err(HeaderError::Malformed)
+        );
     }
 
     #[test]

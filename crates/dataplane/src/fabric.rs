@@ -952,9 +952,9 @@ mod tests {
         for (host, bytes) in &deliveries {
             let mut rx = HypervisorSwitch::new(*host);
             rx.subscribe(OUTER, VmSlot(0));
-            let inner = rx.receive(bytes, &layout);
+            let mut inner = rx.receive(bytes, &layout);
             assert_eq!(inner.len(), 1);
-            assert_eq!(inner[0].1, b"multicast payload");
+            assert_eq!(inner.next().unwrap().1, b"multicast payload");
         }
     }
 

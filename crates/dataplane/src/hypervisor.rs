@@ -7,10 +7,12 @@
 //! writing them as separate headers — costs a DMA write each and destroys
 //! throughput; §4.2 and Figure 7).
 //!
-//! On the receive side it verifies the packet belongs to a locally
-//! subscribed (VNI, group) pair and hands the inner frame to the member VMs,
-//! discarding anything else. During failure reconfiguration it can degrade a
-//! group to unicast (§3.3).
+//! On the receive side it checks the whole outer stack, looks the outer
+//! (provider-assigned) group address up in its subscription table — the
+//! table is keyed by that address alone; the VNI is validated as part of
+//! the VXLAN header but is not part of the key — and hands the inner frame
+//! to the subscribed VMs, discarding anything else. During failure
+//! reconfiguration it can degrade a group to unicast (§3.3).
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -255,6 +257,16 @@ impl HypervisorSwitch {
 
     // ----- data plane ----------------------------------------------------------
 
+    fn split(&mut self) -> (&DetHashMap<(Vni, Ipv4Addr), SenderFlow>, Uplink<'_>) {
+        let uplink = Uplink {
+            mac: self.mac,
+            ip: self.ip,
+            entropy: &mut self.entropy,
+            stats: &mut self.stats,
+        };
+        (&self.flows, uplink)
+    }
+
     /// Encapsulate and send one multicast packet from a local VM. Returns the
     /// wire packets to inject (one Elmo packet normally; N unicast packets in
     /// fallback mode; empty and counted if no flow entry exists).
@@ -263,34 +275,31 @@ impl HypervisorSwitch {
         vni: Vni,
         tenant_group: Ipv4Addr,
         inner_frame: &[u8],
-        layout: &HeaderLayout,
+        _layout: &HeaderLayout,
     ) -> Vec<Vec<u8>> {
         self.entropy = self.entropy.wrapping_add(1);
-        let entropy = self.entropy;
-        let Some(flow) = self.flows.get(&(vni, tenant_group)) else {
-            self.stats.no_flow();
+        let (flows, uplink) = self.split();
+        let Some(flow) = flows.get(&(vni, tenant_group)) else {
+            uplink.stats.no_flow();
             return Vec::new();
         };
         if flow.unicast_fallback {
-            let targets = flow.fallback_hosts.clone();
-            let f_vni = flow.vni;
-            let out = self.send_unicast_to(&targets, f_vni, inner_frame, layout);
-            return out;
+            return uplink.unicast_wire(&flow.fallback_hosts, flow.vni, inner_frame);
         }
         let mut buf = Vec::with_capacity(
             ElmoPacketRepr::OUTER_LEN + flow.elmo_bytes.len() + inner_frame.len(),
         );
         encap_single_write(
-            self.mac,
-            self.ip,
+            uplink.mac,
+            uplink.ip,
             flow.outer_group,
-            entropy,
+            *uplink.entropy,
             flow.vni,
             &flow.elmo_bytes,
             inner_frame,
             &mut buf,
         );
-        self.stats.sent_multicast();
+        uplink.stats.sent_multicast();
         vec![buf]
     }
 
@@ -307,28 +316,26 @@ impl HypervisorSwitch {
         inner_frame: &Arc<[u8]>,
     ) -> Vec<FlightPacket> {
         self.entropy = self.entropy.wrapping_add(1);
-        let entropy = self.entropy;
-        let Some(flow) = self.flows.get(&(vni, tenant_group)) else {
-            self.stats.no_flow();
+        let (flows, uplink) = self.split();
+        let Some(flow) = flows.get(&(vni, tenant_group)) else {
+            uplink.stats.no_flow();
             return Vec::new();
         };
         if flow.unicast_fallback {
-            let targets = flow.fallback_hosts.clone();
-            let f_vni = flow.vni;
-            return self.send_unicast_flight(&targets, f_vni, inner_frame);
+            return uplink.unicast_flights(&flow.fallback_hosts, flow.vni, inner_frame);
         }
         let pkt = FlightPacket {
-            src_mac: self.mac,
+            src_mac: uplink.mac,
             dst_mac: MacAddr::from_ipv4_multicast(flow.outer_group),
-            src_ip: self.ip,
+            src_ip: uplink.ip,
             group_ip: flow.outer_group,
-            flow_entropy: entropy,
+            flow_entropy: *uplink.entropy,
             vni: flow.vni,
             elmo: Some(flow.header.clone()),
             popped: elmo_core::pop::NONE,
             payload: inner_frame.clone(),
         };
-        self.stats.sent_multicast();
+        uplink.stats.sent_multicast();
         vec![pkt]
     }
 
@@ -339,23 +346,7 @@ impl HypervisorSwitch {
         vni: Vni,
         inner_frame: &Arc<[u8]>,
     ) -> Vec<FlightPacket> {
-        let mut out = Vec::with_capacity(targets.len());
-        for &t in targets {
-            self.entropy = self.entropy.wrapping_add(1);
-            out.push(FlightPacket {
-                src_mac: self.mac,
-                dst_mac: MacAddr::for_host(t.0),
-                src_ip: self.ip,
-                group_ip: host_ip(t),
-                flow_entropy: self.entropy,
-                vni,
-                elmo: None,
-                popped: elmo_core::pop::NONE,
-                payload: inner_frame.clone(),
-            });
-            self.stats.sent_unicast();
-        }
-        out
+        self.split().1.unicast_flights(targets, vni, inner_frame)
     }
 
     /// Send an inner frame as plain VXLAN unicast to each target host (used
@@ -365,27 +356,9 @@ impl HypervisorSwitch {
         targets: &[HostId],
         vni: Vni,
         inner_frame: &[u8],
-        layout: &HeaderLayout,
+        _layout: &HeaderLayout,
     ) -> Vec<Vec<u8>> {
-        let _ = layout;
-        let mut out = Vec::with_capacity(targets.len());
-        for &t in targets {
-            self.entropy = self.entropy.wrapping_add(1);
-            let mut buf = Vec::with_capacity(ElmoPacketRepr::OUTER_LEN + inner_frame.len());
-            encap_single_write(
-                self.mac,
-                self.ip,
-                host_ip(t),
-                self.entropy,
-                vni,
-                &[],
-                inner_frame,
-                &mut buf,
-            );
-            out.push(buf);
-            self.stats.sent_unicast();
-        }
-        out
+        self.split().1.unicast_wire(targets, vni, inner_frame)
     }
 
     /// Intercept an IGMP message a local VM emitted (an inner Ethernet
@@ -441,41 +414,124 @@ impl HypervisorSwitch {
         })
     }
 
-    /// Receive a wire packet destined to this host. Returns the local VM
-    /// slots and the inner-frame byte range to deliver; discards packets for
-    /// groups without local members (and counts them).
-    pub fn receive<'p>(
-        &mut self,
-        bytes: &'p [u8],
-        layout: &HeaderLayout,
-    ) -> Vec<(VmSlot, &'p [u8])> {
-        let Ok((repr, inner_off)) = ElmoPacketRepr::parse(bytes, layout) else {
-            self.stats.discarded();
-            return Vec::new();
+    /// Receive a wire packet destined to this host: one `(VM slot, inner
+    /// frame)` pair per local VM subscribed to the packet's outer group
+    /// address. The outer stack gets every check
+    /// [`ElmoPacketRepr::parse`] applies
+    /// ([`parse_edge`](ElmoPacketRepr::parse_edge)); a packet that fails
+    /// one, or whose group has no local subscriber, is discarded and
+    /// counted. Nothing is allocated and no byte is copied: the deliveries
+    /// borrow the subscriber list and `bytes`.
+    pub fn receive<'p>(&'p mut self, bytes: &'p [u8], layout: &HeaderLayout) -> Deliveries<'p> {
+        let (vms, inner): (&[VmSlot], &[u8]) = match ElmoPacketRepr::parse_edge(bytes, layout) {
+            Ok((group_ip, inner_off)) if ipv4::is_multicast(group_ip) => (
+                self.subscriptions.get(&group_ip).map_or(&[], Vec::as_slice),
+                &bytes[inner_off..],
+            ),
+            // Unicast to this host: which VMs want it is not knowable from
+            // the packet alone, so unicast fallback carries the tenant
+            // frame straight through to slot 0's vswitch port; the
+            // application demultiplexes.
+            Ok((dst, inner_off)) if dst == self.ip => (&[VmSlot(0)], &bytes[inner_off..]),
+            _ => (&[], &[]),
         };
-        let inner = &bytes[inner_off..];
-        if ipv4::is_multicast(repr.group_ip) {
-            match self.subscriptions.get(&repr.group_ip) {
-                Some(vms) if !vms.is_empty() => {
-                    self.stats.delivered(vms.len() as u64);
-                    vms.iter().map(|&vm| (vm, inner)).collect()
-                }
-                _ => {
-                    self.stats.discarded();
-                    Vec::new()
-                }
-            }
-        } else if repr.group_ip == self.ip {
-            // Unicast to this host: deliver to every VM subscribed to any
-            // group on this VNI is not knowable from the packet alone, so
-            // unicast fallback carries the tenant frame straight through to
-            // slot 0's vswitch port; the application demultiplexes.
-            self.stats.delivered(1);
-            vec![(VmSlot(0), inner)]
-        } else {
+        if vms.is_empty() {
             self.stats.discarded();
-            Vec::new()
+        } else {
+            self.stats.delivered(vms.len() as u64);
         }
+        Deliveries {
+            vms: vms.iter(),
+            inner,
+        }
+    }
+}
+
+/// What [`HypervisorSwitch::receive`] hands back: the inner frame once per
+/// subscribed local VM, as borrowed slices.
+#[derive(Clone, Debug)]
+pub struct Deliveries<'p> {
+    vms: std::slice::Iter<'p, VmSlot>,
+    inner: &'p [u8],
+}
+
+impl Deliveries<'_> {
+    /// Whether the packet was discarded (no delivery left to yield).
+    pub fn is_empty(&self) -> bool {
+        self.vms.len() == 0
+    }
+}
+
+impl<'p> Iterator for Deliveries<'p> {
+    type Item = (VmSlot, &'p [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.vms.next().map(|&vm| (vm, self.inner))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.vms.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Deliveries<'_> {}
+
+/// Everything a send touches besides the flow table, borrowed apart from
+/// it, so fallback targets are read straight out of the flow entry.
+struct Uplink<'a> {
+    mac: MacAddr,
+    ip: Ipv4Addr,
+    entropy: &'a mut u16,
+    stats: &'a mut HypervisorStats,
+}
+
+impl Uplink<'_> {
+    /// One plain-VXLAN unicast wire packet per target.
+    fn unicast_wire(self, targets: &[HostId], vni: Vni, inner_frame: &[u8]) -> Vec<Vec<u8>> {
+        let mut out = Vec::with_capacity(targets.len());
+        for &t in targets {
+            *self.entropy = self.entropy.wrapping_add(1);
+            let mut buf = Vec::with_capacity(ElmoPacketRepr::OUTER_LEN + inner_frame.len());
+            encap_single_write(
+                self.mac,
+                self.ip,
+                host_ip(t),
+                *self.entropy,
+                vni,
+                &[],
+                inner_frame,
+                &mut buf,
+            );
+            out.push(buf);
+            self.stats.sent_unicast();
+        }
+        out
+    }
+
+    /// [`unicast_wire`](Self::unicast_wire) in flight form.
+    fn unicast_flights(
+        self,
+        targets: &[HostId],
+        vni: Vni,
+        inner_frame: &Arc<[u8]>,
+    ) -> Vec<FlightPacket> {
+        let mut out = Vec::with_capacity(targets.len());
+        for &t in targets {
+            *self.entropy = self.entropy.wrapping_add(1);
+            out.push(FlightPacket {
+                src_mac: self.mac,
+                dst_mac: MacAddr::for_host(t.0),
+                src_ip: self.ip,
+                group_ip: host_ip(t),
+                flow_entropy: *self.entropy,
+                vni,
+                elmo: None,
+                popped: elmo_core::pop::NONE,
+                payload: inner_frame.clone(),
+            });
+            self.stats.sent_unicast();
+        }
+        out
     }
 }
 
@@ -659,9 +715,12 @@ mod tests {
         // Subscribe two VMs: both get the frame.
         rx.subscribe(OUTER, VmSlot(0));
         rx.subscribe(OUTER, VmSlot(2));
-        let delivered = rx.receive(&pkt, &l);
+        let mut delivered = rx.receive(&pkt, &l);
         assert_eq!(delivered.len(), 2);
-        assert_eq!(delivered[0].1, b"payload");
+        assert_eq!(delivered.next(), Some((VmSlot(0), &b"payload"[..])));
+        assert_eq!(delivered.next(), Some((VmSlot(2), &b"payload"[..])));
+        assert_eq!(delivered.next(), None);
+        assert!(delivered.is_empty());
         assert_eq!(rx.stats.delivered, 2);
         // Unsubscribing both restores the discard path.
         rx.unsubscribe(OUTER, VmSlot(0));
@@ -675,9 +734,9 @@ mod tests {
         let mut sender = HypervisorSwitch::new(HostId(3));
         let pkts = sender.send_unicast_to(&[HostId(5)], Vni(9), b"uni", &l);
         let mut rx = HypervisorSwitch::new(HostId(5));
-        let delivered = rx.receive(&pkts[0], &l);
+        let mut delivered = rx.receive(&pkts[0], &l);
         assert_eq!(delivered.len(), 1);
-        assert_eq!(delivered[0].1, b"uni");
+        assert_eq!(delivered.next(), Some((VmSlot(0), &b"uni"[..])));
         // A different host discards it.
         let mut other = HypervisorSwitch::new(HostId(6));
         assert!(other.receive(&pkts[0], &l).is_empty());

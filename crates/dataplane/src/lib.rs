@@ -26,7 +26,8 @@ pub use fabric::{
     dense_switch_id, dense_switch_ref, trace_node_label, Fabric, FabricStats, HopRecord,
 };
 pub use hypervisor::{
-    host_ip, host_of_ip, HypervisorStats, HypervisorSwitch, MembershipSignal, SenderFlow, VmSlot,
+    host_ip, host_of_ip, Deliveries, HypervisorStats, HypervisorSwitch, MembershipSignal,
+    SenderFlow, VmSlot,
 };
 pub use netswitch::{GroupTableFull, MatchSource, NetworkSwitch, SwitchConfig, SwitchStats};
 pub use packet::{

@@ -121,44 +121,96 @@ impl ElmoPacketRepr {
         bytes: &[u8],
         layout: &HeaderLayout,
     ) -> Result<(ElmoPacketRepr, usize), PacketError> {
+        let outer = Outer::parse(bytes)?;
+        let (elmo, elmo_len) = match outer.next_header {
+            NextHeader::Elmo => {
+                let (h, used) =
+                    ElmoHeader::decode(outer.after_vxlan, layout).map_err(PacketError::Elmo)?;
+                (Some(h), used)
+            }
+            NextHeader::Ethernet => (None, 0),
+        };
+        Ok((
+            ElmoPacketRepr {
+                src_mac: outer.src_mac,
+                dst_mac: outer.dst_mac,
+                src_ip: outer.src_ip,
+                group_ip: outer.group_ip,
+                flow_entropy: outer.flow_entropy,
+                vni: outer.vni,
+                elmo,
+            },
+            Self::OUTER_LEN + elmo_len,
+        ))
+    }
+
+    /// The receiving edge's parse: every check [`parse`](Self::parse)
+    /// performs — it accepts and refuses exactly the same bytes with the
+    /// same error — but an Elmo header still present is only walked, not
+    /// built, and all that comes back is the outer destination address and
+    /// the offset of the inner frame. No allocation.
+    pub fn parse_edge(
+        bytes: &[u8],
+        layout: &HeaderLayout,
+    ) -> Result<(Ipv4Addr, usize), PacketError> {
+        let outer = Outer::parse(bytes)?;
+        let elmo_len = match outer.next_header {
+            NextHeader::Elmo => {
+                ElmoHeader::validate(outer.after_vxlan, layout).map_err(PacketError::Elmo)?
+            }
+            NextHeader::Ethernet => 0,
+        };
+        Ok((outer.group_ip, Self::OUTER_LEN + elmo_len))
+    }
+}
+
+/// The checked outer Ethernet/IPv4/UDP/VXLAN stack, shared by the full and
+/// the edge parse so the two cannot disagree on what a valid packet is.
+struct Outer<'a> {
+    src_mac: MacAddr,
+    dst_mac: MacAddr,
+    src_ip: Ipv4Addr,
+    group_ip: Ipv4Addr,
+    flow_entropy: u16,
+    vni: Vni,
+    next_header: NextHeader,
+    /// Everything after the VXLAN header: the Elmo header if
+    /// `next_header` says so, then the inner frame.
+    after_vxlan: &'a [u8],
+}
+
+impl<'a> Outer<'a> {
+    #[inline]
+    fn parse(bytes: &'a [u8]) -> Result<Outer<'a>, PacketError> {
         let eth = Frame::new_checked(bytes)?;
         let eth_repr = FrameRepr::parse(&eth)?;
         if eth_repr.ethertype != EtherType::Ipv4 {
             return Err(PacketError::NotVxlan);
         }
-        let ip = Ipv4Packet::new_checked(eth.payload())?;
+        let ip = Ipv4Packet::new_checked(&bytes[ethernet::HEADER_LEN..])?;
         let ip_repr = Ipv4Repr::parse(&ip)?;
         if ip_repr.protocol != Protocol::Udp {
             return Err(PacketError::NotVxlan);
         }
-        let udp = UdpPacket::new_checked(ip.payload())?;
+        let ip_payload = ip.header_len()..ip.total_len();
+        let udp = UdpPacket::new_checked(&ip.into_inner()[ip_payload])?;
         let udp_repr = UdpRepr::parse(&udp)?;
         if udp_repr.dst_port != VXLAN_PORT {
             return Err(PacketError::NotVxlan);
         }
-        let vx = VxlanPacket::new_checked(udp.payload())?;
+        let udp_payload = udp::HEADER_LEN..udp.len_field();
+        let vx = VxlanPacket::new_checked(&udp.into_inner()[udp_payload])?;
         let vx_repr = VxlanRepr::parse(&vx)?;
-        let (elmo, elmo_len) = match vx_repr.next_header {
-            NextHeader::Elmo => {
-                let (h, used) =
-                    ElmoHeader::decode(vx.payload(), layout).map_err(PacketError::Elmo)?;
-                (Some(h), used)
-            }
-            NextHeader::Ethernet => (None, 0),
-        };
-        let inner_offset = Self::OUTER_LEN + elmo_len;
-        Ok((
-            ElmoPacketRepr {
-                src_mac: eth_repr.src,
-                dst_mac: eth_repr.dst,
-                src_ip: ip_repr.src,
-                group_ip: ip_repr.dst,
-                flow_entropy: udp_repr.src_port,
-                vni: vx_repr.vni,
-                elmo,
-            },
-            inner_offset,
-        ))
+        Ok(Outer {
+            src_mac: eth_repr.src,
+            dst_mac: eth_repr.dst,
+            src_ip: ip_repr.src,
+            group_ip: ip_repr.dst,
+            flow_entropy: udp_repr.src_port,
+            vni: vx_repr.vni,
+            next_header: vx_repr.next_header,
+            after_vxlan: &vx.into_inner()[vxlan::HEADER_LEN..],
+        })
     }
 }
 

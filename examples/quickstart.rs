@@ -111,12 +111,13 @@ fn main() {
     for (host, wire) in &deliveries {
         let mut rx = HypervisorSwitch::new(*host);
         rx.subscribe(state.outer_addr, VmSlot(0));
-        let inner = rx.receive(wire, &layout);
-        println!(
-            "  {host} received {} bytes (inner frame: {:?})",
-            wire.len(),
-            String::from_utf8_lossy(inner[0].1)
-        );
+        for (_vm, inner) in rx.receive(wire, &layout) {
+            println!(
+                "  {host} received {} bytes (inner frame: {:?})",
+                wire.len(),
+                String::from_utf8_lossy(inner)
+            );
+        }
     }
     println!(
         "\nlink bytes per tier: host->leaf {}, leaf->spine {}, spine->core {}, \

@@ -1,0 +1,201 @@
+//! Allocation budget of the wire path (DESIGN.md §15).
+//!
+//! The objects every layer touches must cost bytes, not mallocs: a port
+//! bitmap of up to 128 ports lives inline, the hypervisor's receive path
+//! borrows instead of building, and decoding a header allocates only its
+//! rule lists. This binary installs a counting global allocator (the
+//! counter is per thread, so the harness's own threads do not disturb it)
+//! and holds those three budgets. One `#[test]` only: a second test in
+//! this binary would share the allocator but not the reasoning about what
+//! is warm.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+use elmo::core::bitmap::INLINE_PORTS;
+use elmo::core::bits::BitReader;
+use elmo::core::{DownstreamRule, ElmoHeader, HeaderLayout, PortBitmap, UpstreamRule};
+use elmo::dataplane::{ElmoPacketRepr, HypervisorSwitch, SenderFlow, VmSlot};
+use elmo::net::vxlan::Vni;
+use elmo::topology::{Clos, HostId};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down; `Cell<u64>` has no destructor, but stay out of the way anyway.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one `GlobalAlloc` states; the only addition is a
+// thread-local counter bump that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // `layout`; the caller guarantees `new_size` is valid for it.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations (and reallocations) this thread makes while `f` runs.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// The header of Figure 3b (R = 0): two downstream spine rules, two
+/// downstream leaf rules, both defaults, all upstream sections.
+fn figure3b_header(l: &HeaderLayout) -> ElmoHeader {
+    let rule = |width, ports: &[usize], switches: &[u32]| DownstreamRule {
+        bitmap: PortBitmap::from_ports(width, ports.iter().copied()),
+        switches: switches.to_vec(),
+    };
+    ElmoHeader {
+        u_leaf: Some(UpstreamRule {
+            down: PortBitmap::from_ports(l.leaf_down_ports, [1]),
+            multipath: true,
+            up: PortBitmap::new(l.leaf_up_ports),
+        }),
+        u_spine: Some(UpstreamRule {
+            down: PortBitmap::new(l.spine_down_ports),
+            multipath: true,
+            up: PortBitmap::new(l.spine_up_ports),
+        }),
+        core: Some(PortBitmap::from_ports(l.core_ports, [2, 3])),
+        d_spine: vec![
+            rule(l.spine_down_ports, &[0], &[0]),
+            rule(l.spine_down_ports, &[1], &[2]),
+        ],
+        d_spine_default: Some(PortBitmap::from_ports(l.spine_down_ports, [0, 1])),
+        d_leaf: vec![
+            rule(l.leaf_down_ports, &[0, 1], &[0, 6]),
+            rule(l.leaf_down_ports, &[2], &[5]),
+        ],
+        d_leaf_default: Some(PortBitmap::from_ports(l.leaf_down_ports, [1])),
+    }
+}
+
+#[test]
+fn wire_path_stays_within_its_allocation_budget() {
+    // The counter sees this thread's allocations at all.
+    let (n, v) = allocations(|| vec![1u8; 32]);
+    assert_eq!((n, v.len()), (1, 32));
+
+    // --- PortBitmap: inline up to INLINE_PORTS (128) ports ------------------
+    let wire = [0xa5u8; 32];
+    for width in [0usize, 1, 16, 24, 48, 64, 65, 127, INLINE_PORTS] {
+        let (n, _) = allocations(|| {
+            let a = PortBitmap::new(width);
+            let mut b = a.clone();
+            if width > 0 {
+                b.set(width - 1);
+            }
+            let u = a.or(&b);
+            let read = PortBitmap::read(&mut BitReader::new(&wire), width).expect("32 bytes");
+            black_box((a, b, u, read))
+        });
+        assert_eq!(n, 0, "PortBitmap new/clone/or/read at width {width}");
+    }
+    // One past the inline width is the heap case (the 576-port spine layer).
+    let (n, _) = allocations(|| black_box(PortBitmap::new(INLINE_PORTS + 1)));
+    assert_eq!(n, 1, "a wider bitmap takes exactly its word vector");
+
+    // --- ElmoHeader::decode: the rule lists and nothing else ----------------
+    let layout = HeaderLayout::for_clos(&Clos::paper_example());
+    let header = figure3b_header(&layout);
+    let bytes = header.encode(&layout);
+    let downstream_rules = (header.d_spine.len() + header.d_leaf.len()) as u64;
+    let (n, decoded) = allocations(|| ElmoHeader::decode(&bytes, &layout).expect("valid"));
+    assert_eq!(decoded.0, header);
+    assert!(
+        n <= downstream_rules + 2,
+        "decode allocated {n} times for {downstream_rules} downstream rules: one identifier \
+         list per rule and one list per section is the budget"
+    );
+    let (n, _) = allocations(|| ElmoHeader::validate(&bytes, &layout).expect("valid"));
+    assert_eq!(n, 0, "validate builds nothing");
+
+    // --- HypervisorSwitch::receive: borrows, never builds -------------------
+    let outer = "239.7.7.7".parse().expect("addr");
+    let tenant = "225.1.2.3".parse().expect("addr");
+    let mut tx = HypervisorSwitch::new(HostId(3));
+    tx.install_flow(
+        Vni(9),
+        tenant,
+        SenderFlow::new(outer, Vni(9), &header, &layout, vec![]),
+    );
+    // As the sender emits it (header still present: the grammar walk) and
+    // as a leaf hands it to a host (header stripped: the common case).
+    let with_header = tx.send(Vni(9), tenant, b"inner frame", &layout).remove(0);
+    let (repr, inner_off) = ElmoPacketRepr::parse(&with_header, &layout).expect("valid");
+    let mut stripped = Vec::new();
+    ElmoPacketRepr { elmo: None, ..repr }.emit(&layout, &with_header[inner_off..], &mut stripped);
+    let unicast = tx
+        .send_unicast_to(&[HostId(5)], Vni(9), b"inner frame", &layout)
+        .remove(0);
+
+    let mut rx = HypervisorSwitch::new(HostId(5));
+    rx.subscribe(outer, VmSlot(0));
+    rx.subscribe(outer, VmSlot(2));
+    let mut bystander = HypervisorSwitch::new(HostId(6));
+    let receive = |hv: &mut HypervisorSwitch, pkt: &[u8]| {
+        let mut frames = 0;
+        for (vm, inner) in hv.receive(pkt, &layout) {
+            assert_eq!(inner, b"inner frame");
+            black_box(vm);
+            frames += 1;
+        }
+        frames
+    };
+    // First use registers the fabric-wide counters; that is set-up, not
+    // per-packet work.
+    receive(&mut rx, &stripped);
+    receive(&mut bystander, &stripped);
+
+    let truncated = &stripped[..40];
+    let mut hvs = [rx, bystander];
+    for (what, hv, pkt, frames) in [
+        ("deliver", 0, &stripped[..], 2),
+        ("deliver, header present", 0, &with_header[..], 2),
+        ("unicast to this host", 0, &unicast[..], 1),
+        ("discard: no subscriber", 1, &stripped[..], 0),
+        ("discard: another host's unicast", 1, &unicast[..], 0),
+        ("discard: truncated", 0, truncated, 0),
+    ] {
+        let (n, got) = allocations(|| receive(&mut hvs[hv], pkt));
+        assert_eq!(got, frames, "{what}");
+        assert_eq!(n, 0, "receive allocated on the `{what}` branch");
+    }
+    let [rx, bystander] = hvs;
+    assert_eq!(rx.stats.delivered, 2 + 2 + 2 + 1);
+    assert_eq!(rx.stats.discarded, 1);
+    assert_eq!(bystander.stats.discarded, 3);
+}

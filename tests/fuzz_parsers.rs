@@ -44,6 +44,12 @@ impl SplitMix64 {
 /// A valid multicast packet with a two-section Elmo header, as the
 /// quickstart's sender hypervisor would emit it.
 fn valid_packet(layout: &HeaderLayout) -> Vec<u8> {
+    packet_to(layout, "239.0.0.5".parse().expect("addr"), true)
+}
+
+/// A valid packet to `dst` (multicast group or host address), with the
+/// Elmo header still present or already stripped by the last leaf.
+fn packet_to(layout: &HeaderLayout, dst: std::net::Ipv4Addr, with_elmo: bool) -> Vec<u8> {
     let mut header = ElmoHeader::empty();
     header.u_leaf = Some(elmo::core::UpstreamRule {
         down: elmo::core::PortBitmap::from_ports(layout.leaf_down_ports, [1]),
@@ -53,14 +59,12 @@ fn valid_packet(layout: &HeaderLayout) -> Vec<u8> {
     header.core = Some(elmo::core::PortBitmap::from_ports(layout.core_ports, [2]));
     let repr = ElmoPacketRepr {
         src_mac: elmo::net::ethernet::MacAddr::for_host(0),
-        dst_mac: elmo::net::ethernet::MacAddr::from_ipv4_multicast(
-            "239.0.0.5".parse().expect("addr"),
-        ),
+        dst_mac: elmo::net::ethernet::MacAddr::from_ipv4_multicast(dst),
         src_ip: "10.0.0.7".parse().expect("addr"),
-        group_ip: "239.0.0.5".parse().expect("addr"),
+        group_ip: dst,
         flow_entropy: 7,
         vni: elmo::net::vxlan::Vni(3),
-        elmo: Some(header),
+        elmo: with_elmo.then_some(header),
     };
     let mut pkt = Vec::new();
     repr.emit(layout, b"fuzz payload", &mut pkt);
@@ -237,6 +241,107 @@ fn header_region_corruption_is_bounded() {
         let _ = ElmoPacketRepr::parse(&corrupted, &layout);
         let _ = FlightPacket::parse(&corrupted, &layout);
     }
+}
+
+/// The hypervisor's receive path validates through the edge parse, which
+/// builds nothing. Over the whole corpus — random bytes, truncations, bit
+/// flips and header-region corruption of packets to a subscribed group, an
+/// unsubscribed group, this host and another host — it must accept exactly
+/// what `ElmoPacketRepr::parse` accepts, with the same error otherwise;
+/// `receive` must yield the subscribers' deliveries iff the bytes parse and
+/// the destination is subscribed (or is this host's unicast address), every
+/// delivery must borrow exactly `&bytes[inner_off..]`, and each call must
+/// count exactly one outcome.
+#[test]
+fn edge_receive_agrees_with_full_parse() {
+    use elmo::dataplane::{host_ip, HypervisorSwitch, VmSlot};
+    use elmo::topology::HostId;
+
+    let layout = layout();
+    let subscribed: std::net::Ipv4Addr = "239.0.0.5".parse().expect("addr");
+    let mut hv = HypervisorSwitch::new(HostId(5));
+    hv.subscribe(subscribed, VmSlot(0));
+    hv.subscribe(subscribed, VmSlot(3));
+    let (mut delivered_calls, mut unicast_calls, mut discarded_calls) = (0u32, 0u32, 0u32);
+
+    let mut check = |bytes: &[u8]| {
+        let full = ElmoPacketRepr::parse(bytes, &layout);
+        assert_eq!(
+            ElmoPacketRepr::parse_edge(bytes, &layout),
+            full.as_ref()
+                .map(|(repr, inner_off)| (repr.group_ip, *inner_off))
+                .map_err(|e| *e),
+            "edge and full parse diverge on {bytes:02x?}"
+        );
+        let expect: Vec<(VmSlot, &[u8])> = match &full {
+            Ok((repr, off)) if repr.group_ip == subscribed => {
+                delivered_calls += 1;
+                vec![(VmSlot(0), &bytes[*off..]), (VmSlot(3), &bytes[*off..])]
+            }
+            Ok((repr, off)) if repr.group_ip == hv.ip() => {
+                unicast_calls += 1;
+                vec![(VmSlot(0), &bytes[*off..])]
+            }
+            _ => {
+                discarded_calls += 1;
+                Vec::new()
+            }
+        };
+        let before = hv.stats;
+        let got = hv.receive(bytes, &layout);
+        assert_eq!(got.len(), expect.len());
+        assert_eq!(got.is_empty(), expect.is_empty());
+        assert_eq!(got.collect::<Vec<_>>(), expect);
+        assert_eq!(
+            (
+                hv.stats.delivered - before.delivered,
+                hv.stats.discarded - before.discarded
+            ),
+            (expect.len() as u64, expect.is_empty() as u64),
+            "one outcome per call"
+        );
+    };
+
+    let mut rng = SplitMix64(0xed6e_fa11);
+    for len in 0..160 {
+        for _rep in 0..8 {
+            let mut bytes = vec![0u8; len];
+            rng.fill(&mut bytes);
+            check(&bytes);
+        }
+    }
+    for dst in [
+        subscribed,
+        "239.0.0.6".parse().expect("addr"),
+        host_ip(HostId(5)),
+        host_ip(HostId(6)),
+    ] {
+        for with_elmo in [true, false] {
+            let pkt = packet_to(&layout, dst, with_elmo);
+            for len in 0..=pkt.len() {
+                check(&pkt[..len]);
+            }
+            for at in 0..pkt.len() {
+                for bit in 0..8 {
+                    let mut corrupted = pkt.clone();
+                    corrupted[at] ^= 1 << bit;
+                    check(&corrupted);
+                }
+            }
+            let after_outer = ElmoPacketRepr::OUTER_LEN;
+            for _rep in 0..1024 {
+                let mut corrupted = pkt.clone();
+                let span = (rng.next_u64() as usize % (corrupted.len() - after_outer)).max(1);
+                rng.fill(&mut corrupted[after_outer..after_outer + span]);
+                check(&corrupted);
+            }
+        }
+    }
+    assert!(
+        delivered_calls > 1000 && unicast_calls > 1000 && discarded_calls > 1000,
+        "every branch exercised: {delivered_calls} delivered, {unicast_calls} unicast, \
+         {discarded_calls} discarded"
+    );
 }
 
 /// The observability JSON parsers get the same deterministic treatment as
