@@ -51,10 +51,10 @@ pub fn run(
     run_sharded(topo, subscribers, msg_bytes, transport, model, 1)
 }
 
-/// [`run`] with the fabric replay routed through the sharded multi-core
-/// engine when `replay_threads > 1` (0 = one shard per core). Deliveries
-/// are identical at any shard count; this exists so the eval harness can
-/// exercise the application workloads over the parallel data plane.
+/// [`run`] with the fabric replay spread over `replay_threads` engine
+/// shards (0 = one shard per core). Deliveries are identical at any shard
+/// count; this exists so the eval harness can exercise the application
+/// workloads over the parallel data plane.
 pub fn run_sharded(
     topo: Clos,
     subscribers: usize,
@@ -123,12 +123,7 @@ pub fn run_sharded(
     let packets_per_message = packets.len();
     let mut received = vec![0usize; subscribers];
     let batch = packets.into_iter().map(|p| (publisher, p));
-    let delivered = if replay_threads > 1 {
-        fabric.inject_batch_sharded(batch, replay_threads)
-    } else {
-        fabric.inject_batch(batch)
-    };
-    for (host, bytes) in delivered {
+    for (host, bytes) in fabric.inject_batch(batch, replay_threads) {
         // Locate the subscriber hypervisor for this host.
         if let Some(i) = subs.iter().position(|&h| h == host) {
             for (_, inner) in rx[i].receive(&bytes, ctl.layout()) {

@@ -138,8 +138,8 @@ pub fn replicate(
     replicate_sharded(topo, replicas, log, transport, model, 1)
 }
 
-/// [`replicate`] with the fabric replay routed through the sharded
-/// multi-core engine when `replay_threads > 1` (0 = one shard per core).
+/// [`replicate`] with the fabric replay spread over `replay_threads`
+/// engine shards (0 = one shard per core).
 /// Replicas converge to the same digest at any shard count: within one
 /// log entry every delivered frame is identical, so delivery order
 /// cannot reorder commands.
@@ -210,12 +210,7 @@ pub fn replicate_sharded(
         };
         leader_egress += packets.iter().map(|p| p.len() as u64).sum::<u64>();
         let batch = packets.into_iter().map(|p| (leader, p));
-        let delivered = if replay_threads > 1 {
-            fabric.inject_batch_sharded(batch, replay_threads)
-        } else {
-            fabric.inject_batch(batch)
-        };
-        for (host, bytes) in delivered {
+        for (host, bytes) in fabric.inject_batch(batch, replay_threads) {
             if let Some((hv, replica)) = machines.get_mut(&host) {
                 for (_, inner) in hv.receive(&bytes, ctl.layout()) {
                     replica.apply(inner);

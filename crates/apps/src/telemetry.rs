@@ -27,9 +27,8 @@ pub struct TelemetryConfig {
     pub datagrams_per_sec: usize,
     /// Length of the measured interval in seconds.
     pub interval_secs: usize,
-    /// Fabric replay shard count (1 = serial loop, >1 = the sharded
-    /// multi-core engine, 0 = one shard per core). Deliveries are
-    /// identical at any value.
+    /// Fabric replay shard count (1 = inline on the calling thread,
+    /// 0 = one shard per core). Deliveries are identical at any value.
     pub replay_threads: usize,
 }
 
@@ -122,12 +121,7 @@ pub fn run(
             }
         };
         let batch = packets.into_iter().map(|p| (agent, p));
-        let delivered = if cfg.replay_threads > 1 {
-            fabric.inject_batch_sharded(batch, cfg.replay_threads)
-        } else {
-            fabric.inject_batch(batch)
-        };
-        for (host, bytes) in delivered {
+        for (host, bytes) in fabric.inject_batch(batch, cfg.replay_threads) {
             if let Some(i) = collector_hosts.iter().position(|&h| h == host) {
                 received_total += rx[i].receive(&bytes, ctl.layout()).len();
             }

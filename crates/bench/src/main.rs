@@ -11,19 +11,6 @@
 //!   --cache on|off    encoding memoization in the timed sweeps (default on)
 //!   --require-cache-hits  exit nonzero if the workload produces no cache hits
 //!   --out PATH        output file (default BENCH_encode.json)
-//!   --replay-packets N    packets for the data-plane replay bench (default 20,000)
-//!   --replay-payload N    inner-frame bytes per replay packet (default 1,500)
-//!   --replay-threads LIST shard counts for the sharded replay axis
-//!                         (default 1,2,4,8; counts above the core count
-//!                         are skipped and recorded, 0 = all cores)
-//!   --replay-out PATH     replay output file (default BENCH_dataplane.json)
-//!   --replay-only     skip the encode sweep; run only the replay bench
-//!   --replay-allow-oversubscribed  time replay shard counts above the core
-//!                         count anyway; their rows are recorded with
-//!                         "oversubscribed": true instead of being skipped
-//!   --expect-deliveries N exit nonzero if the replay delivered-copy count differs
-//!   --expect-pkts-per-sec N exit nonzero if warm batched replay throughput
-//!                         falls below N packets/s (generous CI floor)
 //!   --churn-events N      join/leave events per churn scenario (default 20,000)
 //!   --churn-out PATH      churn output file (default BENCH_churn.json)
 //!   --churn-only      run only the churn bench
@@ -45,15 +32,6 @@
 //! thread counts before timings are reported, and a dedicated cold-vs-warm
 //! cache pass reports the memoization hit rate.
 //!
-//! The replay bench drives a fixed-seed packet workload through the
-//! paper-example [`Fabric`] four ways — the per-hop re-serializing
-//! reference path, the zero-copy fast path from wire bytes, the
-//! all-flight path from pre-parsed [`FlightPacket`]s, and the run-grouped
-//! batched engine (SoA buckets over compiled per-switch match plans) —
-//! asserting identical delivery and link counts before reporting
-//! packets/s and copies/s, cold (first 10%, scratch buffers still
-//! growing) vs warm.
-//!
 //! The churn bench replays the same seeded join/leave stream through a
 //! delta-on and a delta-off controller on the bench fabric, verifying the
 //! delta controller's installed state after every burst and asserting the
@@ -64,18 +42,12 @@
 //! reported alongside).
 #![forbid(unsafe_code)]
 
-use std::net::Ipv4Addr;
 use std::time::Instant;
 
-use elmo_controller::{Controller, ControllerConfig, GroupId, MemberRole};
 use elmo_core::{approx_min_k_union_with, EncodeCache, MinKUnionScratch, PortBitmap, SplitMix64};
-use elmo_dataplane::{
-    DeliveryBatch, Fabric, FlightPacket, HypervisorSwitch, SenderFlow, SwitchConfig,
-};
-use elmo_net::vxlan::Vni;
 use elmo_sim::sweep::SweepResult;
 use elmo_sim::{sweep, SweepConfig};
-use elmo_topology::{Clos, HostId, LeafId, PodId};
+use elmo_topology::Clos;
 use elmo_workloads::{GroupSizeDist, WorkloadConfig};
 
 struct Args {
@@ -85,14 +57,6 @@ struct Args {
     cache: bool,
     require_cache_hits: bool,
     out: String,
-    replay_packets: usize,
-    replay_payload: usize,
-    replay_threads: Vec<usize>,
-    replay_out: String,
-    replay_only: bool,
-    replay_allow_oversubscribed: bool,
-    expect_deliveries: Option<u64>,
-    expect_pkts_per_sec: Option<u64>,
     churn_events: usize,
     churn_out: String,
     churn_only: bool,
@@ -108,16 +72,6 @@ fn parse_args() -> Args {
         cache: true,
         require_cache_hits: false,
         out: "BENCH_encode.json".into(),
-        replay_packets: 20_000,
-        // The paper's traffic figures use 1,500-byte payloads; the replay
-        // paths diverge most where payload bytes dominate the wire copy.
-        replay_payload: 1_500,
-        replay_threads: vec![1, 2, 4, 8],
-        replay_out: "BENCH_dataplane.json".into(),
-        replay_only: false,
-        replay_allow_oversubscribed: false,
-        expect_deliveries: None,
-        expect_pkts_per_sec: None,
         churn_events: 20_000,
         churn_out: "BENCH_churn.json".into(),
         churn_only: false,
@@ -162,39 +116,6 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 })
             }
-            "--replay-packets" => {
-                out.replay_packets = num_list("--replay-packets").first().copied().unwrap_or(0);
-                if out.replay_packets == 0 {
-                    elmo_obs::error!("usage", msg = "--replay-packets needs a positive count");
-                    std::process::exit(2);
-                }
-            }
-            "--replay-payload" => {
-                out.replay_payload = num_list("--replay-payload").first().copied().unwrap_or(0);
-            }
-            "--replay-threads" => {
-                out.replay_threads = num_list("--replay-threads");
-                if out.replay_threads.is_empty() {
-                    elmo_obs::error!("usage", msg = "--replay-threads needs at least one count");
-                    std::process::exit(2);
-                }
-            }
-            "--replay-out" => {
-                out.replay_out = args.next().unwrap_or_else(|| {
-                    elmo_obs::error!("usage", msg = "--replay-out needs a path");
-                    std::process::exit(2);
-                })
-            }
-            "--replay-only" => out.replay_only = true,
-            "--replay-allow-oversubscribed" => out.replay_allow_oversubscribed = true,
-            "--expect-pkts-per-sec" => {
-                out.expect_pkts_per_sec = Some(
-                    num_list("--expect-pkts-per-sec")
-                        .first()
-                        .copied()
-                        .unwrap_or(0) as u64,
-                )
-            }
             "--churn-events" => {
                 out.churn_events = num_list("--churn-events").first().copied().unwrap_or(0);
                 if out.churn_events == 0 {
@@ -212,14 +133,6 @@ fn parse_args() -> Args {
             "--expect-churn-hit-rate" => {
                 out.expect_churn_hit_rate = Some(
                     num_list("--expect-churn-hit-rate")
-                        .first()
-                        .copied()
-                        .unwrap_or(0) as u64,
-                )
-            }
-            "--expect-deliveries" => {
-                out.expect_deliveries = Some(
-                    num_list("--expect-deliveries")
                         .first()
                         .copied()
                         .unwrap_or(0) as u64,
@@ -396,364 +309,6 @@ fn bench_min_k_union() -> (usize, f64, f64) {
     (iters * sets.len(), secs * 1e3, calls / secs)
 }
 
-/// One timed replay mode: cold = the first ~10% of packets on a fresh
-/// fabric (scratch buffers still growing), warm = the remainder.
-struct ReplayMode {
-    name: &'static str,
-    cold_wall_ms: f64,
-    warm_wall_ms: f64,
-    cold_pkts_per_sec: f64,
-    warm_pkts_per_sec: f64,
-    warm_copies_per_sec: f64,
-}
-
-/// One timed sharded-replay row: the same workload run through
-/// `inject_flights_sharded` at one shard count.
-struct ShardRow {
-    threads: usize,
-    cold_wall_ms: f64,
-    warm_wall_ms: f64,
-    cold_pkts_per_sec: f64,
-    warm_pkts_per_sec: f64,
-    warm_copies_per_sec: f64,
-}
-
-struct ReplayBench {
-    packets: usize,
-    payload_bytes: usize,
-    /// Host-delivered copies per full run (identical across modes, asserted).
-    deliveries: u64,
-    /// Wire copies (link hops) per full run (identical across modes, asserted).
-    copies_on_links: u64,
-    modes: Vec<ReplayMode>,
-    /// The threads axis: one row per (non-oversubscribed) shard count.
-    shard_rows: Vec<ShardRow>,
-}
-
-/// Build the fixed replay workload: the paper-example fabric with three
-/// groups installed (same-leaf, same-pod, cross-pod — the `--trace-pcap`
-/// scenario plus one extra cross-pod member so a default p-rule appears),
-/// and `n` pre-encapsulated wire packets round-robining over the groups.
-/// Entropy advances deterministically per hypervisor, so the packet
-/// sequence is identical on every invocation.
-fn replay_workload(n: usize, payload: usize) -> (Fabric, Vec<(HostId, Vec<u8>)>) {
-    let topo = Clos::paper_example();
-    let mut ctl = Controller::new(topo, ControllerConfig::paper_default(12));
-    let vni = Vni(7);
-    let shapes: [&[u32]; 3] = [&[0, 1], &[0, 8, 13], &[0, 1, 42, 48, 49, 57]];
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
-    let mut senders: Vec<(HostId, HypervisorSwitch, Ipv4Addr)> = Vec::new();
-    for (gi, members) in shapes.iter().enumerate() {
-        let gid = GroupId(gi as u64 + 1);
-        let tenant = Ipv4Addr::new(225, 9, 9, gi as u8 + 1);
-        ctl.create_group(
-            gid,
-            vni,
-            tenant,
-            members.iter().map(|&h| (HostId(h), MemberRole::Both)),
-        );
-        let state = ctl.group(gid).expect("created group");
-        for (leaf, bm) in &state.enc.d_leaf.s_rules {
-            fabric
-                .leaf_mut(LeafId(*leaf))
-                .install_srule(state.outer_addr, bm.clone())
-                .expect("leaf group table");
-        }
-        for (pod, bm) in &state.enc.d_spine.s_rules {
-            fabric
-                .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
-                .expect("spine group table");
-        }
-        let sender = HostId(members[0]);
-        let header = ctl.header_for(gid, sender).expect("sender header");
-        let mut hv = HypervisorSwitch::new(sender);
-        hv.install_flow(
-            vni,
-            tenant,
-            SenderFlow::new(state.outer_addr, vni, &header, ctl.layout(), vec![]),
-        );
-        senders.push((sender, hv, tenant));
-    }
-    let inner = vec![0xE1u8; payload];
-    let mut pkts = Vec::with_capacity(n);
-    for i in 0..n {
-        let (sender, hv, tenant) = &mut senders[i % 3];
-        for pkt in hv.send(vni, *tenant, &inner, ctl.layout()) {
-            pkts.push((*sender, pkt));
-        }
-    }
-    assert_eq!(pkts.len(), n, "every send produced exactly one wire packet");
-    (fabric, pkts)
-}
-
-/// The data-plane replay benchmark: reference path vs zero-copy fast path
-/// vs all-flight path vs the run-grouped batched engine (one shard, SoA
-/// buckets over compiled match plans) on the identical packet stream.
-/// Delivery and link counts are asserted equal across modes — a
-/// throughput number from a path that forwards differently would be
-/// meaningless.
-///
-/// Timing discipline for shared/noisy hosts: after one cold pass per mode
-/// (fresh fabric, scratch buffers still growing), the warm segment is
-/// re-run `WARM_REPS` times and each mode reports its fastest pass, the
-/// standard noise-robust estimate of the true cost. The three serial modes
-/// are *interleaved* (they share an allocation profile, so a CPU-stealing
-/// neighbor hurts every mode's rep, not one mode's whole block); the
-/// batched engine reps run consecutively, because its allocation-free warm
-/// path would otherwise inherit the serial modes' heap churn. Copy counts
-/// are asserted identical across passes (entropy is baked into the
-/// packets, so a re-pass forwards identically).
-fn bench_replay(args: &Args) -> ReplayBench {
-    const MODE_NAMES: [&str; 4] = ["reference", "fast", "flight", "batched"];
-    const WARM_REPS: usize = 5;
-    // The engine passes are ~10× cheaper per rep than the serial trio, so
-    // their min gets more samples for the same wall budget — rep counts
-    // scaled to a time budget, not a fixed count, as is standard for
-    // min-of-reps estimation on shared hosts.
-    const ENGINE_REPS: usize = 15;
-    let n = args.replay_packets;
-    let (template, pkts) = replay_workload(n, args.replay_payload);
-    // Pre-parse once for the flight mode: this is what a sender using
-    // `send_flight` hands the fabric, so the parse is not on its clock.
-    let flights: Vec<(HostId, FlightPacket)> = pkts
-        .iter()
-        .map(|(h, p)| {
-            (
-                *h,
-                FlightPacket::parse(p, template.layout()).expect("bench packet parses"),
-            )
-        })
-        .collect();
-    let inject_one = |mode: usize, f: &mut Fabric, i: usize| -> usize {
-        match mode {
-            0 => {
-                let (h, p) = &pkts[i];
-                f.inject_reference(*h, p.clone()).len()
-            }
-            1 => {
-                let (h, p) = &pkts[i];
-                f.inject(*h, p.clone()).len()
-            }
-            _ => {
-                let (h, p) = &flights[i];
-                f.inject_flight(*h, p.clone()).len()
-            }
-        }
-    };
-    let cold_n = (n / 10).max(1).min(n);
-    let mut fabrics: Vec<Fabric> = (0..4).map(|_| template.clone()).collect();
-    let mut cold_secs = [0f64; 4];
-    let mut cold_delivered = [0u64; 4];
-    // Mode 3 (`batched`) is the run-grouped SoA engine at one shard, its
-    // output materialized through the reused `DeliveryBatch` — replay plus
-    // full serialization, same work the serial modes are charged for.
-    let mut batched_out = DeliveryBatch::new();
-    let mut b_wire_bytes = 0u64;
-    for mode in 0..3 {
-        let start = Instant::now();
-        for i in 0..cold_n {
-            cold_delivered[mode] += inject_one(mode, &mut fabrics[mode], i) as u64;
-        }
-        cold_secs[mode] = start.elapsed().as_secs_f64();
-    }
-    {
-        let start = Instant::now();
-        fabrics[3].replay_flights_sharded(&flights[..cold_n], 1, &mut batched_out);
-        let mut delivered = 0u64;
-        batched_out.for_each(|_, b| {
-            delivered += 1;
-            b_wire_bytes += b.len() as u64;
-        });
-        cold_delivered[3] = delivered;
-        cold_secs[3] = start.elapsed().as_secs_f64();
-    }
-    let mut warm_secs = [f64::INFINITY; 4];
-    let mut warm_delivered = [0u64; 4];
-    let mut links_full_run = [0u64; 4];
-    for rep in 0..WARM_REPS {
-        for mode in 0..3 {
-            let mut delivered = 0u64;
-            let start = Instant::now();
-            for i in cold_n..n {
-                delivered += inject_one(mode, &mut fabrics[mode], i) as u64;
-            }
-            warm_secs[mode] = warm_secs[mode].min(start.elapsed().as_secs_f64());
-            if rep == 0 {
-                warm_delivered[mode] = delivered;
-                links_full_run[mode] = fabrics[mode].stats.packets_on_links;
-            } else {
-                assert_eq!(
-                    delivered, warm_delivered[mode],
-                    "{}: replay not repeatable",
-                    MODE_NAMES[mode]
-                );
-            }
-        }
-    }
-    // Mode 3 (`batched`) reps run as their own consecutive block. Its warm
-    // path is allocation-free and cache-resident, so a rep that follows an
-    // allocation-heavy serial pass measures the neighbor's heap churn, not
-    // the engine; the serial trio stays interleaved because the three share
-    // an allocation profile and a stolen-CPU rep then hurts each equally.
-    // Min-of-reps rejects one-off stalls in both blocks.
-    for rep in 0..ENGINE_REPS {
-        let mut delivered = 0u64;
-        let start = Instant::now();
-        fabrics[3].replay_flights_sharded(&flights[cold_n..], 1, &mut batched_out);
-        batched_out.for_each(|_, b| {
-            delivered += 1;
-            b_wire_bytes += b.len() as u64;
-        });
-        warm_secs[3] = warm_secs[3].min(start.elapsed().as_secs_f64());
-        if rep == 0 {
-            warm_delivered[3] = delivered;
-            links_full_run[3] = fabrics[3].stats.packets_on_links;
-        } else {
-            assert_eq!(
-                delivered, warm_delivered[3],
-                "batched: replay not repeatable"
-            );
-        }
-    }
-    assert!(
-        std::hint::black_box(b_wire_bytes) > 0,
-        "batched mode materialized no wire bytes"
-    );
-    let deliveries = cold_delivered[0] + warm_delivered[0];
-    for mode in 1..4 {
-        assert_eq!(
-            cold_delivered[mode] + warm_delivered[mode],
-            deliveries,
-            "{} changed the delivered-copy count",
-            MODE_NAMES[mode]
-        );
-        assert_eq!(
-            links_full_run[mode], links_full_run[0],
-            "{} changed the on-link copy count",
-            MODE_NAMES[mode]
-        );
-    }
-    let warm_n = (n - cold_n) as f64;
-    let modes = (0..4)
-        .map(|mode| {
-            let row = ReplayMode {
-                name: MODE_NAMES[mode],
-                cold_wall_ms: cold_secs[mode] * 1e3,
-                warm_wall_ms: warm_secs[mode] * 1e3,
-                cold_pkts_per_sec: cold_n as f64 / cold_secs[mode],
-                warm_pkts_per_sec: warm_n / warm_secs[mode],
-                warm_copies_per_sec: warm_delivered[mode] as f64 / warm_secs[mode],
-            };
-            elmo_obs::info!(
-                "bench.replay",
-                mode = row.name,
-                packets = n,
-                cold_pkts_per_sec = row.cold_pkts_per_sec,
-                warm_pkts_per_sec = row.warm_pkts_per_sec,
-                warm_copies_per_sec = row.warm_copies_per_sec
-            );
-            row
-        })
-        .collect();
-    // The threads axis: the same flight stream through the sharded engine
-    // at each shard count, with the same cold/interleaved-warm discipline.
-    // Delivered and on-link copy counts are asserted against the serial
-    // modes — a scaling number from an engine that forwards differently
-    // would be meaningless.
-    let sc = &args.replay_threads;
-    let mut shard_fabrics: Vec<Fabric> = sc.iter().map(|_| template.clone()).collect();
-    let mut batches: Vec<DeliveryBatch> = sc.iter().map(|_| DeliveryBatch::new()).collect();
-    let mut s_cold_secs = vec![0f64; sc.len()];
-    let mut s_cold_delivered = vec![0u64; sc.len()];
-    // Timed region = replay + full materialization: the serial modes hand
-    // back owned wire bytes for every delivery, so the sharded rows must
-    // pay the same serialization cost for the comparison to be honest.
-    let mut s_wire_bytes = 0u64;
-    for (si, &t) in sc.iter().enumerate() {
-        let start = Instant::now();
-        shard_fabrics[si].replay_flights_sharded(&flights[..cold_n], t, &mut batches[si]);
-        let mut delivered = 0u64;
-        batches[si].for_each(|_, b| {
-            delivered += 1;
-            s_wire_bytes += b.len() as u64;
-        });
-        s_cold_delivered[si] = delivered;
-        s_cold_secs[si] = start.elapsed().as_secs_f64();
-    }
-    let mut s_warm_secs = vec![f64::INFINITY; sc.len()];
-    let mut s_warm_delivered = vec![0u64; sc.len()];
-    let mut s_links = vec![0u64; sc.len()];
-    for rep in 0..ENGINE_REPS {
-        for (si, &t) in sc.iter().enumerate() {
-            // The batch is reused across reps: its arenas hand capacity
-            // back to the workers, so the warm path is allocation-free —
-            // the replay service's steady state.
-            let start = Instant::now();
-            shard_fabrics[si].replay_flights_sharded(&flights[cold_n..], t, &mut batches[si]);
-            let mut delivered = 0u64;
-            batches[si].for_each(|_, b| {
-                delivered += 1;
-                s_wire_bytes += b.len() as u64;
-            });
-            s_warm_secs[si] = s_warm_secs[si].min(start.elapsed().as_secs_f64());
-            if rep == 0 {
-                s_warm_delivered[si] = delivered;
-                s_links[si] = shard_fabrics[si].stats.packets_on_links;
-            } else {
-                assert_eq!(
-                    delivered, s_warm_delivered[si],
-                    "sharded({t}): replay not repeatable"
-                );
-            }
-        }
-    }
-    for (si, &t) in sc.iter().enumerate() {
-        assert_eq!(
-            s_cold_delivered[si] + s_warm_delivered[si],
-            deliveries,
-            "sharded({t}) changed the delivered-copy count"
-        );
-        assert_eq!(
-            s_links[si], links_full_run[0],
-            "sharded({t}) changed the on-link copy count"
-        );
-    }
-    assert!(
-        std::hint::black_box(s_wire_bytes) > 0,
-        "sharded rows materialized no wire bytes"
-    );
-    let shard_rows = sc
-        .iter()
-        .enumerate()
-        .map(|(si, &t)| {
-            let row = ShardRow {
-                threads: t,
-                cold_wall_ms: s_cold_secs[si] * 1e3,
-                warm_wall_ms: s_warm_secs[si] * 1e3,
-                cold_pkts_per_sec: cold_n as f64 / s_cold_secs[si],
-                warm_pkts_per_sec: warm_n / s_warm_secs[si],
-                warm_copies_per_sec: s_warm_delivered[si] as f64 / s_warm_secs[si],
-            };
-            elmo_obs::info!(
-                "bench.replay.sharded",
-                threads = t,
-                packets = n,
-                warm_pkts_per_sec = row.warm_pkts_per_sec,
-                warm_copies_per_sec = row.warm_copies_per_sec
-            );
-            row
-        })
-        .collect();
-    ReplayBench {
-        packets: n,
-        payload_bytes: args.replay_payload,
-        deliveries,
-        copies_on_links: links_full_run[0],
-        modes,
-        shard_rows,
-    }
-}
-
 /// Time the static rule-state verifier end to end on a 1,000-group
 /// workload of the bench fabric: controller compile, fabric install, full
 /// `elmo_verify::check_state` walk (delivery, loops, budgets, replica
@@ -895,103 +450,6 @@ fn run_encode_bench(args: &Args, cpus: usize, skipped: &[usize]) {
         std::process::exit(1);
     }
     elmo_obs::info!("bench.wrote", path = args.out.as_str());
-}
-
-/// Run the data-plane replay bench, write `args.replay_out`, and enforce
-/// `--expect-deliveries` (the CI smoke gate: any change to how many copies
-/// the fixed workload delivers fails the run).
-fn run_replay_bench(args: &Args, cpus: usize, skipped_shards: &[usize]) {
-    let replay = bench_replay(args);
-    let warm_ref = replay.modes[0].warm_pkts_per_sec;
-    let warm_flight = replay.modes[2].warm_pkts_per_sec;
-    let warm_batched = replay.modes[3].warm_pkts_per_sec;
-    let mode_rows: Vec<String> = replay
-        .modes
-        .iter()
-        .map(|m| {
-            format!(
-                "    {{\"mode\": \"{}\", \"cold_wall_ms\": {}, \"warm_wall_ms\": {}, \"cold_pkts_per_sec\": {}, \"warm_pkts_per_sec\": {}, \"warm_copies_per_sec\": {}}}",
-                m.name,
-                json_f(m.cold_wall_ms),
-                json_f(m.warm_wall_ms),
-                json_f(m.cold_pkts_per_sec),
-                json_f(m.warm_pkts_per_sec),
-                json_f(m.warm_copies_per_sec),
-            )
-        })
-        .collect();
-    // The threads axis. By default only non-oversubscribed shard counts
-    // were run (main filtered the rest into `skipped_shards`), so
-    // `speedup_vs_flight` is scaling evidence, not scheduler noise; with
-    // `--replay-allow-oversubscribed`, rows above the core count do run
-    // and are flagged per row.
-    let shard_json_rows: Vec<String> = replay
-        .shard_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "      {{\"threads\": {}, \"oversubscribed\": {}, \"cold_wall_ms\": {}, \"warm_wall_ms\": {}, \"cold_pkts_per_sec\": {}, \"warm_pkts_per_sec\": {}, \"warm_copies_per_sec\": {}, \"speedup_vs_flight\": {}}}",
-                r.threads,
-                r.threads != 0 && r.threads > cpus,
-                json_f(r.cold_wall_ms),
-                json_f(r.warm_wall_ms),
-                json_f(r.cold_pkts_per_sec),
-                json_f(r.warm_pkts_per_sec),
-                json_f(r.warm_copies_per_sec),
-                json_f(r.warm_pkts_per_sec / warm_flight),
-            )
-        })
-        .collect();
-    let skipped_json = skipped_shards
-        .iter()
-        .map(|t| t.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n  \"bench\": \"elmo dataplane replay\",\n  \"fabric_hosts\": {},\n  \"packets\": {},\n  \"payload_bytes\": {},\n  \"cpus_available\": {},\n  \"deliveries\": {},\n  \"copies_on_links\": {},\n  \"modes\": [\n{}\n  ],\n  \"speedup_fast_vs_reference\": {},\n  \"speedup_flight_vs_reference\": {},\n  \"speedup_batched_vs_reference\": {},\n  \"speedup_batched_vs_flight\": {},\n  \"replay_threads\": {{\n    \"skipped_shard_counts\": [{}],\n    \"rows\": [\n{}\n    ]\n  }}\n}}\n",
-        Clos::paper_example().num_hosts(),
-        replay.packets,
-        replay.payload_bytes,
-        cpus,
-        replay.deliveries,
-        replay.copies_on_links,
-        mode_rows.join(",\n"),
-        json_f(replay.modes[1].warm_pkts_per_sec / warm_ref),
-        json_f(warm_flight / warm_ref),
-        json_f(warm_batched / warm_ref),
-        json_f(warm_batched / warm_flight),
-        skipped_json,
-        shard_json_rows.join(",\n"),
-    );
-    std::fs::write(&args.replay_out, &json).expect("write replay bench output");
-    elmo_obs::info!("bench.wrote", path = args.replay_out.as_str());
-    if let Some(expected) = args.expect_deliveries {
-        if replay.deliveries != expected {
-            elmo_obs::error!(
-                "bench.deliveries_changed",
-                expected = expected,
-                actual = replay.deliveries,
-                msg = "--expect-deliveries: the fixed replay workload delivered \
-                       a different number of copies than the pinned count"
-            );
-            std::process::exit(1);
-        }
-    }
-    if let Some(floor) = args.expect_pkts_per_sec {
-        // NaN must also fail the floor, hence not `warm_batched < floor`.
-        if !matches!(
-            warm_batched.partial_cmp(&(floor as f64)),
-            Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
-        ) {
-            elmo_obs::error!(
-                "bench.replay_throughput",
-                floor_pkts_per_sec = floor,
-                actual_pkts_per_sec = warm_batched,
-                msg = "--expect-pkts-per-sec: warm batched replay fell below the pinned floor"
-            );
-            std::process::exit(1);
-        }
-    }
 }
 
 /// The incremental-churn benchmark: replay the identical seeded stream
@@ -1137,55 +595,23 @@ fn main() {
             args.threads.push(1);
         }
     }
-    // Same honesty rule for the replay shard axis: a shard count above the
-    // core count can only measure oversubscription, so it is recorded as
-    // skipped, never timed — unless `--replay-allow-oversubscribed` asks
-    // for those rows anyway, in which case they run and each carries
-    // `"oversubscribed": true` so the JSON stays honest about what the
-    // number measured.
-    let skipped_shards: Vec<usize> = if args.replay_allow_oversubscribed {
-        Vec::new()
-    } else {
-        args.replay_threads
-            .iter()
-            .copied()
-            .filter(|&t| t != 0 && t > cpus)
-            .collect()
-    };
-    if !skipped_shards.is_empty() {
-        args.replay_threads.retain(|&t| t == 0 || t <= cpus);
-        elmo_obs::warn!(
-            "bench.oversubscribed",
-            cpus = cpus,
-            skipped = format!("{skipped_shards:?}"),
-            msg = "skipping replay shard counts above available cores"
-        );
-        if args.replay_threads.is_empty() {
-            args.replay_threads.push(1);
-        }
-    }
     if !args.churn_only {
-        if !args.replay_only {
-            run_encode_bench(&args, cpus, &skipped);
-        }
-        run_replay_bench(&args, cpus, &skipped_shards);
+        run_encode_bench(&args, cpus, &skipped);
     }
-    if !args.replay_only {
-        let min_hit_rate = run_churn_bench(&args);
-        if let Some(floor) = args.expect_churn_hit_rate {
-            // NaN must also fail the floor, hence not `rate < floor`.
-            if !matches!(
-                (min_hit_rate * 100.0).partial_cmp(&(floor as f64)),
-                Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
-            ) {
-                elmo_obs::error!(
-                    "bench.churn_hit_rate",
-                    min_hit_rate = min_hit_rate,
-                    floor_pct = floor,
-                    msg = "--expect-churn-hit-rate: delta hit rate fell below the pinned floor"
-                );
-                std::process::exit(1);
-            }
+    let min_hit_rate = run_churn_bench(&args);
+    if let Some(floor) = args.expect_churn_hit_rate {
+        // NaN must also fail the floor, hence not `rate < floor`.
+        if !matches!(
+            (min_hit_rate * 100.0).partial_cmp(&(floor as f64)),
+            Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
+        ) {
+            elmo_obs::error!(
+                "bench.churn_hit_rate",
+                min_hit_rate = min_hit_rate,
+                floor_pct = floor,
+                msg = "--expect-churn-hit-rate: delta hit rate fell below the pinned floor"
+            );
+            std::process::exit(1);
         }
     }
     if let Some(path) = &args.metrics_out {

@@ -23,11 +23,11 @@ use std::hash::BuildHasherDefault;
 use std::net::Ipv4Addr;
 
 use elmo_core::sync::Stamp;
-use elmo_core::{pop, HeaderLayout, PortBitmap, SigHasher};
+use elmo_core::{pop, PortBitmap, SigHasher};
 use elmo_net::ipv4;
 use elmo_topology::{Clos, CoreId, LeafId, SpineId, SwitchRef};
 
-use crate::packet::{ecmp_hash, ElmoPacketRepr, FlightPacket};
+use crate::packet::FlightPacket;
 
 /// The group table's hash map type. IPv4 keys are tiny and fully random in
 /// the low octets, so the default SipHash is pure overhead on the lookup
@@ -136,9 +136,8 @@ fn metrics() -> &'static DpMetrics {
 impl SwitchStats {
     // The increment methods touch only the per-switch fields; the
     // process-wide mirrors are brought up to date by
-    // `NetworkSwitch::flush_global_stats`, which every public processing
-    // entry point calls on exit (the batched replay engine calls it once
-    // per run instead of paying an atomic RMW per matched packet).
+    // `NetworkSwitch::flush_global_stats`, which the replay engine calls
+    // once per run instead of paying an atomic RMW per matched packet.
     fn hit_prule(&mut self) {
         self.prule_hits += 1;
     }
@@ -201,10 +200,9 @@ fn push_word_hops(words: &[u64], state: u8, out: &mut Vec<(u16, u8)>) {
 /// downstream copy, the table is flattened at install/patch time into a
 /// sorted dense key index (binary-searched, no hashing of any kind per
 /// copy) over a flat port-bitmap word arena. The plan carries the
-/// [`Stamp`] of the `table_version` it was compiled from; the hot path
-/// compares the stamps (per packet on the serial paths, once per switch
-/// run in the batched engine — `check_plan_stale`) and counts a mismatch
-/// as `fabric.replay.plan_stale_detected`, so any mutation path that
+/// [`Stamp`] of the `table_version` it was compiled from; the engine
+/// compares the stamps once per switch run (`check_plan_stale`) and
+/// counts a mismatch as `fabric.replay.plan_stale_detected`, so any mutation path that
 /// forgets to recompile is visible in release metrics and trips a debug
 /// assert under `cargo test` instead of silently serving stale rules.
 #[derive(Clone, Debug, Default)]
@@ -420,106 +418,25 @@ impl NetworkSwitch {
         self.config.group_table_capacity - self.group_table.len()
     }
 
-    /// Process one packet arriving on `ingress_port`; returns the copies to
-    /// emit as `(output port, packet bytes)` pairs.
+    /// Process one already-parsed copy arriving on `ingress_port`: append
+    /// the copies to emit as `(output port, hop state)` pairs, where the
+    /// state is the copy's new [`elmo_core::pop`] depth or
+    /// [`HOST_STRIPPED`]. Every copy of an injected packet shares the same
+    /// header and payload, so the depth byte is the *only* per-copy state:
+    /// no byte buffer is read or written and nothing is allocated,
+    /// mirroring the paper's §4.1 claim that forwarding touches only the
+    /// compact header.
     ///
-    /// This is the byte-level convenience wrapper around
-    /// [`process_flight`](Self::process_flight): parse once, forward the
-    /// flight form, materialize every output copy. Counters and bytes are
-    /// identical to [`process_reference`](Self::process_reference), the
-    /// pre-zero-copy encode-per-hop implementation kept for A/B comparison.
-    pub fn process(
-        &mut self,
-        ingress_port: usize,
-        bytes: &[u8],
-        layout: &HeaderLayout,
-    ) -> Vec<(usize, Vec<u8>)> {
-        let pkt = match FlightPacket::parse(bytes, layout) {
-            Ok(p) => p,
-            Err(_) => {
-                self.stats.drop_parse();
-                self.flush_global_stats();
-                return Vec::new();
-            }
-        };
-        let mut flights = Vec::new();
-        self.process_flight(ingress_port, &pkt, layout, &mut flights);
-        flights
-            .into_iter()
-            .map(|(port, p)| (port, p.to_bytes(layout)))
-            .collect()
-    }
-
-    // ----- zero-copy flight path ---------------------------------------------
-
-    /// Process one already-parsed packet arriving on `ingress_port`,
-    /// appending the copies to emit as `(output port, packet)` pairs.
+    /// `header_vector_len` is what the parser must buffer for this copy
+    /// ([`FlightPacket::header_vector_len`]); the replay engine reads it
+    /// from [`crate::packet::FlightBatch`]'s precomputed rows instead of
+    /// walking the header per copy.
     ///
-    /// This is the replay fast path: no byte buffer is read or written and
-    /// nothing is allocated — each emitted copy is a plain struct copy
-    /// sharing the sender's header and payload `Arc`s, mirroring the
-    /// paper's §4.1 claim that forwarding touches only the compact header.
-    ///
-    /// The struct-of-arrays replay loops use [`process_hops`]
-    /// (Self::process_hops) directly and skip even the struct copies.
-    pub fn process_flight(
-        &mut self,
-        ingress_port: usize,
-        pkt: &FlightPacket,
-        layout: &HeaderLayout,
-        out: &mut Vec<(usize, FlightPacket)>,
-    ) {
-        let mut hops: Vec<(u16, u8)> = Vec::new();
-        self.process_hops(ingress_port, pkt, layout, &mut hops);
-        for (port, state) in hops {
-            let copy = if state == HOST_STRIPPED {
-                FlightPacket {
-                    elmo: None,
-                    popped: pop::NONE,
-                    ..pkt.clone()
-                }
-            } else {
-                FlightPacket {
-                    popped: state,
-                    ..pkt.clone()
-                }
-            };
-            out.push((port as usize, copy));
-        }
-    }
-
-    /// The struct-of-arrays form of [`process_flight`](Self::process_flight):
-    /// emit `(output port, hop state)` pairs instead of packet structs,
-    /// where the state is the copy's new [`elmo_core::pop`] depth or
-    /// [`HOST_STRIPPED`]. All matching, counters, and emission order are
-    /// identical — every copy of an injected packet shares the same header
-    /// and payload, so the depth byte is the *only* per-copy state and the
-    /// replay queues can be flat arrays with zero `Arc` traffic per hop.
-    pub fn process_hops(
-        &mut self,
-        ingress_port: usize,
-        pkt: &FlightPacket,
-        layout: &HeaderLayout,
-        out: &mut Vec<(u16, u8)>,
-    ) {
-        self.check_plan_stale();
-        self.process_hops_hv(ingress_port, pkt, pkt.header_vector_len(layout), out);
-        self.flush_global_stats();
-    }
-
-    /// [`process_hops`](Self::process_hops) with the packet's header-vector
-    /// length supplied by the caller. The batched replay engine precomputes
-    /// every packet's vector length per pop depth once at parse time
-    /// ([`crate::packet::FlightBatch`]), so its inner loop skips the
-    /// per-copy header walk this check otherwise costs.
-    ///
-    /// Unlike [`process_hops`](Self::process_hops), this does *not* flush
-    /// the per-switch counters into the process-wide metric mirrors —
-    /// the engine calls `flush_global_stats` once per run instead of
-    /// per packet. Direct callers that read global metrics afterwards
-    /// must flush through a wrapper entry point first, and owe a
-    /// [`check_plan_stale`](Self::check_plan_stale) call once per run of
-    /// copies against this switch.
+    /// This does *not* flush the per-switch counters into the
+    /// process-wide metric mirrors, and does not look at the plan stamp:
+    /// the engine calls `flush_global_stats` and
+    /// [`check_plan_stale`](Self::check_plan_stale) once per run of copies
+    /// against this switch.
     pub fn process_hops_hv(
         &mut self,
         ingress_port: usize,
@@ -548,8 +465,7 @@ impl NetworkSwitch {
     /// packet would turn a bookkeeping bug into packet loss) but the
     /// divergence is counted as `fabric.replay.plan_stale_detected` so
     /// operators and the verify harness see it; debug builds trip
-    /// immediately. [`process_hops`](Self::process_hops) checks per
-    /// packet; the run-grouped batched engine calls this once per switch
+    /// immediately. The run-grouped engine calls this once per switch
     /// run, which covers every copy of the run since the table cannot
     /// mutate mid-replay (the switch is exclusively borrowed).
     #[inline]
@@ -573,8 +489,8 @@ impl NetworkSwitch {
     }
 
     /// Which rule source a *downstream* copy of `pkt` resolves to at this
-    /// switch, mirroring [`process_hops`](Self::process_hops)' match order
-    /// exactly — own-id p-rule, then the installed group table, then the
+    /// switch, mirroring [`process_hops_hv`](Self::process_hops_hv)'s match
+    /// order exactly — own-id p-rule, then the installed group table, then the
     /// header's default p-rule — with no counters or side effects. Core
     /// switches report their core p-rule. This is the offline attribution
     /// probe behind `elmo-eval trace`: the hot path records only the tree
@@ -628,8 +544,7 @@ impl NetworkSwitch {
     /// process-wide metric mirrors. Totals are identical to bumping the
     /// mirrors inline (counter addition commutes); batching turns the
     /// per-packet atomic RMWs into one guarded `add` per counter per
-    /// call. Every public processing entry point flushes on exit; the
-    /// batched replay engine flushes once per run.
+    /// call. The replay engine flushes once per run.
     pub(crate) fn flush_global_stats(&mut self) {
         let m = metrics();
         let (cur, last) = (self.stats, self.flushed);
@@ -847,319 +762,13 @@ impl NetworkSwitch {
         self.stats.hit_unicast();
         out.push((port as u16, pkt.popped));
     }
-
-    // ----- reference (pre-zero-copy) byte path -------------------------------
-
-    /// The pre-change encode-per-hop implementation, kept verbatim as the
-    /// reference for byte-identity golden tests and A/B benchmarking
-    /// (`Fabric::inject_reference`). Parses the packet, clones the repr per
-    /// direction, and re-encodes header *and* payload for every copy.
-    pub fn process_reference(
-        &mut self,
-        ingress_port: usize,
-        bytes: &[u8],
-        layout: &HeaderLayout,
-    ) -> Vec<(usize, Vec<u8>)> {
-        let out = self.process_reference_inner(ingress_port, bytes, layout);
-        self.flush_global_stats();
-        out
-    }
-
-    fn process_reference_inner(
-        &mut self,
-        ingress_port: usize,
-        bytes: &[u8],
-        layout: &HeaderLayout,
-    ) -> Vec<(usize, Vec<u8>)> {
-        let (repr, inner_off) = match ElmoPacketRepr::parse(bytes, layout) {
-            Ok(p) => p,
-            Err(_) => {
-                self.stats.drop_parse();
-                return Vec::new();
-            }
-        };
-        if repr.header_vector_len(layout) > self.config.header_vector_limit {
-            self.stats.drop_header_vector();
-            return Vec::new();
-        }
-        let inner = &bytes[inner_off..];
-        if !ipv4::is_multicast(repr.group_ip) {
-            return self.forward_unicast(repr, inner, layout);
-        }
-        match self.id {
-            SwitchRef::Leaf(l) => self.process_leaf(l, ingress_port, repr, inner, layout),
-            SwitchRef::Spine(s) => self.process_spine(s, ingress_port, repr, inner, layout),
-            SwitchRef::Core(c) => self.process_core(c, repr, inner, layout),
-        }
-    }
-
-    // ----- multicast paths (reference implementation) ------------------------
-
-    fn process_leaf(
-        &mut self,
-        leaf: LeafId,
-        ingress_port: usize,
-        mut repr: ElmoPacketRepr,
-        inner: &[u8],
-        layout: &HeaderLayout,
-    ) -> Vec<(usize, Vec<u8>)> {
-        let from_host = ingress_port < self.topo.leaf_down_ports();
-        let mut out = Vec::new();
-        if from_host {
-            // Upstream direction: the u-leaf p-rule drives everything.
-            let Some(header) = repr.elmo.take() else {
-                self.stats.drop_parse();
-                return out;
-            };
-            let Some(rule) = header.u_leaf.clone() else {
-                self.stats.drop_no_rule();
-                return out;
-            };
-            self.stats.hit_prule();
-            // Copies to co-located receivers: Elmo header fully stripped.
-            self.emit_host_copies(&rule.down, &repr, inner, layout, &mut out);
-            // Copy upward, with the u-leaf rule popped.
-            if rule.goes_up() {
-                let mut up_header = header;
-                up_header.pop_upstream_leaf();
-                self.pops += 1;
-                repr.elmo = Some(up_header);
-                if rule.multipath {
-                    let spine = (ecmp_hash(&repr, leaf.0 as u64) % self.topo.leaf_up_ports() as u64)
-                        as usize;
-                    out.push((
-                        self.topo.leaf_up_port(spine),
-                        self.encode(&repr, inner, layout),
-                    ));
-                } else {
-                    for spine in rule.up.iter_ones() {
-                        out.push((
-                            self.topo.leaf_up_port(spine),
-                            self.encode(&repr, inner, layout),
-                        ));
-                    }
-                }
-            }
-            return out;
-        }
-
-        // Downstream direction: match own identifier among d-leaf p-rules,
-        // then the group table, then the default p-rule.
-        let Some(header) = repr.elmo.take() else {
-            self.stats.drop_parse();
-            return out;
-        };
-        let ports: Option<PortBitmap> = if let Some(rule) = header.find_d_leaf(leaf.0) {
-            self.stats.hit_prule();
-            Some(rule.bitmap.clone())
-        } else if let Some(bm) = self.group_table.get(&repr.group_ip) {
-            self.stats.hit_srule();
-            Some(bm.clone())
-        } else if let Some(bm) = &header.d_leaf_default {
-            self.stats.hit_default();
-            Some(bm.clone())
-        } else {
-            self.stats.drop_no_rule();
-            None
-        };
-        if let Some(ports) = ports {
-            self.emit_host_copies(&ports, &repr, inner, layout, &mut out);
-        }
-        out
-    }
-
-    fn process_spine(
-        &mut self,
-        spine: SpineId,
-        ingress_port: usize,
-        mut repr: ElmoPacketRepr,
-        inner: &[u8],
-        layout: &HeaderLayout,
-    ) -> Vec<(usize, Vec<u8>)> {
-        let from_leaf = ingress_port < self.topo.spine_down_ports();
-        let mut out = Vec::new();
-        let Some(header) = repr.elmo.take() else {
-            self.stats.drop_parse();
-            return out;
-        };
-        if from_leaf {
-            // Upstream: the u-spine p-rule.
-            let Some(rule) = header.u_spine.clone() else {
-                self.stats.drop_no_rule();
-                return out;
-            };
-            self.stats.hit_prule();
-            // Copies down to local member leaves: next hop is a leaf, so pop
-            // everything except the d-leaf section.
-            if !rule.down.is_empty() {
-                let mut down_header = header.clone();
-                down_header.pop_upstream_spine();
-                down_header.pop_core();
-                down_header.pop_d_spine();
-                self.pops += 3;
-                let mut down_repr = repr.clone();
-                down_repr.elmo = Some(down_header);
-                for port in rule.down.iter_ones() {
-                    out.push((port, self.encode(&down_repr, inner, layout)));
-                }
-            }
-            // Copy upward to the core, u-spine popped.
-            if rule.goes_up() {
-                let mut up_header = header;
-                up_header.pop_upstream_spine();
-                self.pops += 1;
-                repr.elmo = Some(up_header);
-                if rule.multipath {
-                    let core = (ecmp_hash(&repr, 0x51de ^ spine.0 as u64)
-                        % self.topo.spine_up_ports() as u64)
-                        as usize;
-                    out.push((
-                        self.topo.spine_up_port(core),
-                        self.encode(&repr, inner, layout),
-                    ));
-                } else {
-                    for core in rule.up.iter_ones() {
-                        out.push((
-                            self.topo.spine_up_port(core),
-                            self.encode(&repr, inner, layout),
-                        ));
-                    }
-                }
-            }
-            return out;
-        }
-
-        // Downstream: match own pod among d-spine p-rules, then the group
-        // table, then the default p-rule.
-        let pod = self.topo.pod_of_spine(spine);
-        let ports: Option<PortBitmap> = if let Some(rule) = header.find_d_spine(pod.0) {
-            self.stats.hit_prule();
-            Some(rule.bitmap.clone())
-        } else if let Some(bm) = self.group_table.get(&repr.group_ip) {
-            self.stats.hit_srule();
-            Some(bm.clone())
-        } else if let Some(bm) = &header.d_spine_default {
-            self.stats.hit_default();
-            Some(bm.clone())
-        } else {
-            self.stats.drop_no_rule();
-            None
-        };
-        if let Some(ports) = ports {
-            // Next hop is a leaf: pop the spine section.
-            let mut down_header = header;
-            down_header.pop_d_spine();
-            self.pops += 1;
-            repr.elmo = Some(down_header);
-            for port in ports.iter_ones() {
-                out.push((port, self.encode(&repr, inner, layout)));
-            }
-        }
-        out
-    }
-
-    fn process_core(
-        &mut self,
-        _core: CoreId,
-        mut repr: ElmoPacketRepr,
-        inner: &[u8],
-        layout: &HeaderLayout,
-    ) -> Vec<(usize, Vec<u8>)> {
-        let mut out = Vec::new();
-        let Some(header) = repr.elmo.take() else {
-            self.stats.drop_parse();
-            return out;
-        };
-        let Some(pods) = header.core.clone() else {
-            self.stats.drop_no_rule();
-            return out;
-        };
-        self.stats.hit_prule();
-        let mut down_header = header;
-        down_header.pop_core();
-        self.pops += 1;
-        repr.elmo = Some(down_header);
-        for pod in pods.iter_ones() {
-            out.push((pod, self.encode(&repr, inner, layout)));
-        }
-        out
-    }
-
-    // ----- unicast path -------------------------------------------------------
-
-    /// Plain underlay unicast: route on the destination host address. Used by
-    /// the unicast/overlay baselines and Elmo's failure fallback.
-    fn forward_unicast(
-        &mut self,
-        repr: ElmoPacketRepr,
-        inner: &[u8],
-        layout: &HeaderLayout,
-    ) -> Vec<(usize, Vec<u8>)> {
-        let Some(dst_host) = crate::hypervisor::host_of_ip(repr.group_ip) else {
-            self.stats.drop_parse();
-            return Vec::new();
-        };
-        if dst_host.0 as usize >= self.topo.num_hosts() {
-            self.stats.drop_parse();
-            return Vec::new();
-        }
-        let dst_leaf = self.topo.leaf_of_host(dst_host);
-        let dst_pod = self.topo.pod_of_leaf(dst_leaf);
-        let port = match self.id {
-            SwitchRef::Leaf(l) => {
-                if dst_leaf == l {
-                    self.topo.host_port_on_leaf(dst_host)
-                } else {
-                    let spine =
-                        (ecmp_hash(&repr, l.0 as u64) % self.topo.leaf_up_ports() as u64) as usize;
-                    self.topo.leaf_up_port(spine)
-                }
-            }
-            SwitchRef::Spine(s) => {
-                if self.topo.pod_of_spine(s) == dst_pod {
-                    self.topo.leaf_index_in_pod(dst_leaf)
-                } else {
-                    let core =
-                        (ecmp_hash(&repr, s.0 as u64) % self.topo.spine_up_ports() as u64) as usize;
-                    self.topo.spine_up_port(core)
-                }
-            }
-            SwitchRef::Core(_) => dst_pod.0 as usize,
-        };
-        self.stats.hit_unicast();
-        vec![(port, self.encode(&repr, inner, layout))]
-    }
-
-    fn emit_host_copies(
-        &self,
-        ports: &PortBitmap,
-        repr: &ElmoPacketRepr,
-        inner: &[u8],
-        layout: &HeaderLayout,
-        out: &mut Vec<(usize, Vec<u8>)>,
-    ) {
-        if ports.is_empty() {
-            return;
-        }
-        // Host-bound copies carry no Elmo header (egress invalidation).
-        let mut host_repr = repr.clone();
-        host_repr.elmo = None;
-        for port in ports.iter_ones() {
-            out.push((port, self.encode(&host_repr, inner, layout)));
-        }
-    }
-
-    fn encode(&self, repr: &ElmoPacketRepr, inner: &[u8], layout: &HeaderLayout) -> Vec<u8> {
-        let mut buf = Vec::new();
-        repr.emit(layout, inner, &mut buf);
-        buf
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elmo_core::{ElmoHeader, UpstreamRule};
+    use crate::packet::ElmoPacketRepr;
+    use elmo_core::{ElmoHeader, HeaderLayout, UpstreamRule};
     use elmo_net::ethernet::MacAddr;
     use elmo_net::vxlan::Vni;
     use elmo_topology::HostId;
@@ -1188,6 +797,22 @@ mod tests {
         buf
     }
 
+    /// Push one wire packet through `sw` and materialize every copy it
+    /// emits as `(output port, wire bytes)`.
+    fn process(
+        sw: &mut NetworkSwitch,
+        ingress_port: usize,
+        bytes: &[u8],
+        layout: &HeaderLayout,
+    ) -> Vec<(usize, Vec<u8>)> {
+        let pkt = FlightPacket::parse(bytes, layout).expect("test packet parses");
+        let mut hops = Vec::new();
+        sw.process_hops_hv(ingress_port, &pkt, pkt.header_vector_len(layout), &mut hops);
+        hops.into_iter()
+            .map(|(port, state)| (port as usize, pkt.copy_bytes(state, layout)))
+            .collect()
+    }
+
     #[test]
     fn leaf_upstream_delivers_local_and_multipaths_up() {
         let (topo, layout) = setup();
@@ -1200,7 +825,7 @@ mod tests {
         header.core = Some(PortBitmap::from_ports(layout.core_ports, [2]));
         let repr = base_repr(Some(header));
         let mut leaf = NetworkSwitch::new_leaf(topo, LeafId(0), SwitchConfig::default());
-        let out = leaf.process(0, &packet(&repr, &layout), &layout);
+        let out = process(&mut leaf, 0, &packet(&repr, &layout), &layout);
         // Two host copies + one upstream copy.
         assert_eq!(out.len(), 3);
         let host_ports: Vec<usize> = out.iter().map(|(p, _)| *p).filter(|&p| p < 8).collect();
@@ -1233,7 +858,7 @@ mod tests {
         });
         let repr = base_repr(Some(header));
         let mut leaf = NetworkSwitch::new_leaf(topo, LeafId(0), SwitchConfig::default());
-        let out = leaf.process(0, &packet(&repr, &layout), &layout);
+        let out = process(&mut leaf, 0, &packet(&repr, &layout), &layout);
         let ports: Vec<usize> = out.iter().map(|(p, _)| *p).collect();
         assert_eq!(ports, vec![8, 9]); // both spine uplinks
     }
@@ -1251,7 +876,7 @@ mod tests {
         let mut leaf = NetworkSwitch::new_leaf(topo, LeafId(0), SwitchConfig::default());
         leaf.install_srule(repr.group_ip, PortBitmap::from_ports(8, [7]))
             .unwrap();
-        let out = leaf.process(8, &packet(&repr, &layout), &layout); // from spine
+        let out = process(&mut leaf, 8, &packet(&repr, &layout), &layout); // from spine
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, 2); // the p-rule port, not 7 (s-rule) or 5 (default)
         assert_eq!(leaf.stats.prule_hits, 1);
@@ -1271,12 +896,12 @@ mod tests {
         let mut leaf = NetworkSwitch::new_leaf(topo, LeafId(0), SwitchConfig::default());
         leaf.install_srule(repr.group_ip, PortBitmap::from_ports(8, [7]))
             .unwrap();
-        let out = leaf.process(8, &packet(&repr, &layout), &layout);
+        let out = process(&mut leaf, 8, &packet(&repr, &layout), &layout);
         assert_eq!(out[0].0, 7, "s-rule match");
         assert_eq!(leaf.stats.srule_hits, 1);
         // Without the s-rule, the default applies.
         leaf.remove_srule(&repr.group_ip);
-        let out = leaf.process(8, &packet(&repr, &layout), &layout);
+        let out = process(&mut leaf, 8, &packet(&repr, &layout), &layout);
         assert_eq!(out[0].0, 5, "default p-rule");
         assert_eq!(leaf.stats.default_hits, 1);
     }
@@ -1287,7 +912,7 @@ mod tests {
         let header = ElmoHeader::empty();
         let repr = base_repr(Some(header));
         let mut leaf = NetworkSwitch::new_leaf(topo, LeafId(0), SwitchConfig::default());
-        let out = leaf.process(8, &packet(&repr, &layout), &layout);
+        let out = process(&mut leaf, 8, &packet(&repr, &layout), &layout);
         assert!(out.is_empty());
         assert_eq!(leaf.stats.dropped_no_rule, 1);
     }
@@ -1312,7 +937,7 @@ mod tests {
         }];
         let repr = base_repr(Some(header));
         let mut spine = NetworkSwitch::new_spine(topo, SpineId(0), SwitchConfig::default());
-        let out = spine.process(0, &packet(&repr, &layout), &layout); // from leaf 0
+        let out = process(&mut spine, 0, &packet(&repr, &layout), &layout); // from leaf 0
         assert_eq!(out.len(), 2);
         // Down copy to local leaf port 1: only the d-leaf section survives.
         let (down_port, down_bytes) = out.iter().find(|(p, _)| *p < 2).expect("down copy");
@@ -1345,7 +970,7 @@ mod tests {
         let repr = base_repr(Some(header));
         // S2 is in pod 1; ingress from a core is port >= 2.
         let mut spine = NetworkSwitch::new_spine(topo, SpineId(2), SwitchConfig::default());
-        let out = spine.process(2, &packet(&repr, &layout), &layout);
+        let out = process(&mut spine, 2, &packet(&repr, &layout), &layout);
         assert_eq!(out.len(), 2);
         for (_, bytes) in &out {
             let (parsed, _) = ElmoPacketRepr::parse(bytes, &layout).unwrap();
@@ -1367,7 +992,7 @@ mod tests {
         }];
         let repr = base_repr(Some(header));
         let mut core = NetworkSwitch::new_core(topo, CoreId(0), SwitchConfig::default());
-        let out = core.process(0, &packet(&repr, &layout), &layout);
+        let out = process(&mut core, 0, &packet(&repr, &layout), &layout);
         let ports: Vec<usize> = out.iter().map(|(p, _)| *p).collect();
         assert_eq!(ports, vec![1, 3]);
         for (_, bytes) in &out {
@@ -1395,7 +1020,7 @@ mod tests {
             group_table_capacity: 10,
         };
         let mut leaf = NetworkSwitch::new_leaf(topo, LeafId(0), config);
-        let out = leaf.process(8, &packet(&repr, &layout), &layout);
+        let out = process(&mut leaf, 8, &packet(&repr, &layout), &layout);
         assert!(out.is_empty());
         assert_eq!(leaf.stats.dropped_header_vector, 1);
     }
@@ -1433,29 +1058,20 @@ mod tests {
         let bytes = packet(&repr, &layout);
         // Leaf 5 delivers straight to the host port.
         let mut leaf5 = NetworkSwitch::new_leaf(topo, LeafId(5), SwitchConfig::default());
-        let out = leaf5.process(8, &bytes, &layout);
+        let out = process(&mut leaf5, 8, &bytes, &layout);
         assert_eq!(out[0].0, 2);
         // Leaf 0 sends it up to some spine.
         let mut leaf0 = NetworkSwitch::new_leaf(topo, LeafId(0), SwitchConfig::default());
-        let out = leaf0.process(0, &bytes, &layout);
+        let out = process(&mut leaf0, 0, &bytes, &layout);
         assert!(out[0].0 >= 8);
         // A pod-2 spine sends it down to leaf index 1 (= L5).
         let mut spine4 = NetworkSwitch::new_spine(topo, SpineId(4), SwitchConfig::default());
-        let out = spine4.process(2, &bytes, &layout);
+        let out = process(&mut spine4, 2, &bytes, &layout);
         assert_eq!(out[0].0, 1);
         // A core sends it to pod port 2.
         let mut core = NetworkSwitch::new_core(topo, CoreId(0), SwitchConfig::default());
-        let out = core.process(0, &bytes, &layout);
+        let out = process(&mut core, 0, &bytes, &layout);
         assert_eq!(out[0].0, 2);
-    }
-
-    #[test]
-    fn garbage_packet_counts_parse_drop() {
-        let (topo, layout) = setup();
-        let mut leaf = NetworkSwitch::new_leaf(topo, LeafId(0), SwitchConfig::default());
-        let out = leaf.process(0, &[0u8; 10], &layout);
-        assert!(out.is_empty());
-        assert_eq!(leaf.stats.dropped_parse, 1);
     }
 
     #[test]

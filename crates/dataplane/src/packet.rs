@@ -436,6 +436,17 @@ impl FlightPacket {
         out.len() - base
     }
 
+    /// Wire bytes of the copy of this packet in hop state `state`: a pop
+    /// depth, or [`HOST_STRIPPED`](crate::netswitch::HOST_STRIPPED).
+    pub(crate) fn copy_bytes(&self, state: u8, layout: &HeaderLayout) -> Vec<u8> {
+        if state == crate::netswitch::HOST_STRIPPED {
+            return self.to_host_bytes(layout);
+        }
+        let mut copy = self.clone();
+        copy.popped = state;
+        copy.to_bytes(layout)
+    }
+
     /// On-the-wire size of [`to_host_bytes`](Self::to_host_bytes).
     pub fn host_wire_len(&self) -> usize {
         ElmoPacketRepr::OUTER_LEN + self.payload.len()

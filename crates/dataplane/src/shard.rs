@@ -1,6 +1,9 @@
-//! Sharded multi-core replay: the fabric's switches partitioned across
-//! worker threads, each owning a disjoint switch set, with bounded SPSC
-//! rings carrying the flight copies that cross shard boundaries.
+//! The replay engine: the one traversal of the fabric. Switches are
+//! partitioned across worker threads, each owning a disjoint switch set,
+//! with bounded SPSC rings carrying the flight copies that cross shard
+//! boundaries; one shard runs inline on the calling thread with no rings
+//! or atomics at all, which is the path every single-packet caller and the
+//! pipeline benchmark's main replay row take.
 //!
 //! # Partition
 //!
@@ -13,10 +16,11 @@
 //! * cores are dealt round-robin (`core % n`), since core hops are the
 //!   cross-pod traffic that must cross shards anyway.
 //!
-//! Ownership is enforced by construction, not locks: the `Fabric`'s switch
-//! vectors are taken apart and moved into the workers, then reassembled
-//! (same order, same switches, now with updated per-switch counters) after
-//! the join. No switch is ever aliased by two threads, so the engine is
+//! Ownership is enforced by construction, not locks: with several shards
+//! the `Fabric`'s switch vector is taken apart and moved into the workers,
+//! then reassembled (same order, same switches, now with updated
+//! per-switch counters) after the join; the solo worker borrows the vector
+//! in place. No switch is ever aliased by two threads, so the engine is
 //! safe Rust with zero `unsafe`.
 //!
 //! # Cross-shard protocol
@@ -43,9 +47,7 @@
 //! for_each`] through one recycled scratch buffer, [`DeliveryBatch::
 //! to_vec`] into owned vectors). Replaying a 20k-packet batch therefore
 //! touches a few hundred kilobytes of delivery state instead of
-//! streaming ~75 MB of packet bytes through cold memory — the same
-//! parse-once/share-everything argument as the flight path itself,
-//! carried through to the output.
+//! streaming ~75 MB of packet bytes through cold memory.
 //!
 //! # Run grouping
 //!
@@ -60,8 +62,18 @@
 //! *run*), and the global obs counters (one `add` per touched counter
 //! per run). Copy lengths come from the batch's precomputed
 //! [`FlightBatch`] wire-length rows, and output ports resolve through
-//! the [`Partition`]'s compiled hop table — the inner loop never walks a
+//! the fabric's compiled [`HopTable`] — the inner loop never walks a
 //! header or the topology math.
+//!
+//! # Observation
+//!
+//! Copy-tree tracing, the flight recorder, pcap capture and
+//! [`HopRecord`] logging all hang off one per-copy-entry test
+//! ([`Observe::any`]) into a `#[cold]` recorder; with none armed that
+//! test is all the engine pays. Workers record locally and the records
+//! are stitched after the join in orders that depend only on (packet,
+//! switch, port), so every observer sees the same thing at every shard
+//! count.
 //!
 //! # Termination and determinism
 //!
@@ -72,7 +84,7 @@
 //! and the run's own entries are decremented in one subtraction after —
 //! so it can only read zero when every bucket and every ring is empty,
 //! the workers' exit condition. (A solo worker skips the counter
-//! entirely and runs inline on the calling thread.)
+//! entirely.)
 //!
 //! The traversal itself is a fixed function of (topology, rules, batch):
 //! which copies exist, which links they cross, and which hosts they reach
@@ -80,44 +92,26 @@
 //! happen to produce deliveries is racy, so every delivery carries its
 //! batch index and the final iteration order is the canonical sort by
 //! `(packet, host, state)`. The result: byte-identical delivery sequences
-//! and link/switch counters for any shard count, including one — which is
-//! how `tests/replay_identity.rs` pins it.
+//! and link/switch counters for any shard count — which
+//! `tests/replay_identity.rs` pins against the executable spec in
+//! `tests/spec/`.
 
 use elmo_core::sync::Pending;
 use elmo_core::{resolve_threads, spsc, HeaderLayout, SpscReceiver, SpscSender};
-use elmo_topology::{Clos, CoreId, HostId, LeafId, SpineId, SwitchRef};
+use elmo_topology::{Clos, HostId, SwitchRef};
 
 use elmo_obs::{FlightRecorder, TraceEvent, HOST_NODE_BIT, TRACE_ROOT};
 
-use crate::fabric::{metrics, next_hop, Fabric, FabricStats, Hop, LinkTier};
+use crate::fabric::{
+    dense_switch_ref, metrics, Fabric, FabricStats, HopRecord, HopTable, PlannedHop,
+};
 use crate::netswitch::{NetworkSwitch, HOST_STRIPPED};
 use crate::packet::{FlightBatch, FlightPacket, HostEmitCache};
-
-/// Count every sharded call that a capture or hop-trace session forces
-/// onto the serial path, and say so once per process — silent fallback
-/// made a `--trace-pcap` replay look sharded while it was not.
-fn note_trace_serial_fallback(caller: &'static str) {
-    metrics().trace_serial_fallback.inc();
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        elmo_obs::warn!(
-            "fabric.replay.trace_serial_fallback",
-            caller = caller,
-            reason = "capture/hop-trace session pins traversal order; sharding disabled"
-        );
-    });
-}
 
 /// Capacity of each cross-shard ring, in messages. Full rings are not
 /// fatal (producers drain-and-retry); this just bounds memory and keeps
 /// the common case allocation-free.
 const RING_CAPACITY: usize = 1024;
-
-/// Delivery-state marker for entries recorded by the serial
-/// capture/trace fallback, whose bytes were materialized eagerly into
-/// the segment's side arena (pop depths are tiny; [`HOST_STRIPPED`] is
-/// `u8::MAX`, this sits just below it).
-const FALLBACK_BYTES: u8 = u8::MAX - 1;
 
 /// A flight copy crossing a shard boundary (or queued locally): the copy's
 /// entire state, small and `Copy`.
@@ -134,18 +128,12 @@ struct ShardMsg {
 }
 
 /// One worker's delivery output in struct-of-arrays form. Entry `i` is
-/// `(hosts[i], pkt[i], state[i])`; bytes are derived on demand. The
-/// `start`/`len`/`bytes` arena is used only by the serial capture/trace
-/// fallback (`state == FALLBACK_BYTES`), which receives bytes instead of
-/// flight state.
+/// `(hosts[i], pkt[i], state[i])`; bytes are derived on demand.
 #[derive(Clone, Debug, Default)]
 struct Segment {
     hosts: Vec<HostId>,
     pkt: Vec<u32>,
     state: Vec<u8>,
-    start: Vec<u32>,
-    len: Vec<u32>,
-    bytes: Vec<u8>,
 }
 
 impl Segment {
@@ -153,9 +141,6 @@ impl Segment {
         self.hosts.clear();
         self.pkt.clear();
         self.state.clear();
-        self.start.clear();
-        self.len.clear();
-        self.bytes.clear();
     }
 
     #[inline]
@@ -163,22 +148,6 @@ impl Segment {
         self.hosts.push(host);
         self.pkt.push(pkt);
         self.state.push(state);
-    }
-
-    fn push_bytes(&mut self, host: HostId, pkt: u32, b: &[u8]) {
-        self.push(host, pkt, FALLBACK_BYTES);
-        self.start.push(self.bytes.len() as u32);
-        self.len.push(b.len() as u32);
-        self.bytes.extend_from_slice(b);
-    }
-
-    /// Arena slice for a fallback entry (entry `i` must be the `i`-th
-    /// push overall *and* pushes must all have been `push_bytes` — the
-    /// fallback path never mixes forms within a batch).
-    #[inline]
-    fn fallback_bytes(&self, i: usize) -> &[u8] {
-        let s = self.start[i] as usize;
-        &self.bytes[s..s + self.len[i] as usize]
     }
 }
 
@@ -264,35 +233,26 @@ impl DeliveryBatch {
         for &(s, i) in &self.order {
             let seg = &self.segments[s as usize];
             let (i, host) = (i as usize, seg.hosts[i as usize]);
-            match seg.state[i] {
-                FALLBACK_BYTES => {
-                    memo = None;
-                    f(host, seg.fallback_bytes(i));
+            let (pkt_i, state) = (seg.pkt[i], seg.state[i]);
+            if memo != Some((pkt_i, state)) {
+                scratch.clear();
+                let pkt = &self.pkts[pkt_i as usize];
+                if state == HOST_STRIPPED {
+                    host_emit.append_host_to(pkt, &layout, &mut scratch);
+                } else {
+                    let mut p = pkt.clone();
+                    p.popped = state;
+                    p.append_to(&layout, &mut scratch);
                 }
-                state => {
-                    let pkt_i = seg.pkt[i];
-                    if memo != Some((pkt_i, state)) {
-                        scratch.clear();
-                        let pkt = &self.pkts[pkt_i as usize];
-                        if state == HOST_STRIPPED {
-                            host_emit.append_host_to(pkt, &layout, &mut scratch);
-                        } else {
-                            let mut p = pkt.clone();
-                            p.popped = state;
-                            p.append_to(&layout, &mut scratch);
-                        }
-                        memo = Some((pkt_i, state));
-                    }
-                    f(host, &scratch);
-                }
+                memo = Some((pkt_i, state));
             }
+            f(host, &scratch);
         }
         self.scratch = scratch;
     }
 
-    /// Materialize into the owned-bytes form of
-    /// [`Fabric::inject_batch`], same canonical order as
-    /// [`for_each`](Self::for_each).
+    /// Materialize into owned `(host, bytes)` pairs, same canonical order
+    /// as [`for_each`](Self::for_each).
     pub fn to_vec(&mut self) -> Vec<(HostId, Vec<u8>)> {
         let mut out = Vec::with_capacity(self.len());
         self.for_each(|h, b| out.push((h, b.to_vec())));
@@ -303,14 +263,11 @@ impl DeliveryBatch {
     fn reset(&mut self, n: usize, layout: HeaderLayout) {
         self.clear();
         self.segments.resize_with(n, Segment::default);
-        self.segments.truncate(n);
         self.layout = Some(layout);
     }
 
-    /// Rebuild the canonical iteration order. The `(packet, host)` key
-    /// decides everything except exact-duplicate deliveries, which fall
-    /// back to the state byte (engine entries — two states, two byte
-    /// strings) or the arena bytes (fallback entries).
+    /// Rebuild the canonical iteration order: `(packet, host, state)`.
+    /// Entries with equal keys are byte-identical deliveries.
     fn sort_canonical(&mut self) {
         // A packet fans out to a handful of hosts, so the batch is a
         // counting sort by packet index (linear) followed by a tiny
@@ -349,23 +306,12 @@ impl DeliveryBatch {
             }
         }
         // After the scatter `counts[p]` is the end of packet `p`'s run.
-        let segs = &self.segments;
         let mut run_start = 0usize;
         for &end in counts.iter().take(max_pkt + 1) {
             let run_end = end as usize;
             let run = &mut keyed[run_start..run_end];
             if run.len() > 1 {
-                run.sort_unstable_by(|a, b| {
-                    a.0.cmp(&b.0).then_with(|| {
-                        if (a.0 & 0xff) as u8 == FALLBACK_BYTES {
-                            segs[a.1 as usize]
-                                .fallback_bytes(a.2 as usize)
-                                .cmp(segs[b.1 as usize].fallback_bytes(b.2 as usize))
-                        } else {
-                            std::cmp::Ordering::Equal
-                        }
-                    })
-                });
+                run.sort_unstable_by_key(|e| e.0);
             }
             run_start = run_end;
         }
@@ -376,114 +322,35 @@ impl DeliveryBatch {
     }
 }
 
-/// One entry of the partition's compiled hop table: where a switch's
-/// output port leads, with the next switch pre-resolved to its dense id.
-#[derive(Clone, Copy)]
-enum PlannedHop {
-    Host(HostId),
-    Switch {
-        dense: u32,
-        port: u16,
-        tier: LinkTier,
-    },
-}
-
-/// The switch-ownership map for one shard count, plus the compiled hop
-/// table every worker routes through.
-struct Partition {
+/// The switch-ownership map for one shard count. Only this depends on the
+/// shard count; where ports lead is the fabric's [`HopTable`].
+#[derive(Clone, Debug)]
+pub(crate) struct Partition {
     /// Dense switch index → (owning shard, index into that shard's
-    /// switch vector). Local indices follow dense order within a shard,
+    /// switch slice). Local indices follow dense order within a shard,
     /// which is what makes reassembly a single in-order walk.
     owner: Vec<(u32, u32)>,
-    num_leaves: usize,
-    num_spines: usize,
-    /// [`next_hop`] precomputed for every `(switch, output port)`:
-    /// `hops[hop_off[dense] + port]`. The workers' inner loop resolves a
-    /// copy's next stop by indexing, never by topology arithmetic (the
-    /// spine→core branch of `next_hop` walks an iterator per call).
-    hops: Vec<PlannedHop>,
-    hop_off: Vec<u32>,
+    /// Per shard, the dense ids of its switches in local-index order.
+    dense_of: Vec<Vec<u32>>,
 }
 
 impl Partition {
-    fn new(topo: &Clos, shards: usize) -> Partition {
-        let (l, s, c) = (topo.num_leaves(), topo.num_spines(), topo.num_cores());
-        let mut owner = Vec::with_capacity(l + s + c);
-        let mut next_local = vec![0u32; shards];
-        let mut assign = |shard: usize, owner: &mut Vec<(u32, u32)>| {
-            let local = next_local[shard];
-            next_local[shard] += 1;
-            owner.push((shard as u32, local));
-        };
-        for i in 0..l {
-            assign(
-                topo.pod_of_leaf(LeafId(i as u32)).0 as usize % shards,
-                &mut owner,
-            );
-        }
-        for i in 0..s {
-            assign(
-                topo.pod_of_spine(SpineId(i as u32)).0 as usize % shards,
-                &mut owner,
-            );
-        }
-        for i in 0..c {
-            assign(i % shards, &mut owner);
-        }
+    pub(crate) fn new(topo: &Clos, shards: usize) -> Partition {
         let mut part = Partition {
-            owner,
-            num_leaves: l,
-            num_spines: s,
-            hops: Vec::new(),
-            hop_off: Vec::with_capacity(l + s + c),
+            owner: Vec::with_capacity(topo.num_switches()),
+            dense_of: vec![Vec::new(); shards],
         };
-        for dense in 0..(l + s + c) as u32 {
-            part.hop_off.push(part.hops.len() as u32);
-            let sw = part.switch_ref(dense);
-            let ports = match sw {
-                SwitchRef::Leaf(_) => topo.leaf_down_ports() + topo.leaf_up_ports(),
-                SwitchRef::Spine(_) => topo.spine_down_ports() + topo.spine_up_ports(),
-                SwitchRef::Core(_) => topo.num_pods(),
+        for dense in 0..topo.num_switches() as u32 {
+            let shard = match dense_switch_ref(topo, dense) {
+                SwitchRef::Leaf(l) => topo.pod_of_leaf(l).0 as usize % shards,
+                SwitchRef::Spine(s) => topo.pod_of_spine(s).0 as usize % shards,
+                SwitchRef::Core(c) => c.0 as usize % shards,
             };
-            for port in 0..ports {
-                part.hops.push(match next_hop(topo, sw, port) {
-                    Hop::Host(h) => PlannedHop::Host(h),
-                    Hop::Switch(next, next_port, tier) => PlannedHop::Switch {
-                        dense: part.dense(next),
-                        port: next_port as u16,
-                        tier,
-                    },
-                });
-            }
+            part.owner
+                .push((shard as u32, part.dense_of[shard].len() as u32));
+            part.dense_of[shard].push(dense);
         }
         part
-    }
-
-    /// The compiled [`next_hop`] for `port` on dense switch `dense`.
-    #[inline]
-    fn hop(&self, dense: u32, port: u16) -> PlannedHop {
-        self.hops[self.hop_off[dense as usize] as usize + port as usize]
-    }
-
-    #[inline]
-    fn dense(&self, sw: SwitchRef) -> u32 {
-        match sw {
-            SwitchRef::Leaf(l) => l.0,
-            SwitchRef::Spine(s) => self.num_leaves as u32 + s.0,
-            SwitchRef::Core(c) => (self.num_leaves + self.num_spines) as u32 + c.0,
-        }
-    }
-
-    #[inline]
-    fn switch_ref(&self, dense: u32) -> SwitchRef {
-        let d = dense as usize;
-        if d < self.num_leaves {
-            SwitchRef::Leaf(LeafId(dense))
-        } else if d < self.num_leaves + self.num_spines {
-            SwitchRef::Spine(SpineId((d - self.num_leaves) as u32))
-        } else {
-            SwitchRef::Core(CoreId((d - self.num_leaves - self.num_spines) as u32))
-        }
     }
 }
 
@@ -518,13 +385,11 @@ impl Bucket {
     }
 }
 
-/// One worker's private state: its owned switches, per-switch work
-/// buckets, scratch, and counters.
-struct Worker {
-    /// Owned switches, dense order.
-    switches: Vec<NetworkSwitch>,
-    /// Dense id of each owned switch (parallel to `switches`).
-    dense_of: Vec<u32>,
+/// One worker's work queues and scratch. Everything is empty whenever a
+/// worker is not running, so the solo worker's set lives on the `Fabric`
+/// and only capacity carries over between calls.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Queues {
     /// Per-owned-switch pending copies; `active` is a stack of local
     /// indices whose bucket is non-empty, de-duplicated by `queued`.
     buckets: Vec<Bucket>,
@@ -538,23 +403,18 @@ struct Worker {
     staged: Vec<ShardMsg>,
     /// Per-hop output scratch handed to `process_hops_hv`.
     hop_out: Vec<(u16, u8)>,
-    /// This worker's clone of the batch (one `Arc` bump per packet, never
-    /// per hop); `popped` is rewritten in place per copy.
-    pkts: Vec<FlightPacket>,
-    /// Private link counters, absorbed into `Fabric::stats` after join.
-    stats: FabricStats,
-    /// Deliveries: `(host, packet, state)` triples, no bytes.
-    seg: Segment,
-    /// Copies this worker pushed across a shard boundary.
-    cross_msgs: u64,
-    /// Copy-tree trace events recorded by this shard (stitched into the
-    /// fabric's trace session after the join).
-    events: Vec<TraceEvent>,
-    /// This shard's flight-recorder ring (zero-capacity when disarmed).
-    recorder: FlightRecorder,
 }
 
-impl Worker {
+impl Queues {
+    /// Queues for a worker owning `n` switches.
+    pub(crate) fn new(n: usize) -> Queues {
+        Queues {
+            buckets: vec![Bucket::default(); n],
+            queued: vec![false; n],
+            ..Queues::default()
+        }
+    }
+
     /// Queue a copy into its destination switch's bucket, activating the
     /// bucket if it was empty.
     #[inline]
@@ -577,100 +437,136 @@ impl Worker {
     }
 }
 
-impl Fabric {
-    /// Inject a batch of wire packets through the sharded engine.
-    ///
-    /// Delivery *set* and all counters are identical to
-    /// [`inject_batch`](Self::inject_batch); the returned vector is in
-    /// canonical `(packet index, host, bytes)` order, which is the same
-    /// for every `shards` value (0 = one shard per available core).
-    /// Capture and trace sessions force the serial path, since their
-    /// buffers record traversal order.
-    pub fn inject_batch_sharded<I>(&mut self, packets: I, shards: usize) -> Vec<(HostId, Vec<u8>)>
-    where
-        I: IntoIterator<Item = (HostId, Vec<u8>)>,
-    {
-        let shards = resolve_threads(shards).max(1);
-        if self.capture.is_some() || self.trace.is_some() {
-            note_trace_serial_fallback("inject_batch_sharded");
-            let mut tagged = Vec::new();
-            for (i, (from, bytes)) in packets.into_iter().enumerate() {
-                for (h, b) in self.inject(from, bytes) {
-                    tagged.push((i as u32, h, b));
+/// Which observers are armed for one replay call.
+#[derive(Clone, Copy)]
+struct Observe {
+    /// Copy-tree trace session ([`Fabric::start_tree_trace`]).
+    tree: bool,
+    /// Per-shard flight-recorder ring capacity (0 = off).
+    recorder_cap: usize,
+    /// Wire capture ([`Fabric::start_capture`]).
+    capture: bool,
+    /// [`HopRecord`] logging ([`Fabric::inject_traced`]).
+    hops: bool,
+}
+
+impl Observe {
+    fn any(&self) -> bool {
+        self.tree || self.recorder_cap > 0 || self.capture || self.hops
+    }
+}
+
+/// One wire copy seen by an armed capture, ordered the way the capture
+/// buffer is: by packet, then emitter, then output port.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Tap {
+    pkt: u32,
+    /// Emitting switch's dense id + 1; 0 is the sending host's NIC.
+    from: u32,
+    port: u16,
+    state: u8,
+}
+
+/// What one worker's armed observers recorded, stitched into the fabric
+/// after the join.
+struct Log {
+    events: Vec<TraceEvent>,
+    recorder: FlightRecorder,
+    taps: Vec<Tap>,
+    hops: Vec<(u32, u32, HopRecord)>,
+}
+
+impl Log {
+    /// Record everything the armed observers want to know about one
+    /// processed copy: `pkt` entered dense switch `sw` on `port_in` as
+    /// `bytes_in` wire bytes and left as `outs`.
+    #[cold]
+    #[allow(clippy::too_many_arguments)]
+    fn note_entry(
+        &mut self,
+        obs: Observe,
+        topo: &Clos,
+        hops: &HopTable,
+        pkt: u32,
+        sw: u32,
+        port_in: u16,
+        bytes_in: u32,
+        outs: &[(u16, u8)],
+    ) {
+        for &(port, state) in outs {
+            if obs.tree || obs.recorder_cap > 0 {
+                let child = match hops.hop(sw, port) {
+                    PlannedHop::Host(h) => HOST_NODE_BIT | h.0,
+                    PlannedHop::Switch { dense, .. } => dense,
+                };
+                let ev = TraceEvent {
+                    pkt,
+                    parent: sw,
+                    child,
+                    state,
+                };
+                if obs.tree {
+                    self.events.push(ev);
+                }
+                if obs.recorder_cap > 0 {
+                    self.recorder.record(ev);
                 }
             }
-            tagged.sort_unstable_by(|a, b| (a.0, (a.1).0, &a.2).cmp(&(b.0, (b.1).0, &b.2)));
-            return tagged.into_iter().map(|(_, h, b)| (h, b)).collect();
-        }
-        // Serial pre-pass, identical to `inject_into`'s per-packet
-        // prologue: injection accounting, the one parse, and parse-drop
-        // attribution.
-        let m = metrics();
-        let part = Partition::new(&self.topo, shards);
-        let mut batch = FlightBatch::new();
-        let mut seeds = Vec::new();
-        for (from, bytes) in packets {
-            let leaf = self.topo.leaf_of_host(from);
-            self.stats.host_to_leaf_bytes += bytes.len() as u64;
-            self.stats.packets_on_links += 1;
-            m.host_to_leaf_bytes.add(bytes.len() as u64);
-            m.packets_on_links.inc();
-            if self.down.contains(&SwitchRef::Leaf(leaf)) {
-                continue; // failed ingress leaf: lost before parsing
-            }
-            let pkt = match FlightPacket::parse(&bytes, &self.layout) {
-                Ok(p) => p,
-                Err(_) => {
-                    self.leaves[leaf.0 as usize].note_parse_drop();
-                    continue;
-                }
-            };
-            let seed = ShardMsg {
-                sw: part.dense(SwitchRef::Leaf(leaf)),
-                port: self.topo.host_port_on_leaf(from) as u16,
-                state: pkt.popped,
-                pkt: batch.len() as u32,
-            };
-            if let Some(t) = &mut self.tree {
-                t.events.push(TraceEvent {
-                    pkt: seed.pkt,
-                    parent: TRACE_ROOT,
-                    child: seed.sw,
-                    state: seed.state,
+            if obs.capture {
+                self.taps.push(Tap {
+                    pkt,
+                    from: sw + 1,
+                    port,
+                    state,
                 });
             }
-            seeds.push(seed);
-            batch.push(pkt, &self.layout);
         }
-        let mut out = DeliveryBatch::new();
-        out.reset(shards, self.layout);
-        self.run_batch(&part, batch, seeds, shards, &mut out);
-        out.to_vec()
+        if obs.hops {
+            let record = HopRecord {
+                switch: dense_switch_ref(topo, sw),
+                ingress_port: port_in as usize,
+                bytes_in: bytes_in as usize,
+                egress_ports: outs.iter().map(|&(p, _)| p as usize).collect(),
+            };
+            self.hops.push((pkt, sw, record));
+        }
     }
+}
 
-    /// [`inject_batch_sharded`](Self::inject_batch_sharded) for
-    /// already-parsed packets: same canonical output, returned as owned
-    /// vectors. [`replay_flights_sharded`](Self::replay_flights_sharded)
-    /// is the zero-copy form.
-    pub fn inject_flights_sharded(
-        &mut self,
-        flights: &[(HostId, FlightPacket)],
-        shards: usize,
-    ) -> Vec<(HostId, Vec<u8>)> {
-        let mut out = DeliveryBatch::new();
-        self.replay_flights_sharded(flights, shards, &mut out);
-        out.to_vec()
+/// What a finished worker hands back.
+struct Done {
+    /// The worker's clone of the batch (`popped` holds scratch).
+    pkts: Vec<FlightPacket>,
+    /// Private link counters, absorbed into `Fabric::stats`.
+    stats: FabricStats,
+    /// Deliveries: `(host, packet, state)` triples, no bytes.
+    seg: Segment,
+    /// Copies this worker pushed across a shard boundary.
+    cross_msgs: u64,
+    log: Log,
+}
+
+/// Wire bytes of a copy in hop state `state`, from its packet's
+/// precomputed [`FlightBatch`] length row.
+#[inline]
+fn row_len(row: &[u32; 6], state: u8) -> u32 {
+    if state == HOST_STRIPPED {
+        row[5]
+    } else {
+        row[state as usize]
     }
+}
 
-    /// The sharded replay engine's primary entry point: drive a batch of
-    /// pre-parsed packets through `shards` workers, filling `out` (which
-    /// is cleared first; its buffers are reused, so repeated replay into
-    /// the same `DeliveryBatch` is allocation-free once warm).
+impl Fabric {
+    /// The replay engine's entry point: drive a batch of pre-parsed
+    /// packets through `shards` workers (0 = one per available core; one
+    /// shard runs inline on this thread), filling `out` (which is cleared
+    /// first; its buffers are reused, so repeated replay into the same
+    /// `DeliveryBatch` is allocation-free once warm).
     ///
-    /// Counters and the canonical delivery sequence are identical to the
-    /// serial flight path for every shard count. Capture and trace
-    /// sessions force the serial path (their buffers record traversal
-    /// order, which only the serial loop defines).
+    /// Counters, the canonical delivery sequence and everything an armed
+    /// capture, trace or hop log records are identical for every shard
+    /// count.
     pub fn replay_flights_sharded(
         &mut self,
         flights: &[(HostId, FlightPacket)],
@@ -678,19 +574,24 @@ impl Fabric {
         out: &mut DeliveryBatch,
     ) {
         let shards = resolve_threads(shards).max(1);
-        if self.capture.is_some() || self.trace.is_some() {
-            note_trace_serial_fallback("replay_flights_sharded");
-            out.reset(1, self.layout);
-            for (i, (from, pkt)) in flights.iter().enumerate() {
-                for (h, b) in self.inject_flight(*from, pkt.clone()) {
-                    out.segments[0].push_bytes(h, i as u32, &b);
-                }
-            }
-            out.sort_canonical();
-            return;
-        }
         let m = metrics();
-        let part = Partition::new(&self.topo, shards);
+        m.shard_batches.inc();
+        let obs = Observe {
+            tree: self.tree.is_some(),
+            recorder_cap: self.recorder_cap,
+            capture: self.capture.is_some(),
+            hops: self.hop_log.is_some(),
+        };
+        // A trace session numbers packets across calls: this batch's
+        // packet `i` is the session's packet `trace_base + i`.
+        let trace_base = match &mut self.tree {
+            Some(t) => {
+                let base = t.next_pkt;
+                t.next_pkt += flights.len() as u32;
+                base
+            }
+            None => 0,
+        };
         out.reset(shards, self.layout);
         // Build the SoA batch on the `DeliveryBatch`'s recycled buffers:
         // the packet slots come back for materialization anyway, and the
@@ -700,24 +601,33 @@ impl Fabric {
             std::mem::take(&mut out.wire_scratch),
         );
         let mut seeds = Vec::with_capacity(flights.len());
+        let mut taps = Vec::new();
         let mut ingress_bytes = 0u64;
         for (from, pkt) in flights {
             let leaf = self.topo.leaf_of_host(*from);
             let idx = batch.len();
             batch.push(pkt.clone(), &self.layout);
             ingress_bytes += batch.wire_len(idx, pkt.popped) as u64;
-            if self.down.contains(&SwitchRef::Leaf(leaf)) {
-                continue;
-            }
             let seed = ShardMsg {
-                sw: part.dense(SwitchRef::Leaf(leaf)),
+                sw: leaf.0,
                 port: self.topo.host_port_on_leaf(*from) as u16,
                 state: pkt.popped,
                 pkt: idx as u32,
             };
+            if obs.capture {
+                taps.push(Tap {
+                    pkt: seed.pkt,
+                    from: 0,
+                    port: seed.port,
+                    state: seed.state,
+                });
+            }
+            if self.down.contains(&SwitchRef::Leaf(leaf)) {
+                continue; // failed ingress leaf: lost on arrival
+            }
             if let Some(t) = &mut self.tree {
                 t.events.push(TraceEvent {
-                    pkt: seed.pkt,
+                    pkt: trace_base + seed.pkt,
                     parent: TRACE_ROOT,
                     child: seed.sw,
                     state: seed.state,
@@ -731,177 +641,38 @@ impl Fabric {
         self.stats.packets_on_links += flights.len() as u64;
         m.host_to_leaf_bytes.add(ingress_bytes);
         m.packets_on_links.add(flights.len() as u64);
-        self.run_batch(&part, batch, seeds, shards, out);
-    }
 
-    /// The engine core: move the switches out, run the batch to
-    /// completion across `shards` workers (inline on this thread when
-    /// `shards == 1`), move the switches back and merge counters.
-    /// `out` must already be `reset` to `shards` segments.
-    fn run_batch(
-        &mut self,
-        part: &Partition,
-        batch: FlightBatch,
-        seeds: Vec<ShardMsg>,
-        shards: usize,
-        out: &mut DeliveryBatch,
-    ) {
-        let m = metrics();
-        m.shard_batches.inc();
-        let down = self.down.clone();
-        // Trace events are recorded shard-locally and stitched after the
-        // join (the canonical event sort is shard-count-invariant, so no
-        // ordering information is lost). Root events for the seeds were
-        // already recorded by the pre-pass on this thread.
-        let tracing = self.tree.is_some();
-        let recorder_cap = self.recorder_cap;
-        if let Some(t) = &mut self.tree {
-            // Serial injections after this batch must not reuse its
-            // packet indices.
-            t.next_pkt = t.next_pkt.max(batch.len() as u32);
-        }
-        // Split the batch: packet slots are cloned per worker, the
-        // wire-length rows are immutable and shared by reference.
+        // Split the batch: packet slots go to the workers (moved into a
+        // solo worker, cloned per worker otherwise), the wire-length rows
+        // are immutable and shared by reference.
         let (pkts, wire) = batch.into_parts();
-
-        // Take the switches apart: each shard's vector holds its owned
-        // switches in dense order (matching `Partition::owner`), with the
-        // dense ids recorded alongside.
-        let leaves = std::mem::take(&mut self.leaves);
-        let spines = std::mem::take(&mut self.spines);
-        let cores = std::mem::take(&mut self.cores);
-        let mut shard_switches: Vec<Vec<NetworkSwitch>> = (0..shards).map(|_| Vec::new()).collect();
-        let mut shard_dense: Vec<Vec<u32>> = (0..shards).map(|_| Vec::new()).collect();
-        for (dense, sw) in leaves.into_iter().chain(spines).chain(cores).enumerate() {
-            let shard = part.owner[dense].0 as usize;
-            shard_switches[shard].push(sw);
-            shard_dense[shard].push(dense as u32);
-        }
-
-        // Copies queued anywhere but not yet processed. Seeded before the
-        // workers start; producers publish before making a child copy
-        // visible and retire after finishing an entry, so quiescence means
-        // globally done. The protocol lives in `elmo_core::sync::Pending`,
-        // where the `elmo-race` model checker exercises it exhaustively.
-        let pending: Pending = Pending::new(seeds.len());
-
-        // Seed each shard's local queue with the batch entries whose
-        // ingress leaf it owns.
-        let mut seed_per_shard: Vec<Vec<ShardMsg>> = (0..shards).map(|_| Vec::new()).collect();
-        for msg in seeds {
-            seed_per_shard[part.owner[msg.sw as usize].0 as usize].push(msg);
-        }
-
-        // Hand each worker a cleared segment from `out` — when the caller
-        // reuses a `DeliveryBatch`, the previous batch's capacity comes
-        // back here.
-        let segments: Vec<Segment> = out.segments.drain(..).collect();
-
-        let down_ref = &down;
-        let pending_ref = &pending;
-        let wire_ref: &[[u32; 6]] = &wire;
-        let results: Vec<Worker> = if shards == 1 {
-            // One shard: no rings, no threads — the worker loop runs on
-            // this thread with the batch moved in (no clone) and the
-            // termination atomics skipped. This is the batched serial
-            // path the bench records as mode `batched`.
-            let worker = run_worker(
-                shard_switches.pop().expect("one shard"),
-                shard_dense.pop().expect("one dense list"),
-                seed_per_shard.pop().expect("one seed set"),
-                vec![None],
-                Vec::new(),
-                segments.into_iter().next().expect("one segment"),
-                pkts,
-                wire_ref,
-                part,
-                down_ref,
-                pending_ref,
-                tracing,
-                recorder_cap,
-            );
-            vec![worker]
+        // Each worker fills one of `out`'s (cleared) segments, so a reused
+        // `DeliveryBatch` hands the previous batch's capacity back.
+        let segments = out.segments.iter_mut().map(std::mem::take);
+        let done = if shards == 1 {
+            self.run_solo(pkts, &wire, seeds, segments, obs)
         } else {
-            // One SPSC ring per ordered worker pair. `txs[i][j]` is
-            // worker i's sender toward worker j (None for i == j);
-            // `rxs[j]` holds worker j's receive ends.
-            let mut txs: Vec<Vec<Option<SpscSender<ShardMsg>>>> =
-                (0..shards).map(|_| Vec::new()).collect();
-            let mut rxs: Vec<Vec<SpscReceiver<ShardMsg>>> =
-                (0..shards).map(|_| Vec::new()).collect();
-            for (i, tx_row) in txs.iter_mut().enumerate() {
-                for (j, rx_row) in rxs.iter_mut().enumerate() {
-                    if i == j {
-                        tx_row.push(None);
-                    } else {
-                        let (tx, rx) = spsc(RING_CAPACITY);
-                        tx_row.push(Some(tx));
-                        rx_row.push(rx);
-                    }
-                }
-            }
-            let mut results: Vec<Option<Worker>> = (0..shards).map(|_| None).collect();
-            let pkts_ref = &pkts;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shard_switches
-                    .into_iter()
-                    .zip(shard_dense)
-                    .zip(txs)
-                    .zip(rxs)
-                    .zip(seed_per_shard)
-                    .zip(segments)
-                    .map(
-                        |(((((switches, dense_of), my_txs), my_rxs), my_seeds), my_seg)| {
-                            scope.spawn(move || {
-                                run_worker(
-                                    switches,
-                                    dense_of,
-                                    my_seeds,
-                                    my_txs,
-                                    my_rxs,
-                                    my_seg,
-                                    pkts_ref.clone(),
-                                    wire_ref,
-                                    part,
-                                    down_ref,
-                                    pending_ref,
-                                    tracing,
-                                    recorder_cap,
-                                )
-                            })
-                        },
-                    )
-                    .collect();
-                for (i, h) in handles.into_iter().enumerate() {
-                    results[i] = Some(h.join().expect("shard worker panicked"));
-                }
-            });
-            results
-                .into_iter()
-                .map(|r| r.expect("worker joined"))
-                .collect()
+            self.run_sharded(shards, pkts, &wire, seeds, segments, obs)
         };
 
-        // Reassemble the fabric: local indices were assigned in dense
-        // order, so one in-order walk over each shard's vector puts every
-        // switch back where it came from.
-        let total = part.owner.len();
-        let mut iters: Vec<std::vec::IntoIter<NetworkSwitch>> = Vec::with_capacity(shards);
-        let mut cross_total = 0u64;
+        let mut cross_msgs = 0u64;
         let mut recorders = Vec::new();
-        for (i, r) in results.into_iter().enumerate() {
-            iters.push(r.switches.into_iter());
+        let mut hop_log = Vec::new();
+        for (i, mut r) in done.into_iter().enumerate() {
             self.stats.absorb(&r.stats);
-            out.segments.push(r.seg);
-            cross_total += r.cross_msgs;
-            if tracing {
-                if let Some(t) = &mut self.tree {
-                    t.events.extend(r.events);
+            out.segments[i] = r.seg;
+            cross_msgs += r.cross_msgs;
+            if let Some(t) = &mut self.tree {
+                for ev in &mut r.log.events {
+                    ev.pkt += trace_base;
                 }
+                t.events.extend(r.log.events);
             }
-            if recorder_cap > 0 {
-                recorders.push(r.recorder);
+            if obs.recorder_cap > 0 {
+                recorders.push(r.log.recorder);
             }
+            taps.extend(r.log.taps);
+            hop_log.extend(r.log.hops);
             if i == 0 {
                 // Any worker's batch clone serves materialization (the
                 // packets differ only in `popped` scratch, which the
@@ -909,24 +680,157 @@ impl Fabric {
                 out.pkts = r.pkts;
             }
         }
-        for dense in 0..total {
-            let sw = iters[part.owner[dense].0 as usize]
-                .next()
-                .expect("every owned switch returned");
-            match part.switch_ref(dense as u32) {
-                SwitchRef::Leaf(_) => self.leaves.push(sw),
-                SwitchRef::Spine(_) => self.spines.push(sw),
-                SwitchRef::Core(_) => self.cores.push(sw),
-            }
-        }
-        debug_assert_eq!(self.leaves.len(), part.num_leaves);
-        debug_assert_eq!(self.spines.len(), part.num_spines);
-        if recorder_cap > 0 {
+        if obs.recorder_cap > 0 {
             self.flight_recorders = recorders;
         }
-        m.shard_cross_msgs.add(cross_total);
+        if let Some((limit, captured)) = &mut self.capture {
+            taps.sort_unstable();
+            let free = limit.saturating_sub(captured.len());
+            for tap in taps.iter().take(free) {
+                captured.push(out.pkts[tap.pkt as usize].copy_bytes(tap.state, &self.layout));
+                m.replay_materialized.inc();
+            }
+        }
+        if let Some(log) = &mut self.hop_log {
+            hop_log.sort_by_key(|(pkt, sw, r)| (*pkt, *sw, r.ingress_port));
+            log.extend(hop_log.into_iter().map(|(_, _, r)| r));
+        }
+        m.shard_cross_msgs.add(cross_msgs);
         out.wire_scratch = wire;
         out.sort_canonical();
+    }
+
+    /// One shard: no rings, no threads, no termination counter — the
+    /// worker loop runs on this thread over the switches in place, with
+    /// the batch moved in (no clone) and the fabric's own queues.
+    fn run_solo(
+        &mut self,
+        pkts: Vec<FlightPacket>,
+        wire: &[[u32; 6]],
+        seeds: Vec<ShardMsg>,
+        mut segments: impl Iterator<Item = Segment>,
+        obs: Observe,
+    ) -> Vec<Done> {
+        let (part, queues) = &mut self.solo;
+        vec![run_worker(
+            &mut self.switches,
+            queues,
+            part,
+            0,
+            &self.hops,
+            &self.topo,
+            seeds,
+            Vec::new(),
+            Vec::new(),
+            segments.next().expect("one segment"),
+            pkts,
+            wire,
+            &self.down,
+            &Pending::new(0),
+            obs,
+        )]
+    }
+
+    /// Several shards: move the switches out into per-worker vectors, run
+    /// the batch to completion on scoped threads, move the switches back.
+    fn run_sharded(
+        &mut self,
+        shards: usize,
+        pkts: Vec<FlightPacket>,
+        wire: &[[u32; 6]],
+        seeds: Vec<ShardMsg>,
+        segments: impl Iterator<Item = Segment>,
+        obs: Observe,
+    ) -> Vec<Done> {
+        let part = &Partition::new(&self.topo, shards);
+        // Take the switches apart: each shard's vector holds its owned
+        // switches in dense order (matching `Partition::owner`).
+        let mut shard_switches: Vec<Vec<NetworkSwitch>> = vec![Vec::new(); shards];
+        for (dense, sw) in std::mem::take(&mut self.switches).into_iter().enumerate() {
+            shard_switches[part.owner[dense].0 as usize].push(sw);
+        }
+
+        // Copies queued anywhere but not yet processed. Seeded before the
+        // workers start; producers publish before making a child copy
+        // visible and retire after finishing an entry, so quiescence means
+        // globally done. The protocol lives in `elmo_core::sync::Pending`,
+        // where the `elmo-race` model checker exercises it exhaustively.
+        let pending: &Pending = &Pending::new(seeds.len());
+
+        // Seed each shard's local queue with the batch entries whose
+        // ingress leaf it owns.
+        let mut seed_per_shard: Vec<Vec<ShardMsg>> = vec![Vec::new(); shards];
+        for msg in seeds {
+            seed_per_shard[part.owner[msg.sw as usize].0 as usize].push(msg);
+        }
+
+        // One SPSC ring per ordered worker pair. `txs[i][j]` is worker
+        // i's sender toward worker j (None for i == j); `rxs[j]` holds
+        // worker j's receive ends.
+        let mut txs: Vec<Vec<Option<SpscSender<ShardMsg>>>> =
+            (0..shards).map(|_| Vec::new()).collect();
+        let mut rxs: Vec<Vec<SpscReceiver<ShardMsg>>> = (0..shards).map(|_| Vec::new()).collect();
+        for (i, tx_row) in txs.iter_mut().enumerate() {
+            for (j, rx_row) in rxs.iter_mut().enumerate() {
+                if i == j {
+                    tx_row.push(None);
+                } else {
+                    let (tx, rx) = spsc(RING_CAPACITY);
+                    tx_row.push(Some(tx));
+                    rx_row.push(rx);
+                }
+            }
+        }
+        let (pkts, hops, topo, down) = (&pkts, &self.hops, &self.topo, &self.down);
+        let mut done = Vec::with_capacity(shards);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = shard_switches
+                .iter_mut()
+                .zip(txs)
+                .zip(rxs)
+                .zip(seed_per_shard)
+                .zip(segments)
+                .enumerate()
+                .map(
+                    |(shard, ((((switches, my_txs), my_rxs), my_seeds), my_seg))| {
+                        scope.spawn(move || {
+                            let mut queues = Queues::new(switches.len());
+                            run_worker(
+                                switches,
+                                &mut queues,
+                                part,
+                                shard,
+                                hops,
+                                topo,
+                                my_seeds,
+                                my_txs,
+                                my_rxs,
+                                my_seg,
+                                pkts.clone(),
+                                wire,
+                                down,
+                                pending,
+                                obs,
+                            )
+                        })
+                    },
+                )
+                .collect();
+            for h in handles {
+                done.push(h.join().expect("shard worker panicked"));
+            }
+        });
+
+        // Reassemble the fabric: local indices were assigned in dense
+        // order, so one in-order walk over each shard's vector puts every
+        // switch back where it came from.
+        let mut iters: Vec<_> = shard_switches.into_iter().map(Vec::into_iter).collect();
+        self.switches.extend(part.owner.iter().map(|&(shard, _)| {
+            iters[shard as usize]
+                .next()
+                .expect("every owned switch returned")
+        }));
+        done
     }
 }
 
@@ -938,50 +842,51 @@ impl Fabric {
 /// run) are all amortized over the run; per-copy work is an array scan:
 /// bucket SoA in, `hop_out` pairs through the compiled hop table, wire
 /// lengths from the batch's precomputed rows.
+///
+/// This is the only place a copy is popped off a queue and handed to a
+/// switch. `switches` are this shard's, in local-index order; a solo
+/// worker (`rxs` empty) terminates when its buckets run dry and never
+/// touches `pending`.
 #[allow(clippy::too_many_arguments)]
 fn run_worker(
-    switches: Vec<NetworkSwitch>,
-    dense_of: Vec<u32>,
+    switches: &mut [NetworkSwitch],
+    q: &mut Queues,
+    part: &Partition,
+    shard: usize,
+    hops: &HopTable,
+    topo: &Clos,
     seeds: Vec<ShardMsg>,
     txs: Vec<Option<SpscSender<ShardMsg>>>,
     mut rxs: Vec<SpscReceiver<ShardMsg>>,
     seg: Segment,
     batch: Vec<FlightPacket>,
     wire: &[[u32; 6]],
-    part: &Partition,
     down: &std::collections::BTreeSet<SwitchRef>,
     pending: &Pending,
-    tracing: bool,
-    recorder_cap: usize,
-) -> Worker {
+    obs: Observe,
+) -> Done {
     let m = metrics();
-    // A solo worker (one shard, no rings) terminates when its buckets
-    // run dry; the shared counter is only needed when copies can be in
-    // flight elsewhere.
     let solo = rxs.is_empty();
-    let n = switches.len();
-    let mut w = Worker {
-        switches,
-        dense_of,
-        buckets: (0..n).map(|_| Bucket::default()).collect(),
-        active: Vec::new(),
-        queued: vec![false; n],
-        run: Bucket::default(),
-        staged: Vec::new(),
-        hop_out: Vec::new(),
+    let watching = obs.any();
+    let dense_of = &part.dense_of[shard];
+    let mut w = Done {
         pkts: batch,
         stats: FabricStats::default(),
         seg,
         cross_msgs: 0,
-        events: Vec::new(),
-        recorder: FlightRecorder::new(recorder_cap),
+        log: Log {
+            events: Vec::new(),
+            recorder: FlightRecorder::new(obs.recorder_cap),
+            taps: Vec::new(),
+            hops: Vec::new(),
+        },
     };
     for msg in seeds {
-        w.enqueue(part, msg);
+        q.enqueue(part, msg);
     }
     loop {
-        w.drain_incoming(&mut rxs, part);
-        let Some(local) = w.active.pop() else {
+        q.drain_incoming(&mut rxs, part);
+        let Some(local) = q.active.pop() else {
             if solo || pending.quiescent() {
                 break;
             }
@@ -989,20 +894,19 @@ fn run_worker(
             continue;
         };
         let li = local as usize;
-        w.queued[li] = false;
+        q.queued[li] = false;
         // Swap the bucket out: a switch never forwards to itself, so the
         // run is fixed the moment it starts; ring drains during the run
         // land in the fresh bucket and re-activate the switch.
-        std::mem::swap(&mut w.buckets[li], &mut w.run);
-        let run_len = w.run.len();
-        let dense_sw = w.dense_of[li];
-        if down.contains(&part.switch_ref(dense_sw)) {
-            // Failed switch: the whole run is lost here, exactly as in
-            // the serial loop.
+        std::mem::swap(&mut q.buckets[li], &mut q.run);
+        let run_len = q.run.len();
+        let dense_sw = dense_of[li];
+        if down.contains(&dense_switch_ref(topo, dense_sw)) {
+            // Failed switch: the whole run is lost here.
             if !solo {
                 pending.retire(run_len);
             }
-            w.run.clear();
+            q.run.clear();
             continue;
         }
         // Per-run accumulators, flushed once after the run.
@@ -1011,22 +915,16 @@ fn run_worker(
         let mut host_bytes = 0u64;
         let mut delivered = 0u64;
         {
-            // Split the worker's fields so the switch, the packets, and
-            // the scratch buffers can be borrowed simultaneously.
-            let Worker {
-                switches,
-                run,
-                staged,
-                hop_out,
-                pkts,
-                seg,
-                events,
-                recorder,
+            // Split the queues' fields so the run, the buckets and the
+            // scratch buffers can be borrowed simultaneously.
+            let Queues {
                 buckets,
                 active,
                 queued,
-                ..
-            } = &mut w;
+                run,
+                staged,
+                hop_out,
+            } = &mut *q;
             let node = &mut switches[li];
             // One stamp compare covers the whole run: the switch is
             // exclusively borrowed, so its table cannot mutate mid-run.
@@ -1034,38 +932,20 @@ fn run_worker(
             staged.clear();
             for e in 0..run_len {
                 let (port, state, pkt_i) = (run.port[e], run.state[e], run.pkt[e]);
-                let work = &mut pkts[pkt_i as usize];
+                let work = &mut w.pkts[pkt_i as usize];
                 work.popped = state;
-                let hv = wire[pkt_i as usize][state as usize] as usize - work.payload.len();
+                let row = &wire[pkt_i as usize];
+                let hv = row[state as usize] as usize - work.payload.len();
                 hop_out.clear();
                 node.process_hops_hv(port as usize, work, hv, hop_out);
                 for &(port_out, out_state) in hop_out.iter() {
                     links += 1;
-                    let row = &wire[pkt_i as usize];
-                    let n = if out_state == HOST_STRIPPED {
-                        row[5]
-                    } else {
-                        row[out_state as usize]
-                    } as u64;
-                    match part.hop(dense_sw, port_out) {
+                    let n = row_len(row, out_state) as u64;
+                    match hops.hop(dense_sw, port_out) {
                         PlannedHop::Host(h) => {
                             host_bytes += n;
                             delivered += 1;
-                            seg.push(h, pkt_i, out_state);
-                            if tracing || recorder_cap > 0 {
-                                let ev = TraceEvent {
-                                    pkt: pkt_i,
-                                    parent: dense_sw,
-                                    child: HOST_NODE_BIT | h.0,
-                                    state: out_state,
-                                };
-                                if tracing {
-                                    events.push(ev);
-                                }
-                                if recorder_cap > 0 {
-                                    recorder.record(ev);
-                                }
-                            }
+                            w.seg.push(h, pkt_i, out_state);
                         }
                         PlannedHop::Switch { dense, port, tier } => {
                             debug_assert_ne!(
@@ -1073,20 +953,6 @@ fn run_worker(
                                 "stripped copies go to hosts"
                             );
                             tier_bytes[tier as usize] += n;
-                            if tracing || recorder_cap > 0 {
-                                let ev = TraceEvent {
-                                    pkt: pkt_i,
-                                    parent: dense_sw,
-                                    child: dense,
-                                    state: out_state,
-                                };
-                                if tracing {
-                                    events.push(ev);
-                                }
-                                if recorder_cap > 0 {
-                                    recorder.record(ev);
-                                }
-                            }
                             if solo {
                                 // No rings, no termination counter: queue the
                                 // child straight into its bucket. A switch
@@ -1113,6 +979,11 @@ fn run_worker(
                         }
                     }
                 }
+                if watching {
+                    let bytes_in = row[state as usize];
+                    w.log
+                        .note_entry(obs, topo, hops, pkt_i, dense_sw, port, bytes_in, hop_out);
+                }
             }
             // One guarded add per touched counter for the whole run.
             node.flush_global_stats();
@@ -1120,14 +991,14 @@ fn run_worker(
         // Count every staged child before any becomes visible, then
         // route them; the run's own entries are retired only after
         // both, so `pending` can never read zero while work exists.
-        if !solo && !w.staged.is_empty() {
-            pending.publish(w.staged.len());
+        if !solo && !q.staged.is_empty() {
+            pending.publish(q.staged.len());
         }
-        for i in 0..w.staged.len() {
-            let msg = w.staged[i];
+        for i in 0..q.staged.len() {
+            let msg = q.staged[i];
             let owner = part.owner[msg.sw as usize].0 as usize;
             match &txs[owner] {
-                None => w.enqueue(part, msg),
+                None => q.enqueue(part, msg),
                 Some(tx) => {
                     w.cross_msgs += 1;
                     let mut msg = msg;
@@ -1136,13 +1007,13 @@ fn run_worker(
                     // once.
                     while let Err(back) = tx.try_push(msg) {
                         msg = back;
-                        w.drain_incoming(&mut rxs, part);
+                        q.drain_incoming(&mut rxs, part);
                         std::hint::spin_loop();
                     }
                 }
             }
         }
-        w.staged.clear();
+        q.staged.clear();
         w.stats.packets_on_links += links;
         if links > 0 {
             m.packets_on_links.add(links);
@@ -1172,7 +1043,7 @@ fn run_worker(
         if !solo {
             pending.retire(run_len);
         }
-        w.run.clear();
+        q.run.clear();
     }
     w
 }

@@ -62,11 +62,8 @@ pub const REQUIRED_METRICS: &[&str] = &[
     "fabric.spine_to_leaf_bytes",
     "fabric.spine_to_core_bytes",
     "fabric.core_to_spine_bytes",
-    // Zero-copy replay loop health: scratch-buffer reuse vs growth, and
-    // how many copies were actually serialized back to wire bytes (only
-    // host deliveries and captures should be).
-    "fabric.replay.buffer_reuse",
-    "fabric.replay.fresh_alloc",
+    // Zero-copy replay health: how many copies were actually serialized
+    // back to wire bytes (only host deliveries and captures should be).
     "fabric.replay.materialized",
     // Compiled MatchPlan freshness: bumped on every s-rule install or
     // removal that recompiles a switch's plan. Zero after a churn delta
@@ -78,7 +75,6 @@ pub const REQUIRED_METRICS: &[&str] = &[
     "fabric.replay.plan_stale_detected",
     "fabric.replay.shard.batches",
     "fabric.replay.shard.cross_msgs",
-    "fabric.replay.trace_serial_fallback",
     // Copy-tree tracing and the windowed time-series (§7 monitoring
     // direction; `elmo-eval trace` / `timeline`).
     "trace.events_recorded",

@@ -122,8 +122,9 @@ pub fn run(windows: usize, tick: usize, shards: usize) -> Result<TimelineRun, St
     // Discover which spine the copy tree actually transits by tracing a
     // single packet — the failure then provably hits this group's path
     // instead of a spine the encoding happened to avoid.
+    let mut batch = DeliveryBatch::new();
     fabric.start_tree_trace();
-    let _ = fabric.inject_flight(sender, pkt.clone());
+    fabric.replay_flights_sharded(&[(sender, pkt.clone())], 1, &mut batch);
     let events = fabric.take_tree_trace();
     let spine = events
         .iter()
@@ -149,7 +150,6 @@ pub fn run(windows: usize, tick: usize, shards: usize) -> Result<TimelineRun, St
 
     fabric.arm_flight_recorder(tick.max(64));
     let mut tl = Timeline::start(windows);
-    let mut batch = DeliveryBatch::new();
     let mut rows = Vec::with_capacity(windows);
     let mut expected = 0u64;
     let mut loss_windows = 0usize;

@@ -14,7 +14,8 @@ use std::sync::Arc;
 
 use elmo_controller::{Controller, ControllerConfig, GroupId, MemberRole};
 use elmo_dataplane::{
-    dense_switch_ref, trace_node_label, Fabric, HypervisorSwitch, SenderFlow, SwitchConfig,
+    dense_switch_ref, trace_node_label, DeliveryBatch, Fabric, HypervisorSwitch, SenderFlow,
+    SwitchConfig,
 };
 use elmo_obs::{CopyTree, HOST_NODE_BIT};
 use elmo_topology::{Clos, HostId, LeafId, PodId, SwitchRef};
@@ -120,7 +121,8 @@ pub fn run(group: u64, sender: Option<u32>) -> Result<TraceRun, String> {
     // The traced injection. Tracing records edges only; deliveries are
     // bit-identical to an untraced run (pinned by tests/path_trace.rs).
     fabric.start_tree_trace();
-    let deliveries = fabric.inject_flight(sender, pkt);
+    let mut deliveries = DeliveryBatch::new();
+    fabric.replay_flights_sharded(&[(sender, pkt)], 1, &mut deliveries);
     let events = fabric.take_tree_trace();
     let mut tree = CopyTree::build(0, &events, |n| trace_node_label(&topo, n));
 
@@ -174,7 +176,7 @@ pub fn run(group: u64, sender: Option<u32>) -> Result<TraceRun, String> {
         .keys()
         .map(|h| h.0)
         .collect();
-    let mut delivered_hosts: Vec<u32> = deliveries.iter().map(|(h, _)| h.0).collect();
+    let mut delivered_hosts: Vec<u32> = deliveries.entries().map(|(h, _)| h.0).collect();
     delivered_hosts.sort_unstable();
     delivered_hosts.dedup();
     let ok = tree_hosts == walk_hosts && tree_hosts == delivered_hosts;

@@ -1,5 +1,5 @@
 //! Differential mode: replay a deterministic sample of (group, sender)
-//! pairs through the fast-path fabric and assert the observed deliveries
+//! pairs through the fabric's replay engine and assert the observed deliveries
 //! match the static walk's reachable set, byte for byte.
 //!
 //! The static checker proves properties over the rule state; this mode
@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use elmo_controller::{Controller, GroupId};
 use elmo_core::SplitMix64;
-use elmo_dataplane::{Fabric, HypervisorSwitch, SenderFlow};
+use elmo_dataplane::{DeliveryBatch, Fabric, HypervisorSwitch, SenderFlow};
 use elmo_topology::HostId;
 
 use crate::report::{RuleRef, Violation, ViolationKind, Witness};
@@ -28,7 +28,7 @@ pub struct DifferentialOutcome {
     /// Disagreements between the static walk and the replay.
     pub violations: Vec<Violation>,
     /// For every diverging (group, sender), the traced copy tree of a
-    /// serial re-run — the postmortem witness the report embeds.
+    /// re-run — the postmortem witness the report embeds.
     pub divergence_traces: Vec<DivergenceTrace>,
 }
 
@@ -58,12 +58,12 @@ pub fn differential_check(
     differential_check_with(ctl, fabric, max_samples, seed, 1)
 }
 
-/// [`differential_check`] with the replay routed through the sharded
-/// engine when `replay_threads > 1` — the same diff against the static
-/// walk, but exercising the multi-core forwarding path (partitioned
-/// switches, cross-shard rings) instead of the serial loop. The walk's
-/// predictions don't change, so any divergence the sharded engine
-/// introduces surfaces as a Loss/Leakage/EncapMismatch violation here.
+/// [`differential_check`] with the replay spread over `replay_threads`
+/// engine shards — the same diff against the static walk, but exercising
+/// the multi-core forwarding path (partitioned switches, cross-shard
+/// rings) when more than one. The walk's predictions don't change, so any
+/// divergence sharding introduces surfaces as a
+/// Loss/Leakage/EncapMismatch violation here.
 pub fn differential_check_with(
     ctl: &Controller,
     fabric: &mut Fabric,
@@ -90,6 +90,7 @@ pub fn differential_check_with(
     let mut violations = Vec::new();
     let mut divergence_traces = Vec::new();
     let mut sampled = 0usize;
+    let mut delivered = DeliveryBatch::new();
     for gid in ids {
         let Some(state) = ctl.group(gid) else {
             continue;
@@ -139,9 +140,6 @@ pub fn differential_check_with(
             continue;
         }
         let pkt = pkts.remove(0);
-        // Kept aside for the divergence postmortem: a traced serial
-        // re-run of the same flight (Arc bumps only, no byte copies).
-        let trace_pkt = pkt.clone();
         let before = violations.len();
         // Every host copy is the same bytes: the outer stack with the Elmo
         // header stripped, plus the payload.
@@ -151,13 +149,10 @@ pub fn differential_check_with(
             host_copy.to_bytes(&layout)
         };
 
-        let delivered = if replay_threads > 1 {
-            fabric.inject_flights_sharded(&[(sender, pkt)], replay_threads)
-        } else {
-            fabric.inject_flight(sender, pkt)
-        };
+        let flight = [(sender, pkt)];
+        fabric.replay_flights_sharded(&flight, replay_threads, &mut delivered);
         let mut observed: BTreeMap<HostId, u32> = BTreeMap::new();
-        for (h, bytes) in delivered {
+        delivered.for_each(|h, bytes| {
             *observed.entry(h).or_insert(0) += 1;
             if bytes != expected_bytes {
                 violations.push(Violation {
@@ -171,7 +166,7 @@ pub fn differential_check_with(
                     detail: "delivered bytes differ from the expected header-stripped copy".into(),
                 });
             }
-        }
+        });
         for (&h, &n) in &predicted {
             let got = observed.get(&h).copied().unwrap_or(0);
             if got != n {
@@ -204,11 +199,11 @@ pub fn differential_check_with(
             }
         }
         if violations.len() > before {
-            // Divergence: attach the traced copy tree of a serial re-run
-            // as the witness. Tracing never changes deliveries, so the
-            // re-run reproduces exactly what the diff above observed.
+            // Divergence: attach the traced copy tree of a re-run as the
+            // witness. Tracing never changes deliveries, so the re-run
+            // reproduces exactly what the diff above observed.
             fabric.start_tree_trace();
-            let _ = fabric.inject_flight(sender, trace_pkt);
+            fabric.replay_flights_sharded(&flight, replay_threads, &mut delivered);
             let events = fabric.take_tree_trace();
             let tree = elmo_obs::CopyTree::build(0, &events, |n| {
                 elmo_dataplane::trace_node_label(ctl.topo(), n)

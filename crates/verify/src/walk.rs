@@ -1,7 +1,7 @@
 //! The static reachability walk: one (group, sender) pair at a time.
 //!
 //! Mirrors the data plane's forwarding pipeline (`NetworkSwitch::
-//! process_flight` plus `Fabric::next_hop`) without constructing packets:
+//! process_hops_hv` plus the fabric's hop table) without constructing packets:
 //! each stage resolves the same rule the switch would (own-id p-rule, then
 //! the installed s-rule, then the default p-rule) and advances the same
 //! pop depth, so the reachable host multiset and the per-link byte

@@ -494,8 +494,25 @@ mod property_based {
 
     use super::layout;
     use elmo::core::{ElmoHeader, HeaderLayout};
-    use elmo::dataplane::{ElmoPacketRepr, HypervisorSwitch, NetworkSwitch, SwitchConfig};
+    use elmo::dataplane::{
+        ElmoPacketRepr, Fabric, FlightPacket, HypervisorSwitch, NetworkSwitch, SwitchConfig,
+    };
     use elmo::topology::{Clos, CoreId, HostId, LeafId, SpineId};
+
+    /// The copies `sw` emits for `bytes` arriving on `port` (none when the
+    /// bytes do not parse — the fabric drops those at the ingress leaf).
+    fn hops(
+        sw: &mut NetworkSwitch,
+        port: usize,
+        bytes: &[u8],
+        layout: &HeaderLayout,
+    ) -> Vec<(u16, u8)> {
+        let mut out = Vec::new();
+        if let Ok(pkt) = FlightPacket::parse(bytes, layout) {
+            sw.process_hops_hv(port, &pkt, pkt.header_vector_len(layout), &mut out);
+        }
+        out
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
@@ -530,11 +547,11 @@ mod property_based {
             let mut leaf = NetworkSwitch::new_leaf(topo, LeafId(0), SwitchConfig::default());
             let mut spine = NetworkSwitch::new_spine(topo, SpineId(0), SwitchConfig::default());
             let mut core = NetworkSwitch::new_core(topo, CoreId(0), SwitchConfig::default());
-            prop_assert!(leaf.process(ingress, &bytes, &layout).is_empty());
-            prop_assert!(leaf.process(8 + ingress % 2, &bytes, &layout).is_empty());
-            prop_assert!(spine.process(ingress % 2, &bytes, &layout).is_empty());
-            prop_assert!(spine.process(2 + ingress % 2, &bytes, &layout).is_empty());
-            prop_assert!(core.process(ingress, &bytes, &layout).is_empty());
+            prop_assert!(hops(&mut leaf, ingress, &bytes, &layout).is_empty());
+            prop_assert!(hops(&mut leaf, 8 + ingress % 2, &bytes, &layout).is_empty());
+            prop_assert!(hops(&mut spine, ingress % 2, &bytes, &layout).is_empty());
+            prop_assert!(hops(&mut spine, 2 + ingress % 2, &bytes, &layout).is_empty());
+            prop_assert!(hops(&mut core, ingress, &bytes, &layout).is_empty());
         }
 
         /// Raw bytes into the hypervisor receive path and the IGMP interceptor.
@@ -556,13 +573,13 @@ mod property_based {
             let mut pkt = super::valid_packet(&layout);
             // Flip one bit inside the IPv4 header.
             pkt[flip_at] ^= 1 << flip_bit;
-            let mut leaf = NetworkSwitch::new_leaf(topo, LeafId(0), SwitchConfig::default());
-            let out = leaf.process(0, &pkt, &layout);
             // A corrupted IPv4 header must be dropped by the checksum — unless
             // the flip hit the checksum-neutral... there is none: any single
             // bit flip breaks the ones-complement sum.
-            prop_assert!(out.is_empty());
-            prop_assert_eq!(leaf.stats.dropped_parse, 1);
+            prop_assert!(FlightPacket::parse(&pkt, &layout).is_err());
+            let mut fabric = Fabric::new(topo, SwitchConfig::default());
+            prop_assert!(fabric.inject(HostId(0), pkt).is_empty());
+            prop_assert_eq!(fabric.leaf(LeafId(0)).stats.dropped_parse, 1);
         }
     }
 }

@@ -11,43 +11,9 @@ use elmo::net::vxlan::Vni;
 use elmo::topology::{Clos, HostId, LeafId, PodId, SwitchRef};
 
 fn traced_transmission() -> (Vec<(HostId, Vec<u8>)>, Vec<elmo::dataplane::HopRecord>) {
-    let topo = Clos::paper_example();
-    let mut ctl = Controller::new(topo, ControllerConfig::paper_default(0));
-    let gid = GroupId(1);
-    let group = Ipv4Addr::new(225, 8, 8, 8);
-    ctl.create_group(
-        gid,
-        Vni(8),
-        group,
-        [
-            (HostId(0), MemberRole::Both),
-            (HostId(1), MemberRole::Receiver),
-            (HostId(42), MemberRole::Receiver),
-            (HostId(57), MemberRole::Receiver),
-        ],
-    );
-    let state = ctl.group(gid).expect("group");
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
-    for (leaf, bm) in &state.enc.d_leaf.s_rules {
-        fabric
-            .leaf_mut(LeafId(*leaf))
-            .install_srule(state.outer_addr, bm.clone())
-            .unwrap();
-    }
-    for (pod, bm) in &state.enc.d_spine.s_rules {
-        fabric
-            .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
-            .unwrap();
-    }
-    let header = ctl.header_for(gid, HostId(0)).expect("header");
-    let mut hv = HypervisorSwitch::new(HostId(0));
-    hv.install_flow(
-        Vni(8),
-        group,
-        SenderFlow::new(state.outer_addr, Vni(8), &header, ctl.layout(), vec![]),
-    );
-    let pkt = hv.send(Vni(8), group, b"trace me", ctl.layout()).remove(0);
-    fabric.inject_traced(HostId(0), pkt)
+    let (_, mut fabric, pkt) = tree_fixture();
+    let bytes = pkt.to_bytes(fabric.layout());
+    fabric.inject_traced(HostId(0), bytes)
 }
 
 #[test]
@@ -101,8 +67,8 @@ fn untraced_injection_records_nothing_extra() {
     assert_eq!(trace.len(), trace2.len(), "traces are reproducible");
 }
 
-/// The same controller-driven fixture as [`traced_transmission`], but in
-/// flight-packet form for the causal copy-tree trace.
+/// A controller-driven cross-pod group on the paper-example fabric, and one
+/// packet from its sender H0.
 fn tree_fixture() -> (Clos, Fabric, elmo::dataplane::FlightPacket) {
     let topo = Clos::paper_example();
     let mut ctl = Controller::new(topo, ControllerConfig::paper_default(0));
@@ -144,12 +110,23 @@ fn tree_fixture() -> (Clos, Fabric, elmo::dataplane::FlightPacket) {
     (topo, fabric, pkt)
 }
 
+/// One flight through the replay engine, deliveries as owned bytes.
+fn replay_one(
+    fabric: &mut Fabric,
+    from: HostId,
+    pkt: elmo::dataplane::FlightPacket,
+) -> Vec<(HostId, Vec<u8>)> {
+    let mut out = elmo::dataplane::DeliveryBatch::new();
+    fabric.replay_flights_sharded(&[(from, pkt)], 1, &mut out);
+    out.to_vec()
+}
+
 #[test]
 fn copy_tree_leaves_equal_delivery_hosts() {
     let (topo, mut fabric, pkt) = tree_fixture();
     fabric.start_tree_trace();
     assert!(fabric.tree_tracing());
-    let deliveries = fabric.inject_flight(HostId(0), pkt);
+    let deliveries = replay_one(&mut fabric, HostId(0), pkt);
     let events = fabric.take_tree_trace();
     assert!(!fabric.tree_tracing(), "take_tree_trace ends the session");
 
@@ -181,8 +158,8 @@ fn tracing_off_is_a_no_op() {
     let (_, mut traced_fab, pkt) = tree_fixture();
     let (_, mut plain_fab, pkt2) = tree_fixture();
     traced_fab.start_tree_trace();
-    let traced = traced_fab.inject_flight(HostId(0), pkt);
-    let plain = plain_fab.inject_flight(HostId(0), pkt2);
+    let traced = replay_one(&mut traced_fab, HostId(0), pkt);
+    let plain = replay_one(&mut plain_fab, HostId(0), pkt2);
     assert_eq!(traced, plain, "tracing changed deliveries");
     assert!(!plain_fab.tree_tracing());
     assert!(

@@ -1,20 +1,28 @@
-//! Byte-identity golden tests for the zero-copy replay fast path.
-//!
-//! `Fabric::inject` (flight form: parse once, forward structs, materialize
-//! at delivery) must be observationally indistinguishable from
-//! `Fabric::inject_reference` (the pre-change encode-per-hop path, kept
-//! in-tree as the reference): identical `(HostId, Vec<u8>)` deliveries in
-//! identical order, identical per-switch `SwitchStats`, and identical
-//! per-tier link-byte counters — on the paper's Figure 3 end-to-end
-//! scenario as well as s-rule and default-p-rule encodings.
+//! Engine ≡ spec: the replay engine (`Fabric::replay_flights_sharded` and
+//! the byte adapters over it) must be observationally indistinguishable
+//! from the executable specification in `tests/spec/` — identical
+//! `(HostId, Vec<u8>)` deliveries in canonical order, identical per-switch
+//! `SwitchStats`, identical per-tier link-byte counters — at 1/2/4/8
+//! shards, with and without failed switches and tree tracing, on the
+//! paper's Figure 3 scenario, s-rule and default-p-rule encodings, unicast,
+//! garbage input and a generated workload.
 
+mod spec;
+
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
+use elmo::controller::{Controller, ControllerConfig, GroupId, MemberRole};
 use elmo::core::{encode_group, header_for_sender, EncoderConfig, HeaderLayout};
-use elmo::dataplane::{Fabric, HypervisorSwitch, SenderFlow, SwitchConfig};
+use elmo::dataplane::{
+    DeliveryBatch, Fabric, FlightPacket, HypervisorSwitch, SenderFlow, SwitchConfig, SwitchStats,
+};
 use elmo::net::vxlan::Vni;
-use elmo::topology::{Clos, GroupTree, HostId, LeafId, PodId, UpstreamCover};
+use elmo::topology::{
+    Clos, CoreId, GroupTree, HostId, LeafId, PodId, SpineId, SwitchRef, UpstreamCover,
+};
+use elmo::workloads::{GroupSizeDist, Workload, WorkloadConfig};
 
 const OUTER: Ipv4Addr = Ipv4Addr::new(239, 1, 1, 1);
 const GROUP: Ipv4Addr = Ipv4Addr::new(225, 0, 0, 1);
@@ -26,6 +34,9 @@ const MEMBERS: [HostId; 6] = [
     HostId(49),
     HostId(57),
 ];
+const SHARDS: [usize; 4] = [1, 2, 4, 8];
+
+type Packets = Vec<(HostId, Vec<u8>)>;
 
 /// One encoded scenario, ready to build identical fabrics from.
 struct Scenario {
@@ -35,80 +46,59 @@ struct Scenario {
     tree: GroupTree,
 }
 
-/// The paper's Figure 3 configuration: pod P3 lands on the default p-rule,
-/// everything else on exact p-rules.
-fn figure3_scenario() -> Scenario {
+fn scenario(cfg: impl FnOnce(&HeaderLayout) -> EncoderConfig, srule_capacity: bool) -> Scenario {
     let topo = Clos::paper_example();
     let layout = HeaderLayout::for_clos(&topo);
     let tree = GroupTree::new(&topo, MEMBERS);
-    let cfg = EncoderConfig::with_budget(&layout, 325, 0);
-    let mut sa = |_p| false;
-    let mut la = |_l| false;
-    let enc = encode_group(&topo, &tree, &cfg, &mut sa, &mut la);
+    let mut sa = |_p| srule_capacity;
+    let mut la = |_l| srule_capacity;
+    let enc = encode_group(&topo, &tree, &cfg(&layout), &mut sa, &mut la);
     Scenario {
         topo,
         layout,
         enc,
         tree,
     }
+}
+
+/// A budget tight enough that not every switch gets its own p-rule.
+fn tight(_: &HeaderLayout) -> EncoderConfig {
+    EncoderConfig {
+        r: 0,
+        k_max: 2,
+        h_spine_max: 2,
+        h_leaf_max: 2,
+        budget_bytes: 325,
+        mode: elmo::core::RedundancyMode::Sum,
+    }
+}
+
+/// The paper's Figure 3 configuration: pod P3 lands on the default p-rule,
+/// everything else on exact p-rules.
+fn figure3_scenario() -> Scenario {
+    scenario(|l| EncoderConfig::with_budget(l, 325, 0), false)
 }
 
 /// A tight-budget encoding with group-table capacity available: some
 /// switches get s-rules instead of p-rules.
 fn srule_scenario() -> Scenario {
-    let topo = Clos::paper_example();
-    let layout = HeaderLayout::for_clos(&topo);
-    let tree = GroupTree::new(&topo, MEMBERS);
-    let cfg = EncoderConfig {
-        r: 0,
-        k_max: 2,
-        h_spine_max: 2,
-        h_leaf_max: 2,
-        budget_bytes: 325,
-        mode: elmo::core::RedundancyMode::Sum,
-    };
-    let mut sa = |_p| true;
-    let mut la = |_l| true;
-    let enc = encode_group(&topo, &tree, &cfg, &mut sa, &mut la);
+    let s = scenario(tight, true);
     assert!(
-        !enc.d_spine.s_rules.is_empty() || !enc.d_leaf.s_rules.is_empty(),
+        !s.enc.d_spine.s_rules.is_empty() || !s.enc.d_leaf.s_rules.is_empty(),
         "scenario must exercise s-rules"
     );
-    Scenario {
-        topo,
-        layout,
-        enc,
-        tree,
-    }
+    s
 }
 
 /// Same tight budget with no s-rule capacity: overflow switches fall to the
 /// default p-rule and over-deliver.
 fn default_prule_scenario() -> Scenario {
-    let topo = Clos::paper_example();
-    let layout = HeaderLayout::for_clos(&topo);
-    let tree = GroupTree::new(&topo, MEMBERS);
-    let cfg = EncoderConfig {
-        r: 0,
-        k_max: 2,
-        h_spine_max: 2,
-        h_leaf_max: 2,
-        budget_bytes: 325,
-        mode: elmo::core::RedundancyMode::Sum,
-    };
-    let mut sa = |_p| false;
-    let mut la = |_l| false;
-    let enc = encode_group(&topo, &tree, &cfg, &mut sa, &mut la);
+    let s = scenario(tight, false);
     assert!(
-        enc.d_leaf.default_rule.is_some() || enc.d_spine.default_rule.is_some(),
+        s.enc.d_leaf.default_rule.is_some() || s.enc.d_spine.default_rule.is_some(),
         "scenario must exercise the default p-rule"
     );
-    Scenario {
-        topo,
-        layout,
-        enc,
-        tree,
-    }
+    s
 }
 
 fn build_fabric(s: &Scenario) -> Fabric {
@@ -127,7 +117,8 @@ fn build_fabric(s: &Scenario) -> Fabric {
     fabric
 }
 
-fn sender_packets(s: &Scenario, sender: HostId, count: usize) -> Vec<Vec<u8>> {
+/// A hypervisor holding `sender`'s flow for the scenario's group.
+fn sender_hv(s: &Scenario, sender: HostId) -> HypervisorSwitch {
     let header = header_for_sender(
         &s.topo,
         &s.layout,
@@ -142,150 +133,365 @@ fn sender_packets(s: &Scenario, sender: HostId, count: usize) -> Vec<Vec<u8>> {
         GROUP,
         SenderFlow::new(OUTER, Vni(1), &header, &s.layout, vec![]),
     );
-    (0..count)
-        .map(|i| {
+    hv
+}
+
+/// `per_sender` wire packets from every member, sender-major.
+fn batch(s: &Scenario, per_sender: usize) -> Packets {
+    let mut out = Vec::new();
+    for &sender in &MEMBERS {
+        let mut hv = sender_hv(s, sender);
+        for i in 0..per_sender {
             let payload = format!("replay identity payload #{i} from host {sender}");
-            hv.send(Vni(1), GROUP, payload.as_bytes(), &s.layout)
-                .remove(0)
-        })
+            let pkt = hv.send(Vni(1), GROUP, payload.as_bytes(), &s.layout);
+            out.push((sender, pkt.into_iter().next().expect("one packet per send")));
+        }
+    }
+    out
+}
+
+fn parse_all(pkts: &Packets, layout: &HeaderLayout) -> Vec<(HostId, FlightPacket)> {
+    pkts.iter()
+        .map(|(h, b)| (*h, FlightPacket::parse(b, layout).expect("packet parses")))
         .collect()
 }
 
-/// Assert every observable of two fabrics matches: per-tier link bytes and
-/// each individual switch's counters.
-fn assert_fabrics_identical(a: &Fabric, b: &Fabric, what: &str) {
-    assert_eq!(a.stats, b.stats, "{what}: FabricStats diverged");
-    let topo = *a.topo();
-    for l in topo.leaves() {
-        assert_eq!(
-            a.leaf(l).stats,
-            b.leaf(l).stats,
-            "{what}: leaf {l:?} stats diverged"
-        );
-    }
-    for sp in topo.spines() {
-        assert_eq!(
-            a.spine(sp).stats,
-            b.spine(sp).stats,
-            "{what}: spine {sp:?} stats diverged"
-        );
-    }
-    for c in topo.cores() {
-        assert_eq!(
-            a.core(c).stats,
-            b.core(c).stats,
-            "{what}: core {c:?} stats diverged"
-        );
+/// How a test hands a batch to the engine.
+#[derive(Clone, Copy, Debug)]
+enum Via {
+    /// One `inject` call per packet.
+    Inject,
+    /// One `inject_batch` call at this shard count.
+    InjectBatch(usize),
+    /// Parsed up front, one `replay_flights_sharded` call at this shard
+    /// count, read back through `for_each`.
+    Flights(usize),
+}
+
+fn drive(fabric: &mut Fabric, pkts: &Packets, via: Via, out: &mut DeliveryBatch) -> Packets {
+    match via {
+        Via::Inject => pkts
+            .iter()
+            .flat_map(|(h, b)| fabric.inject(*h, b.clone()))
+            .collect(),
+        Via::InjectBatch(shards) => fabric.inject_batch(pkts.clone(), shards),
+        Via::Flights(shards) => {
+            let flights = parse_all(pkts, fabric.layout());
+            fabric.replay_flights_sharded(&flights, shards, out);
+            let mut got = Vec::with_capacity(out.len());
+            out.for_each(|h, b| got.push((h, b.to_vec())));
+            got
+        }
     }
 }
 
-/// Drive the same packets through the fast path and the reference path,
-/// asserting byte-identical deliveries and identical counters.
-fn assert_paths_identical(s: &Scenario, what: &str) {
-    let mut fast = build_fabric(s);
-    let mut reference = build_fabric(s);
-    for &sender in &MEMBERS {
-        for pkt in sender_packets(s, sender, 3) {
-            let d_fast = fast.inject(sender, pkt.clone());
-            let d_ref = reference.inject_reference(sender, pkt);
-            assert_eq!(d_fast, d_ref, "{what}: deliveries diverged");
-            assert!(!d_fast.is_empty(), "{what}: scenario delivered nothing");
+fn fail(fabric: &mut Fabric, down: &BTreeSet<SwitchRef>) {
+    for sw in down {
+        match *sw {
+            SwitchRef::Spine(s) => fabric.fail_spine(s),
+            SwitchRef::Core(c) => fabric.fail_core(c),
+            SwitchRef::Leaf(_) => unreachable!("the fabric API fails spines and cores"),
         }
     }
-    assert_fabrics_identical(&fast, &reference, what);
+}
+
+/// Every counter of `fabric` equals the spec's: per-tier link bytes and
+/// each individual switch's stats.
+fn assert_counters_match(fabric: &Fabric, want: &spec::Outcome, what: &str) {
+    assert_eq!(fabric.stats, want.stats, "{what}: FabricStats diverged");
+    let topo = *fabric.topo();
+    let all = (topo.leaves().map(|l| (SwitchRef::Leaf(l), fabric.leaf(l))))
+        .chain(
+            topo.spines()
+                .map(|s| (SwitchRef::Spine(s), fabric.spine(s))),
+        )
+        .chain(topo.cores().map(|c| (SwitchRef::Core(c), fabric.core(c))));
+    for (sw, node) in all {
+        assert_eq!(node.stats, want.switch_stats(sw), "{what}: {sw} stats");
+    }
+}
+
+/// The suite's one assertion: replaying `pkts` through a fresh copy of
+/// `pristine` by way of `via` — with `down` failed and, if `tracing`, a
+/// tree-trace session armed — delivers the spec's bytes in canonical order
+/// and leaves the spec's counters. Returns the engine fabric.
+fn assert_engine_matches_spec(
+    pristine: &Fabric,
+    pkts: &Packets,
+    down: &BTreeSet<SwitchRef>,
+    via: Via,
+    tracing: bool,
+    out: &mut DeliveryBatch,
+) -> Fabric {
+    let what = format!("{via:?}, tracing={tracing}, {} down", down.len());
+    let want = spec::replay(pristine, down, pkts);
+    let mut engine = pristine.clone();
+    fail(&mut engine, down);
+    if tracing {
+        engine.start_tree_trace();
+    }
+    let got = drive(&mut engine, pkts, via, out);
+    assert!(got == want.deliveries, "{what}: deliveries diverged");
+    assert_counters_match(&engine, &want, &what);
+    if tracing {
+        assert!(!engine.take_tree_trace().is_empty(), "{what}: no events");
+    }
+    engine
+}
+
+fn no_failures() -> BTreeSet<SwitchRef> {
+    BTreeSet::new()
+}
+
+fn both_pod0_cores() -> BTreeSet<SwitchRef> {
+    [SwitchRef::Core(CoreId(0)), SwitchRef::Core(CoreId(1))].into()
+}
+
+/// The byte adapter, a packet at a time.
+fn assert_inject_matches_spec(s: &Scenario) {
+    let pkts = batch(s, 3);
+    let out = &mut DeliveryBatch::new();
+    let engine = assert_engine_matches_spec(
+        &build_fabric(s),
+        &pkts,
+        &no_failures(),
+        Via::Inject,
+        false,
+        out,
+    );
+    assert!(engine.stats.leaf_to_host_bytes > 0, "nothing delivered");
 }
 
 #[test]
 fn figure3_fast_path_is_byte_identical_to_reference() {
-    assert_paths_identical(&figure3_scenario(), "figure3");
+    assert_inject_matches_spec(&figure3_scenario());
 }
 
 #[test]
 fn srule_fast_path_is_byte_identical_to_reference() {
-    assert_paths_identical(&srule_scenario(), "srule");
+    assert_inject_matches_spec(&srule_scenario());
 }
 
 #[test]
 fn default_prule_fast_path_is_byte_identical_to_reference() {
-    assert_paths_identical(&default_prule_scenario(), "default-prule");
+    assert_inject_matches_spec(&default_prule_scenario());
+}
+
+/// The engine entry at 1/2/4/8 shards through one *reused*
+/// `DeliveryBatch` (so buffer recycling is part of what is proven), with
+/// tracing enabled as well as disabled.
+fn assert_flights_match_spec(s: &Scenario) {
+    let (pristine, pkts) = (build_fabric(s), batch(s, 3));
+    let out = &mut DeliveryBatch::new();
+    for tracing in [false, true] {
+        for shards in SHARDS {
+            let via = Via::Flights(shards);
+            assert_engine_matches_spec(&pristine, &pkts, &no_failures(), via, tracing, out);
+        }
+    }
+}
+
+#[test]
+fn figure3_batched_engine_matches_reference() {
+    assert_flights_match_spec(&figure3_scenario());
+}
+
+#[test]
+fn srule_batched_engine_matches_reference() {
+    assert_flights_match_spec(&srule_scenario());
+}
+
+#[test]
+fn default_prule_batched_engine_matches_reference() {
+    assert_flights_match_spec(&default_prule_scenario());
+}
+
+/// The batch byte adapter at 1/2/4/8 shards.
+fn assert_inject_batch_matches_spec(s: &Scenario) {
+    let (pristine, pkts) = (build_fabric(s), batch(s, 3));
+    let out = &mut DeliveryBatch::new();
+    for shards in SHARDS {
+        let via = Via::InjectBatch(shards);
+        assert_engine_matches_spec(&pristine, &pkts, &no_failures(), via, false, out);
+    }
+}
+
+#[test]
+fn figure3_sharded_replay_matches_serial_at_all_shard_counts() {
+    assert_inject_batch_matches_spec(&figure3_scenario());
+}
+
+#[test]
+fn srule_sharded_replay_matches_serial_at_all_shard_counts() {
+    assert_inject_batch_matches_spec(&srule_scenario());
+}
+
+#[test]
+fn default_prule_sharded_replay_matches_serial_at_all_shard_counts() {
+    assert_inject_batch_matches_spec(&default_prule_scenario());
+}
+
+/// Copy-tree tracing is shard-count-invariant: the event sequence
+/// `take_tree_trace` returns is the same at 1/2/4/8 shards, and the same
+/// when the session spans one call per packet instead of one batch (packet
+/// indices continue across calls).
+fn assert_traced_identical(s: &Scenario) {
+    let pristine = build_fabric(s);
+    let flights = parse_all(&batch(s, 2), &s.layout);
+    let out = &mut DeliveryBatch::new();
+    let mut one_by_one = pristine.clone();
+    one_by_one.start_tree_trace();
+    for flight in &flights {
+        one_by_one.replay_flights_sharded(std::slice::from_ref(flight), 1, out);
+    }
+    let want = one_by_one.take_tree_trace();
+    assert!(!want.is_empty(), "trace recorded nothing");
+    for shards in SHARDS {
+        let mut traced = pristine.clone();
+        traced.start_tree_trace();
+        traced.replay_flights_sharded(&flights, shards, out);
+        let events = traced.take_tree_trace();
+        assert!(events == want, "trace events diverged at {shards} shards");
+        // The per-packet trees those events reconstruct are identical too.
+        let tree = elmo::obs::CopyTree::build(0, &events, |n| format!("{n}"));
+        let want_tree = elmo::obs::CopyTree::build(0, &want, |n| format!("{n}"));
+        assert_eq!(tree, want_tree, "copy tree diverged at {shards} shards");
+    }
+}
+
+#[test]
+fn figure3_traced_replay_is_bit_identical_at_all_shard_counts() {
+    assert_traced_identical(&figure3_scenario());
+}
+
+#[test]
+fn srule_traced_replay_is_bit_identical_at_all_shard_counts() {
+    assert_traced_identical(&srule_scenario());
+}
+
+#[test]
+fn default_prule_traced_replay_is_bit_identical_at_all_shard_counts() {
+    assert_traced_identical(&default_prule_scenario());
 }
 
 #[test]
 fn unicast_fast_path_is_byte_identical_to_reference() {
     let topo = Clos::paper_example();
     let layout = HeaderLayout::for_clos(&topo);
-    let mut fast = Fabric::new(topo, SwitchConfig::default());
-    let mut reference = Fabric::new(topo, SwitchConfig::default());
-    let mut hv_a = HypervisorSwitch::new(HostId(0));
-    let mut hv_b = HypervisorSwitch::new(HostId(0));
-    for target in [HostId(1), HostId(13), HostId(57)] {
-        let pa = hv_a
-            .send_unicast_to(&[target], Vni(3), b"uni", &layout)
-            .remove(0);
-        let pb = hv_b
-            .send_unicast_to(&[target], Vni(3), b"uni", &layout)
-            .remove(0);
-        assert_eq!(pa, pb);
-        let d_fast = fast.inject(HostId(0), pa);
-        let d_ref = reference.inject_reference(HostId(0), pb);
-        assert_eq!(d_fast, d_ref);
-        assert_eq!(d_fast[0].0, target);
+    let mut hv = HypervisorSwitch::new(HostId(0));
+    // Same leaf, same pod, across the core.
+    let targets = [HostId(1), HostId(13), HostId(57)];
+    let pkts: Packets = hv
+        .send_unicast_to(&targets, Vni(3), b"uni", &layout)
+        .into_iter()
+        .map(|p| (HostId(0), p))
+        .collect();
+    let pristine = Fabric::new(topo, SwitchConfig::default());
+    let out = &mut DeliveryBatch::new();
+    for via in [Via::Inject, Via::InjectBatch(2), Via::Flights(4)] {
+        assert_engine_matches_spec(&pristine, &pkts, &no_failures(), via, false, out);
     }
-    assert_fabrics_identical(&fast, &reference, "unicast");
+    let delivered: Vec<HostId> = drive(&mut pristine.clone(), &pkts, Via::Inject, out)
+        .iter()
+        .map(|(h, _)| *h)
+        .collect();
+    assert_eq!(delivered, targets);
+}
+
+#[test]
+fn garbage_bytes_count_parse_drop_on_ingress_leaf() {
+    let pristine = Fabric::new(Clos::paper_example(), SwitchConfig::default());
+    let pkts = vec![(HostId(0), vec![0u8; 24])];
+    let out = &mut DeliveryBatch::new();
+    for via in [Via::Inject, Via::InjectBatch(2)] {
+        let engine = assert_engine_matches_spec(&pristine, &pkts, &no_failures(), via, false, out);
+        assert_eq!(engine.leaf(LeafId(0)).stats.dropped_parse, 1);
+        assert_eq!(engine.stats.host_to_leaf_bytes, 24);
+    }
+}
+
+#[test]
+fn failed_switch_behaves_identically_on_both_paths() {
+    let s = figure3_scenario();
+    let out = &mut DeliveryBatch::new();
+    let engine = assert_engine_matches_spec(
+        &build_fabric(&s),
+        &batch(&s, 3),
+        &both_pod0_cores(),
+        Via::Inject,
+        false,
+        out,
+    );
+    // The failure bites: copies hashed onto the dead cores never arrive.
+    let healthy = spec::replay(&engine, &no_failures(), &batch(&s, 3));
+    assert!(engine.stats.core_to_spine_bytes < healthy.stats.core_to_spine_bytes);
+}
+
+#[test]
+fn sharded_replay_respects_failed_switches() {
+    let s = figure3_scenario();
+    let (pristine, pkts) = (build_fabric(&s), batch(&s, 2));
+    let out = &mut DeliveryBatch::new();
+    for tracing in [false, true] {
+        for shards in SHARDS {
+            let via = Via::Flights(shards);
+            assert_engine_matches_spec(&pristine, &pkts, &both_pod0_cores(), via, tracing, out);
+        }
+    }
 }
 
 #[test]
 fn inject_batch_matches_sequential_injects() {
     let s = figure3_scenario();
-    let mut one_by_one = build_fabric(&s);
-    let mut batched = build_fabric(&s);
-    let mut batch = Vec::new();
-    let mut expected = Vec::new();
-    for &sender in &MEMBERS[..3] {
-        for pkt in sender_packets(&s, sender, 2) {
-            expected.extend(one_by_one.inject(sender, pkt.clone()));
-            batch.push((sender, pkt));
-        }
-    }
-    let got = batched.inject_batch(batch);
+    let pkts = batch(&s, 2);
+    let out = &mut DeliveryBatch::new();
+    let (mut one_by_one, mut batched) = (build_fabric(&s), build_fabric(&s));
+    let expected = drive(&mut one_by_one, &pkts, Via::Inject, out);
+    let got = drive(&mut batched, &pkts, Via::InjectBatch(1), out);
     assert_eq!(got, expected);
-    assert_fabrics_identical(&one_by_one, &batched, "batch");
+    assert_eq!(one_by_one.stats, batched.stats);
+}
+
+/// Two hypervisors with identical state, one emitting wire bytes and one
+/// emitting flights: `count` packets each, plus the scenario's fabric.
+fn bytes_and_flights(count: usize) -> (Fabric, Packets, Vec<(HostId, FlightPacket)>) {
+    let s = figure3_scenario();
+    let sender = HostId(0);
+    let (mut hv_bytes, mut hv_flight) = (sender_hv(&s, sender), sender_hv(&s, sender));
+    let (mut bytes, mut flights) = (Vec::new(), Vec::new());
+    for i in 0..count {
+        let payload: Arc<[u8]> = Arc::from(format!("flight payload #{i}").into_bytes());
+        let pkt = hv_bytes.send(Vni(1), GROUP, &payload, &s.layout).remove(0);
+        let flight = hv_flight.send_flight(Vni(1), GROUP, &payload).remove(0);
+        assert_eq!(flight.to_bytes(&s.layout), pkt, "send_flight wire bytes");
+        bytes.push((sender, pkt));
+        flights.push((sender, flight));
+    }
+    (build_fabric(&s), bytes, flights)
 }
 
 #[test]
 fn inject_flight_matches_byte_injection() {
-    let s = figure3_scenario();
-    let sender = HostId(0);
-    let header = header_for_sender(
-        &s.topo,
-        &s.layout,
-        &s.tree,
-        &s.enc,
-        sender,
-        &UpstreamCover::multipath(),
-    );
-    // Two hypervisors with identical state: one sends bytes, one flights.
-    let mut hv_bytes = HypervisorSwitch::new(sender);
-    let mut hv_flight = HypervisorSwitch::new(sender);
-    for hv in [&mut hv_bytes, &mut hv_flight] {
-        hv.install_flow(
-            Vni(1),
-            GROUP,
-            SenderFlow::new(OUTER, Vni(1), &header, &s.layout, vec![]),
-        );
+    let (pristine, bytes, flights) = bytes_and_flights(4);
+    let (mut from_bytes, mut from_flights) = (pristine.clone(), pristine);
+    let out = &mut DeliveryBatch::new();
+    for ((sender, pkt), flight) in bytes.into_iter().zip(&flights) {
+        from_flights.replay_flights_sharded(std::slice::from_ref(flight), 1, out);
+        assert_eq!(from_bytes.inject(sender, pkt), out.to_vec());
     }
-    let mut fast = build_fabric(&s);
-    let mut flight_fab = build_fabric(&s);
-    let payload: Arc<[u8]> = Arc::from(&b"flight payload"[..]);
-    for _ in 0..4 {
-        let pkt = hv_bytes.send(Vni(1), GROUP, &payload, &s.layout).remove(0);
-        let flight = hv_flight.send_flight(Vni(1), GROUP, &payload).remove(0);
-        assert_eq!(flight.to_bytes(&s.layout), pkt, "send_flight wire bytes");
-        let d_bytes = fast.inject(sender, pkt);
-        let d_flight = flight_fab.inject_flight(sender, flight);
-        assert_eq!(d_bytes, d_flight);
-    }
-    assert_fabrics_identical(&fast, &flight_fab, "flight");
+    assert_eq!(from_bytes.stats, from_flights.stats);
+}
+
+#[test]
+fn sharded_flights_match_sharded_bytes() {
+    let (pristine, bytes, flights) = bytes_and_flights(6);
+    let (mut from_bytes, mut from_flights) = (pristine.clone(), pristine);
+    let out = &mut DeliveryBatch::new();
+    let d_bytes = from_bytes.inject_batch(bytes, 4);
+    from_flights.replay_flights_sharded(&flights, 4, out);
+    assert!(!d_bytes.is_empty());
+    assert_eq!(d_bytes, out.to_vec(), "flight/byte entries diverged");
+    assert_eq!(from_bytes.stats, from_flights.stats);
 }
 
 #[test]
@@ -293,191 +499,18 @@ fn replay_is_deterministic_across_runs() {
     let run = || {
         let s = figure3_scenario();
         let mut fabric = build_fabric(&s);
-        let mut out = Vec::new();
-        for &sender in &MEMBERS {
-            for pkt in sender_packets(&s, sender, 2) {
-                out.extend(fabric.inject(sender, pkt));
-            }
-        }
+        let out = drive(
+            &mut fabric,
+            &batch(&s, 2),
+            Via::Inject,
+            &mut DeliveryBatch::new(),
+        );
         (out, fabric.stats)
     };
-    let (d1, s1) = run();
-    let (d2, s2) = run();
-    assert_eq!(d1, d2, "deliveries must be bit-identical across runs");
-    assert_eq!(s1, s2, "link counters must be identical across runs");
-}
-
-#[test]
-fn capture_is_identical_and_restartable() {
-    let s = figure3_scenario();
-    let mut fast = build_fabric(&s);
-    let mut reference = build_fabric(&s);
-    let pkts = sender_packets(&s, HostId(0), 2);
-
-    // Session 1: both paths capture the same wire copies in the same order.
-    fast.start_capture(1024);
-    reference.start_capture(1024);
-    fast.inject(HostId(0), pkts[0].clone());
-    reference.inject_reference(HostId(0), pkts[0].clone());
-    let cap_fast = fast.take_capture();
-    let cap_ref = reference.take_capture();
-    assert!(!cap_fast.is_empty());
-    assert_eq!(cap_fast, cap_ref, "captured copies diverged");
-
-    // Session 2: take_capture reset state, so a fresh capture works and is
-    // independent of the first.
-    fast.start_capture(1024);
-    fast.inject(HostId(0), pkts[1].clone());
-    let cap2 = fast.take_capture();
-    assert_eq!(cap2.len(), cap_fast.len(), "second session captures anew");
-    assert_ne!(cap2, cap_fast, "entropy differs, so copies differ");
-
-    // After take_capture, capturing is off: nothing is recorded.
-    fast.inject(HostId(0), pkts[0].clone());
-    assert!(fast.take_capture().is_empty());
-
-    // The capture limit is honored per session.
-    fast.start_capture(3);
-    fast.inject(HostId(0), pkts[0].clone());
-    assert_eq!(fast.take_capture().len(), 3);
-}
-
-#[test]
-fn failed_switch_behaves_identically_on_both_paths() {
-    let s = figure3_scenario();
-    let mut fast = build_fabric(&s);
-    let mut reference = build_fabric(&s);
-    for f in [&mut fast, &mut reference] {
-        f.fail_core(elmo::topology::CoreId(0));
-        f.fail_core(elmo::topology::CoreId(1));
-    }
-    for pkt in sender_packets(&s, HostId(0), 3) {
-        let d_fast = fast.inject(HostId(0), pkt.clone());
-        let d_ref = reference.inject_reference(HostId(0), pkt);
-        assert_eq!(d_fast, d_ref, "deliveries diverged under failure");
-    }
-    assert_fabrics_identical(&fast, &reference, "failed-core");
-}
-
-/// Sort a delivery vector into the sharded engine's canonical per-packet
-/// order. `inject_batch` returns deliveries grouped by injection already,
-/// so tagging each packet's slice and sorting within it yields exactly
-/// what `inject_batch_sharded` promises.
-fn canonicalize_serial(fabric: &mut Fabric, batch: &[(HostId, Vec<u8>)]) -> Vec<(HostId, Vec<u8>)> {
-    let mut out = Vec::new();
-    for (sender, pkt) in batch {
-        let mut per_pkt = fabric.inject(*sender, pkt.clone());
-        per_pkt.sort_unstable_by(|a, b| ((a.0).0, &a.1).cmp(&((b.0).0, &b.1)));
-        out.extend(per_pkt);
-    }
-    out
-}
-
-/// Drive one scenario's batch through `inject_batch` (serial flight path)
-/// and `inject_batch_sharded` at several shard counts: the delivery set
-/// (canonical order) and every merged counter must match exactly.
-fn assert_sharded_identical(s: &Scenario, what: &str) {
-    let mut batch = Vec::new();
-    for &sender in &MEMBERS {
-        for pkt in sender_packets(s, sender, 3) {
-            batch.push((sender, pkt));
-        }
-    }
-    let mut serial = build_fabric(s);
-    let expected = canonicalize_serial(&mut serial, &batch);
-    assert!(!expected.is_empty(), "{what}: scenario delivered nothing");
-    for shards in [1usize, 2, 4, 8] {
-        let mut sharded = build_fabric(s);
-        let got = sharded.inject_batch_sharded(batch.clone(), shards);
-        assert_eq!(
-            got, expected,
-            "{what}: sharded({shards}) delivery set diverged"
-        );
-        assert_fabrics_identical(&serial, &sharded, &format!("{what}: sharded({shards})"));
-    }
-}
-
-#[test]
-fn figure3_sharded_replay_matches_serial_at_all_shard_counts() {
-    assert_sharded_identical(&figure3_scenario(), "figure3");
-}
-
-#[test]
-fn srule_sharded_replay_matches_serial_at_all_shard_counts() {
-    assert_sharded_identical(&srule_scenario(), "srule");
-}
-
-#[test]
-fn default_prule_sharded_replay_matches_serial_at_all_shard_counts() {
-    assert_sharded_identical(&default_prule_scenario(), "default-prule");
-}
-
-#[test]
-fn sharded_flights_match_sharded_bytes() {
-    let s = figure3_scenario();
-    let sender = HostId(0);
-    let header = header_for_sender(
-        &s.topo,
-        &s.layout,
-        &s.tree,
-        &s.enc,
-        sender,
-        &UpstreamCover::multipath(),
+    assert!(
+        run() == run(),
+        "two runs of one input must be bit-identical"
     );
-    let mut hv_bytes = HypervisorSwitch::new(sender);
-    let mut hv_flight = HypervisorSwitch::new(sender);
-    for hv in [&mut hv_bytes, &mut hv_flight] {
-        hv.install_flow(
-            Vni(1),
-            GROUP,
-            SenderFlow::new(OUTER, Vni(1), &header, &s.layout, vec![]),
-        );
-    }
-    let mut byte_batch = Vec::new();
-    let mut flight_batch = Vec::new();
-    for i in 0..6 {
-        let payload: Arc<[u8]> = Arc::from(format!("sharded flight payload #{i}").into_bytes());
-        byte_batch.push((
-            sender,
-            hv_bytes.send(Vni(1), GROUP, &payload, &s.layout).remove(0),
-        ));
-        flight_batch.push((
-            sender,
-            hv_flight.send_flight(Vni(1), GROUP, &payload).remove(0),
-        ));
-    }
-    let mut from_bytes = build_fabric(&s);
-    let mut from_flights = build_fabric(&s);
-    let d_bytes = from_bytes.inject_batch_sharded(byte_batch, 4);
-    let d_flights = from_flights.inject_flights_sharded(&flight_batch, 4);
-    assert_eq!(d_bytes, d_flights, "flight/byte sharded paths diverged");
-    assert!(!d_bytes.is_empty());
-    assert_fabrics_identical(&from_bytes, &from_flights, "sharded flight vs bytes");
-}
-
-#[test]
-fn sharded_replay_respects_failed_switches() {
-    let s = figure3_scenario();
-    let mut batch = Vec::new();
-    for &sender in &MEMBERS {
-        for pkt in sender_packets(&s, sender, 2) {
-            batch.push((sender, pkt));
-        }
-    }
-    let fail = |f: &mut Fabric| {
-        f.fail_core(elmo::topology::CoreId(0));
-        f.fail_core(elmo::topology::CoreId(1));
-    };
-    let mut serial = build_fabric(&s);
-    fail(&mut serial);
-    let expected = canonicalize_serial(&mut serial, &batch);
-    for shards in [2usize, 4] {
-        let mut sharded = build_fabric(&s);
-        fail(&mut sharded);
-        let got = sharded.inject_batch_sharded(batch.clone(), shards);
-        assert_eq!(got, expected, "sharded({shards}) under failure diverged");
-        assert_fabrics_identical(&serial, &sharded, "sharded failed-core");
-    }
 }
 
 #[test]
@@ -485,209 +518,259 @@ fn sharded_replay_is_deterministic_across_runs_and_shard_counts() {
     let run = |shards: usize| {
         let s = figure3_scenario();
         let mut fabric = build_fabric(&s);
-        let mut batch = Vec::new();
-        for &sender in &MEMBERS {
-            for pkt in sender_packets(&s, sender, 2) {
-                batch.push((sender, pkt));
-            }
-        }
-        let out = fabric.inject_batch_sharded(batch, shards);
+        let out = fabric.inject_batch(batch(&s, 2), shards);
         (out, fabric.stats)
     };
-    let (d2a, s2a) = run(2);
-    let (d2b, s2b) = run(2);
-    assert_eq!(d2a, d2b, "same shard count must be bit-identical");
-    assert_eq!(s2a, s2b);
-    let (d4, s4) = run(4);
-    assert_eq!(d2a, d4, "shard count must not change the delivery vector");
-    assert_eq!(s2a, s4, "shard count must not change link counters");
+    assert!(run(2) == run(2), "same shard count must be bit-identical");
+    assert!(run(2) == run(4), "shard count must not change the outcome");
 }
 
-/// Flight-packet form of [`sender_packets`], for the tracing tests.
-fn sender_flights(
-    s: &Scenario,
-    sender: HostId,
-    count: usize,
-) -> Vec<elmo::dataplane::FlightPacket> {
-    let header = header_for_sender(
-        &s.topo,
-        &s.layout,
-        &s.tree,
-        &s.enc,
-        sender,
-        &UpstreamCover::multipath(),
-    );
-    let mut hv = HypervisorSwitch::new(sender);
-    hv.install_flow(
-        Vni(1),
-        GROUP,
-        SenderFlow::new(OUTER, Vni(1), &header, &s.layout, vec![]),
-    );
-    (0..count)
-        .map(|i| {
-            let payload: Arc<[u8]> =
-                Arc::from(format!("traced replay payload #{i} from host {sender}").into_bytes());
-            hv.send_flight(Vni(1), GROUP, &payload).remove(0)
-        })
-        .collect()
+/// The capture buffer holds exactly the spec's wire copies, and sessions
+/// restart cleanly.
+#[test]
+fn capture_is_identical_and_restartable() {
+    let s = figure3_scenario();
+    let mut fabric = build_fabric(&s);
+    let pkts = batch(&s, 2);
+    let sorted = |mut v: Vec<Vec<u8>>| {
+        v.sort();
+        v
+    };
+
+    // Session 1: every copy the spec puts on a wire, nothing else.
+    fabric.start_capture(1024);
+    fabric.inject(pkts[0].0, pkts[0].1.clone());
+    let cap1 = fabric.take_capture();
+    let want = spec::replay(&fabric, &no_failures(), &pkts[..1]);
+    assert!(!cap1.is_empty());
+    assert_eq!(sorted(cap1.clone()), sorted(want.wire));
+    assert_eq!(cap1[0], pkts[0].1, "the injected copy comes first");
+
+    // Session 2: take_capture reset state, so a fresh capture works and is
+    // independent of the first.
+    fabric.start_capture(1024);
+    fabric.inject(pkts[1].0, pkts[1].1.clone());
+    let cap2 = fabric.take_capture();
+    assert_eq!(cap2.len(), cap1.len(), "second session captures anew");
+    assert_ne!(cap2, cap1, "entropy differs, so copies differ");
+
+    // After take_capture, capturing is off: nothing is recorded.
+    fabric.inject(pkts[0].0, pkts[0].1.clone());
+    assert!(fabric.take_capture().is_empty());
+
+    // The capture limit is honored per session and cuts a prefix.
+    fabric.start_capture(3);
+    fabric.inject(pkts[0].0, pkts[0].1.clone());
+    assert_eq!(fabric.take_capture(), cap1[..3]);
 }
 
-/// Copy-tree tracing must be a pure observer: trace-enabled sharded
-/// replay keeps the delivery set bit-identical to an untraced run at
-/// every shard count, and the recorded event set (canonically sorted by
-/// `take_tree_trace`) is the same at 1/2/4/8 shards as on the serial
-/// path — so the reconstructed copy-tree topology is shard-invariant.
-fn assert_traced_identical(s: &Scenario, what: &str) {
-    let mut batch = Vec::new();
-    for &sender in &MEMBERS {
-        for flight in sender_flights(s, sender, 2) {
-            batch.push((sender, flight));
-        }
+/// Capture and the hop trace do not depend on the shard count. At the
+/// parent commit this held only vacuously: an armed capture or hop trace
+/// made every sharded call silently run the serial loop, so shards > 1
+/// were never exercised with either armed. Now the workers record locally
+/// and the records are stitched in (packet, switch, port) order.
+#[test]
+fn capture_and_hop_trace_do_not_depend_on_the_shard_count() {
+    let s = figure3_scenario();
+    let pristine = build_fabric(&s);
+    let pkts = batch(&s, 2);
+    let capture = |shards: usize, limit: usize| {
+        let mut fabric = pristine.clone();
+        fabric.start_capture(limit);
+        fabric.inject_batch(pkts.clone(), shards);
+        let first = fabric.take_capture();
+        // take_capture then start_capture starts a fresh session.
+        fabric.start_capture(limit);
+        fabric.inject_batch(pkts[..1].to_vec(), shards);
+        (first, fabric.take_capture())
+    };
+    let (all, fresh) = capture(1, usize::MAX);
+    let want = spec::replay(&pristine, &no_failures(), &pkts);
+    assert_eq!(all.len(), want.wire.len(), "one capture per wire copy");
+    assert!(fresh.len() < all.len() && fresh[..] == all[..fresh.len()]);
+    for shards in [2, 4] {
+        assert!(capture(shards, usize::MAX) == (all.clone(), fresh.clone()));
+        let (cut, _) = capture(shards, 7);
+        assert_eq!(cut, all[..7], "the limit keeps the same first copies");
     }
-    // Untraced canonical deliveries: the baseline tracing must not change.
-    let mut plain = build_fabric(s);
-    let expected = plain.inject_flights_sharded(&batch, 1);
-    assert!(!expected.is_empty(), "{what}: scenario delivered nothing");
 
-    // Serial traced run: packet index = injection order, so its events
-    // are directly comparable with the sharded engine's batch indices.
-    let mut serial = build_fabric(s);
-    serial.start_tree_trace();
-    for (sender, flight) in &batch {
-        serial.inject_flight(*sender, flight.clone());
-    }
-    let serial_events = serial.take_tree_trace();
-    assert!(!serial_events.is_empty(), "{what}: trace recorded nothing");
-
-    for shards in [1usize, 2, 4, 8] {
-        let mut traced = build_fabric(s);
-        traced.start_tree_trace();
-        let got = traced.inject_flights_sharded(&batch, shards);
-        assert_eq!(
-            got, expected,
-            "{what}: tracing changed deliveries at {shards} shards"
+    // inject_traced reports the spec's hop log (as a multiset: the spec
+    // logs in traversal order, the engine by switch and port).
+    let key = |h: &elmo::dataplane::HopRecord| (h.switch, h.ingress_port, h.bytes_in);
+    for (sender, bytes) in &pkts {
+        let mut want = spec::replay(&pristine, &no_failures(), &[(*sender, bytes.clone())]).hops;
+        let (_, mut got) = pristine.clone().inject_traced(*sender, bytes.clone());
+        assert!(
+            got.windows(2).all(|w| key(&w[0]) <= key(&w[1])),
+            "hop order"
         );
-        let events = traced.take_tree_trace();
-        assert_eq!(
-            events, serial_events,
-            "{what}: trace events diverged at {shards} shards"
-        );
-        assert_fabrics_identical(&plain, &traced, &format!("{what}: traced({shards})"));
-        // The per-packet trees those events reconstruct are identical
-        // too; spot-check the first packet's tree at every shard count.
-        let tree = elmo::obs::CopyTree::build(0, &events, |n| format!("{n}"));
-        let serial_tree = elmo::obs::CopyTree::build(0, &serial_events, |n| format!("{n}"));
-        assert_eq!(
-            tree, serial_tree,
-            "{what}: copy tree diverged at {shards} shards"
-        );
+        want.sort_by_key(key);
+        got.sort_by_key(key);
+        assert_eq!(got, want);
     }
 }
 
-/// The full batched ≡ scalar ≡ reference triangle: the run-grouped SoA
-/// engine (`replay_flights_sharded` through one *reused* `DeliveryBatch`,
-/// materialized via the zero-copy `for_each` the bench times) must match
-/// the encode-per-hop reference path byte for byte at 1/2/4/8 shards,
-/// with tracing enabled as well as disabled. The serial flight path is
-/// the middle leg — its equality with both ends pins all three.
-fn assert_batched_matches_reference(s: &Scenario, what: &str) {
-    let mut wire_batch = Vec::new();
-    let mut flights = Vec::new();
-    for &sender in &MEMBERS {
-        for pkt in sender_packets(s, sender, 3) {
-            // Parse the identical wire bytes the reference path consumes,
-            // so the two streams cannot drift apart by construction.
-            flights.push((
-                sender,
-                elmo::dataplane::FlightPacket::parse(&pkt, &s.layout).expect("packet parses"),
-            ));
-            wire_batch.push((sender, pkt));
-        }
-    }
-    // Reference leg: encode-per-hop, canonicalized per packet.
-    let mut reference = build_fabric(s);
-    let mut expected = Vec::new();
-    for (sender, pkt) in &wire_batch {
-        let mut per_pkt = reference.inject_reference(*sender, pkt.clone());
-        per_pkt.sort_unstable_by(|a, b| ((a.0).0, &a.1).cmp(&((b.0).0, &b.1)));
-        expected.extend(per_pkt);
-    }
-    assert!(!expected.is_empty(), "{what}: scenario delivered nothing");
-    // Scalar leg.
-    let mut serial = build_fabric(s);
-    let scalar = canonicalize_serial(&mut serial, &wire_batch);
-    assert_eq!(scalar, expected, "{what}: scalar != reference");
-    assert_fabrics_identical(&reference, &serial, &format!("{what}: scalar"));
-    // Batched leg: one DeliveryBatch reused across every shard count and
-    // tracing mode, so arena recycling is part of what's being proven.
-    let mut out = elmo::dataplane::DeliveryBatch::new();
-    for tracing in [false, true] {
-        for shards in [1usize, 2, 4, 8] {
-            let mut batched = build_fabric(s);
-            if tracing {
-                batched.start_tree_trace();
-            }
-            batched.replay_flights_sharded(&flights, shards, &mut out);
-            let mut got = Vec::with_capacity(expected.len());
-            out.for_each(|h, b| got.push((h, b.to_vec())));
-            assert_eq!(
-                got, expected,
-                "{what}: batched({shards}, tracing={tracing}) != reference"
-            );
-            assert_fabrics_identical(
-                &reference,
-                &batched,
-                &format!("{what}: batched({shards}, tracing={tracing})"),
-            );
-            if tracing {
-                assert!(
-                    !batched.take_tree_trace().is_empty(),
-                    "{what}: traced batched({shards}) recorded nothing"
-                );
-            }
-        }
-    }
-}
-
+/// What the retired `elmo-bench --replay-only --expect-deliveries 8000` CI
+/// steps pinned: 3,000 packets round-robined over the three paper-example
+/// groups (same-leaf, same-pod, cross-pod) deliver exactly 8,000 copies,
+/// identically at 1 and 2 shards.
 #[test]
-fn figure3_batched_engine_matches_reference() {
-    assert_batched_matches_reference(&figure3_scenario(), "figure3");
-}
-
-#[test]
-fn srule_batched_engine_matches_reference() {
-    assert_batched_matches_reference(&srule_scenario(), "srule");
-}
-
-#[test]
-fn default_prule_batched_engine_matches_reference() {
-    assert_batched_matches_reference(&default_prule_scenario(), "default-prule");
-}
-
-#[test]
-fn figure3_traced_replay_is_bit_identical_at_all_shard_counts() {
-    assert_traced_identical(&figure3_scenario(), "figure3");
-}
-
-#[test]
-fn srule_traced_replay_is_bit_identical_at_all_shard_counts() {
-    assert_traced_identical(&srule_scenario(), "srule");
-}
-
-#[test]
-fn default_prule_traced_replay_is_bit_identical_at_all_shard_counts() {
-    assert_traced_identical(&default_prule_scenario(), "default-prule");
-}
-
-#[test]
-fn garbage_bytes_count_parse_drop_on_ingress_leaf() {
+fn three_thousand_packets_over_the_example_groups_deliver_8000_copies() {
     let topo = Clos::paper_example();
-    let mut fast = Fabric::new(topo, SwitchConfig::default());
-    let mut reference = Fabric::new(topo, SwitchConfig::default());
-    assert!(fast.inject(HostId(0), vec![0u8; 24]).is_empty());
-    assert!(reference
-        .inject_reference(HostId(0), vec![0u8; 24])
-        .is_empty());
-    assert_eq!(fast.leaf(LeafId(0)).stats.dropped_parse, 1);
-    assert_fabrics_identical(&fast, &reference, "garbage");
+    let mut ctl = Controller::new(topo, ControllerConfig::paper_default(12));
+    let mut fabric = Fabric::new(topo, SwitchConfig::default());
+    let shapes: [&[u32]; 3] = [&[0, 1], &[0, 8, 13], &[0, 1, 42, 48, 49, 57]];
+    let mut senders = Vec::new();
+    for (gi, members) in shapes.iter().enumerate() {
+        let members = members.iter().map(|&h| (HostId(h), MemberRole::Both));
+        let tenant = Ipv4Addr::new(225, 9, 9, gi as u8 + 1);
+        senders.push(install_group(&mut ctl, &mut fabric, gi, Vni(7), tenant, members).1);
+    }
+    let payload: Arc<[u8]> = Arc::from(vec![0xE1u8; 1_500]);
+    let flights: Vec<(HostId, FlightPacket)> = (0..3_000)
+        .map(|i| {
+            let (hv, tenant) = &mut senders[i % 3];
+            (
+                HostId(0),
+                hv.send_flight(Vni(7), *tenant, &payload).remove(0),
+            )
+        })
+        .collect();
+    let run = |shards: usize| {
+        let (mut fabric, mut out) = (fabric.clone(), DeliveryBatch::new());
+        fabric.replay_flights_sharded(&flights, shards, &mut out);
+        assert_eq!(out.len(), 8_000, "{shards} shards");
+        (out.to_vec(), fabric.stats)
+    };
+    assert!(run(1) == run(2), "1 and 2 shards diverged");
+}
+
+/// Create group `gi` on the controller, install its s-rules on `fabric`,
+/// and return its members plus the first member's sending hypervisor
+/// (with the tenant address the flow is keyed on).
+fn install_group(
+    ctl: &mut Controller,
+    fabric: &mut Fabric,
+    gi: usize,
+    vni: Vni,
+    tenant: Ipv4Addr,
+    members: impl IntoIterator<Item = (HostId, MemberRole)>,
+) -> (Vec<HostId>, (HypervisorSwitch, Ipv4Addr)) {
+    let gid = GroupId(gi as u64 + 1);
+    ctl.create_group(gid, vni, tenant, members);
+    let state = ctl.group(gid).expect("created group");
+    for (leaf, bm) in &state.enc.d_leaf.s_rules {
+        fabric
+            .leaf_mut(LeafId(*leaf))
+            .install_srule(state.outer_addr, bm.clone())
+            .expect("leaf group table");
+    }
+    for (pod, bm) in &state.enc.d_spine.s_rules {
+        fabric
+            .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
+            .expect("spine group table");
+    }
+    let members = state.tree.members().to_vec();
+    let header = ctl.header_for(gid, members[0]).expect("sender header");
+    let mut hv = HypervisorSwitch::new(members[0]);
+    let flow = SenderFlow::new(state.outer_addr, vni, &header, ctl.layout(), vec![]);
+    hv.install_flow(vni, tenant, flow);
+    (members, (hv, tenant))
+}
+
+/// Engine ≡ spec beyond the three hand-built trees: ≥ 200 generated
+/// groups on a 512-host fabric under two controller settings — the
+/// paper's sparse placement with exact encodings, and a dense placement
+/// squeezed hard enough that s-rules and default p-rules both fire — with
+/// unicast-fallback packets mixed in and one spine failed for a third of
+/// each run.
+#[test]
+fn generated_workload_engine_matches_spec() {
+    let topo = Clos::scaled_fabric(4, 8, 16);
+    let settings = [
+        (1, ControllerConfig::paper_default(0)),
+        (
+            12,
+            ControllerConfig {
+                header_budget_bytes: 40,
+                leaf_fmax: 2,
+                ..ControllerConfig::paper_default(12)
+            },
+        ),
+    ];
+    let mut packets = 0;
+    for (placement_p, cfg) in settings {
+        let mut hits = SwitchStats::default();
+        let wl = Workload::generate(
+            topo,
+            WorkloadConfig {
+                tenants: 12,
+                total_groups: 220,
+                host_vm_cap: 20,
+                placement_p,
+                min_group_size: 5,
+                dist: GroupSizeDist::Wve,
+                seed: 0xe1f0 + placement_p as u64,
+            },
+        );
+        let mut ctl = Controller::new(topo, cfg);
+        let mut fabric = Fabric::new(topo, SwitchConfig::default());
+        let mut pkts: Packets = Vec::new();
+        for (gi, g) in wl.groups.iter().enumerate() {
+            let members = wl.member_hosts(g);
+            let tenant = Ipv4Addr::new(225, 4, (gi >> 8) as u8, gi as u8);
+            let roles = members.iter().map(|&h| (h, MemberRole::Both));
+            let (members, (mut hv, _)) =
+                install_group(&mut ctl, &mut fabric, gi, Vni(g.tenant), tenant, roles);
+            let layout = ctl.layout();
+            for i in 0..4 {
+                let payload = format!("generated workload g{gi} #{i}");
+                for pkt in hv.send(Vni(g.tenant), tenant, payload.as_bytes(), layout) {
+                    pkts.push((members[0], pkt));
+                }
+            }
+            // Every fifth group also falls back to unicast once.
+            if gi % 5 == 0 {
+                for pkt in hv.send_unicast_to(&members[1..], Vni(g.tenant), b"fallback", layout) {
+                    pkts.push((members[0], pkt));
+                }
+            }
+        }
+        // One spine down for the middle third of the run.
+        let third = pkts.len() / 3;
+        let down: BTreeSet<SwitchRef> = [SwitchRef::Spine(SpineId(1))].into();
+        let out = &mut DeliveryBatch::new();
+        for (chunk, down) in [
+            (&pkts[..third], no_failures()),
+            (&pkts[third..2 * third], down),
+            (&pkts[2 * third..], no_failures()),
+        ] {
+            for shards in [1, 2] {
+                let via = Via::Flights(shards);
+                let engine =
+                    assert_engine_matches_spec(&fabric, &chunk.to_vec(), &down, via, false, out);
+                if shards == 1 {
+                    let topo = *engine.topo();
+                    for st in (topo.leaves().map(|l| engine.leaf(l).stats))
+                        .chain(topo.spines().map(|s| engine.spine(s).stats))
+                    {
+                        hits.prule_hits += st.prule_hits;
+                        hits.srule_hits += st.srule_hits;
+                        hits.default_hits += st.default_hits;
+                        hits.unicast_forwarded += st.unicast_forwarded;
+                    }
+                }
+            }
+        }
+        packets += pkts.len();
+        assert!(
+            hits.prule_hits > 0 && hits.srule_hits > 0 && hits.unicast_forwarded > 0,
+            "p={placement_p}: p-rules, s-rules and unicast must all fire: {hits:?}"
+        );
+        assert!(
+            placement_p == 1 || hits.default_hits > 0,
+            "the squeezed setting must reach default p-rules: {hits:?}"
+        );
+    }
+    assert!(packets >= 2_000, "only {packets} packets");
 }
