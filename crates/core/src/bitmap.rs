@@ -123,9 +123,9 @@ impl PortBitmap {
     }
 
     /// Raw storage words (low port in bit 0 of word 0), for fast
-    /// fingerprinting.
+    /// fingerprinting and word-at-a-time port iteration.
     #[inline]
-    pub(crate) fn words(&self) -> &[u64] {
+    pub fn words(&self) -> &[u64] {
         match &self.words {
             Words::Inline(a) => &a[..self.width.div_ceil(64)],
             Words::Heap(v) => v,

@@ -57,4 +57,4 @@ pub use sig::{
     SigHasher, CACHE_MIN_ROWS,
 };
 pub use spsc::{spsc, spsc_in, SpscReceiver, SpscReceiverIn, SpscSender, SpscSenderIn};
-pub use sync::{AtomicCell, Pending, Stamp};
+pub use sync::{AtomicCell, Pending};

@@ -1,12 +1,10 @@
 //! Thin synchronization abstraction over the shard engine's primitives.
 //!
-//! The sharded replay engine relies on exactly three lock-free protocols:
-//! the bounded SPSC ring cursors ([`crate::spsc`]), the distributed
-//! termination pending-counter ([`Pending`]), and the version stamps that
-//! tie a compiled `MatchPlan` to the switch table it was compiled from
-//! ([`Stamp`]). Each protocol's atomic accesses go through the
-//! [`AtomicCell`] trait so the *same* algorithm code can run on two
-//! backends:
+//! The sharded replay engine relies on exactly two lock-free protocols:
+//! the bounded SPSC ring cursors ([`crate::spsc`]) and the distributed
+//! termination pending-counter ([`Pending`]). Each protocol's atomic
+//! accesses go through the [`AtomicCell`] trait so the *same* algorithm
+//! code can run on two backends:
 //!
 //! - the real backend — `std::sync::atomic::AtomicUsize`, a zero-cost
 //!   passthrough (every method is a `#[inline]` delegation, so
@@ -120,33 +118,6 @@ impl<A: AtomicCell> Pending<A> {
     }
 }
 
-/// A monotonically increasing version stamp tying derived state (a
-/// compiled `MatchPlan`) to its source of truth (the switch group table).
-///
-/// The protocol is single-writer: every table mutation bumps the table's
-/// stamp, and every plan rebuild copies the table's stamp into the plan.
-/// A reader holding both stamps may conclude `plan == compile(table)`
-/// only when the stamps match — skipping the bump (or publishing the
-/// stamp before the rebuilt content) breaks that implication, which is
-/// exactly what the `elmo-race` stamp model checks.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub struct Stamp(u64);
-
-impl Stamp {
-    /// The initial stamp; a table starts aligned with an empty plan.
-    pub const ZERO: Stamp = Stamp(0);
-
-    /// Advance the stamp past every previously issued value.
-    pub fn bump(&mut self) {
-        self.0 += 1;
-    }
-
-    /// The raw version number (for reports and assertions).
-    pub fn value(self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,16 +132,5 @@ mod tests {
         assert!(!p.quiescent());
         p.retire(3);
         assert!(p.quiescent());
-    }
-
-    #[test]
-    fn stamp_bumps_monotonically() {
-        let mut s = Stamp::ZERO;
-        let s0 = s;
-        s.bump();
-        assert!(s > s0);
-        assert_eq!(s.value(), 1);
-        let copy = s;
-        assert_eq!(copy, s);
     }
 }

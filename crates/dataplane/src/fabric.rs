@@ -363,7 +363,8 @@ impl Fabric {
     }
 
     /// Install an s-rule on every spine of a pod (a logical-spine s-rule must
-    /// be present wherever multipath may land the packet).
+    /// be present wherever multipath may land the packet). All or nothing:
+    /// if any spine of the pod has no room for a new key, none is written.
     pub fn install_pod_srule(
         &mut self,
         pod: PodId,
@@ -371,8 +372,14 @@ impl Fabric {
         ports: elmo_core::PortBitmap,
     ) -> Result<(), crate::netswitch::GroupTableFull> {
         let topo = self.topo;
+        let full = |sw: &NetworkSwitch| sw.srule_capacity_left() == 0 && sw.srule(&group).is_none();
+        if topo.spines_in_pod(pod).any(|s| full(self.spine(s))) {
+            return Err(crate::netswitch::GroupTableFull);
+        }
         for s in topo.spines_in_pod(pod) {
-            self.spine_mut(s).install_srule(group, ports.clone())?;
+            self.spine_mut(s)
+                .install_srule(group, ports.clone())
+                .expect("every spine of the pod was checked to have room");
         }
         Ok(())
     }
@@ -559,7 +566,7 @@ impl HopTable {
 mod tests {
     use super::*;
     use crate::hypervisor::{HypervisorSwitch, SenderFlow, VmSlot};
-    use elmo_core::{encode_group, header_for_sender, EncoderConfig};
+    use elmo_core::{encode_group, header_for_sender, EncoderConfig, PortBitmap};
     use elmo_net::vxlan::Vni;
     use elmo_topology::{GroupTree, UpstreamCover};
     use std::net::Ipv4Addr;
@@ -859,5 +866,53 @@ mod tests {
                 + s.spine_to_leaf_bytes
                 + s.leaf_to_host_bytes
         });
+    }
+
+    #[test]
+    fn pod_srule_install_is_all_or_nothing_at_capacity() {
+        let topo = Clos::paper_example();
+        let config = SwitchConfig {
+            group_table_capacity: 2,
+            ..SwitchConfig::default()
+        };
+        let mut fabric = Fabric::new(topo, config);
+        let pod = PodId(1);
+        let spines: Vec<SpineId> = topo.spines_in_pod(pod).collect();
+        assert!(spines.len() >= 2);
+        let width = topo.spine_down_ports();
+        let bm = |ports: &[usize]| PortBitmap::from_ports(width, ports.iter().copied());
+        let (held, filler, newcomer) = (
+            Ipv4Addr::new(239, 0, 0, 1),
+            Ipv4Addr::new(239, 0, 0, 2),
+            Ipv4Addr::new(239, 0, 0, 3),
+        );
+        fabric.install_pod_srule(pod, held, bm(&[0])).unwrap();
+        // Only the last spine of the pod is full; the ones before it have
+        // room, which is where a partial write would land.
+        let last = *spines.last().unwrap();
+        fabric
+            .spine_mut(last)
+            .install_srule(filler, bm(&[1]))
+            .unwrap();
+        let tables = |f: &Fabric| -> Vec<Vec<(Ipv4Addr, PortBitmap)>> {
+            spines
+                .iter()
+                .map(|&s| f.spine(s).srules().map(|(a, b)| (*a, b.clone())).collect())
+                .collect()
+        };
+        let before = tables(&fabric);
+
+        assert_eq!(
+            fabric.install_pod_srule(pod, newcomer, bm(&[0, 1])),
+            Err(crate::netswitch::GroupTableFull)
+        );
+        assert_eq!(tables(&fabric), before, "a refused install writes no spine");
+
+        // The held key is already on every spine, so it takes no new slot.
+        fabric.install_pod_srule(pod, held, bm(&[0, 1])).unwrap();
+        for &s in &spines {
+            assert_eq!(fabric.spine(s).srule(&held), Some(&bm(&[0, 1])));
+        }
+        assert_eq!(fabric.spine(last).srule_capacity_left(), 0);
     }
 }

@@ -18,23 +18,13 @@
 //! The same switch also forwards ordinary unicast VXLAN packets (used by the
 //! unicast/overlay baselines and by Elmo's transient unicast fallback).
 
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::net::Ipv4Addr;
 
-use elmo_core::sync::Stamp;
-use elmo_core::{pop, PortBitmap, SigHasher};
+use elmo_core::{pop, PortBitmap};
 use elmo_net::ipv4;
 use elmo_topology::{Clos, CoreId, LeafId, SpineId, SwitchRef};
 
 use crate::packet::FlightPacket;
-
-/// The group table's hash map type. IPv4 keys are tiny and fully random in
-/// the low octets, so the default SipHash is pure overhead on the lookup
-/// fast path — the pass-through fingerprint hasher from `elmo_core::sig`
-/// (a 5-bit-rotate multiply fold) is an order of magnitude cheaper per
-/// probe and deterministic across runs.
-type GroupTable = HashMap<Ipv4Addr, PortBitmap, BuildHasherDefault<SigHasher>>;
 
 /// Which rule source resolved a packet copy at a switch — the ingress
 /// pipeline's match order made explicit for the copy-tree trace's rule
@@ -113,8 +103,6 @@ struct DpMetrics {
     dropped_parse: elmo_obs::Counter,
     dropped_header_vector: elmo_obs::Counter,
     header_pops: elmo_obs::Counter,
-    plan_rebuilds: elmo_obs::Counter,
-    plan_stale_detected: elmo_obs::Counter,
 }
 
 fn metrics() -> &'static DpMetrics {
@@ -128,8 +116,6 @@ fn metrics() -> &'static DpMetrics {
         dropped_parse: elmo_obs::counter("dataplane.dropped_parse"),
         dropped_header_vector: elmo_obs::counter("dataplane.dropped_header_vector"),
         header_pops: elmo_obs::counter("dataplane.header_pops"),
-        plan_rebuilds: elmo_obs::counter("fabric.replay.plan_rebuilds"),
-        plan_stale_detected: elmo_obs::counter("fabric.replay.plan_stale_detected"),
     })
 }
 
@@ -181,9 +167,9 @@ fn push_host_hops(ports: &PortBitmap, out: &mut Vec<(u16, u8)>) {
     }
 }
 
-/// Push one hop per set bit of a flat word slice (a [`MatchPlan`] rule),
-/// ascending — the same port order `PortBitmap::iter_ones` yields, so the
-/// compiled and uncompiled lookups emit byte-identical copy sequences.
+/// Push one hop per set bit of a flat word slice ([`PortBitmap::words`]
+/// of an s-rule), ascending — the port order `PortBitmap::iter_ones`
+/// yields.
 fn push_word_hops(words: &[u64], state: u8, out: &mut Vec<(u16, u8)>) {
     for (wi, &word) in words.iter().enumerate() {
         let mut w = word;
@@ -195,60 +181,34 @@ fn push_word_hops(words: &[u64], state: u8, out: &mut Vec<(u16, u8)>) {
     }
 }
 
-/// The compiled form of a switch's group table: the s-rule lookup the
-/// replay hot path actually executes. Instead of probing the hash map per
-/// downstream copy, the table is flattened at install/patch time into a
-/// sorted dense key index (binary-searched, no hashing of any kind per
-/// copy) over a flat port-bitmap word arena. The plan carries the
-/// [`Stamp`] of the `table_version` it was compiled from; the engine
-/// compares the stamps once per switch run (`check_plan_stale`) and
-/// counts a mismatch as `fabric.replay.plan_stale_detected`, so any mutation path that
-/// forgets to recompile is visible in release metrics and trips a debug
-/// assert under `cargo test` instead of silently serving stale rules.
+/// A switch's group table (paper §3.2): its s-rules, sorted by outer group
+/// address, with the output-port bitmaps parallel to the keys. This is the
+/// only copy of the rule state — the control plane writes it, the static
+/// verifier reads it and the replay hot path matches against it — and one
+/// binary search finds the slot for a lookup, an overwrite, an insert or a
+/// remove alike, so a write costs that search plus a shift of the tail.
+/// A `PortBitmap` stores up to 128 ports inline, which makes the rule
+/// column a flat arena at every layer width the fabrics here use.
 #[derive(Clone, Debug, Default)]
-struct MatchPlan {
-    /// `NetworkSwitch::table_version` at compile time.
-    version: Stamp,
-    /// Sorted outer group addresses (big-endian `u32` form).
-    keys: Vec<u32>,
-    /// Parallel to `keys`: word offset of each rule in `words`.
-    offs: Vec<u32>,
-    /// Parallel to `keys`: word count of each rule.
-    lens: Vec<u16>,
-    /// Flat port-bitmap arena (low port in bit 0 of a rule's first word).
-    words: Vec<u64>,
+struct GroupTable {
+    /// Outer group addresses, ascending.
+    keys: Vec<Ipv4Addr>,
+    /// Parallel to `keys`: output ports (downstream ports only, like
+    /// downstream p-rule bitmaps).
+    rules: Vec<PortBitmap>,
 }
 
-impl MatchPlan {
-    /// Recompile from the authoritative hash table.
-    fn rebuild(&mut self, table: &GroupTable, version: Stamp) {
-        self.keys.clear();
-        self.offs.clear();
-        self.lens.clear();
-        self.words.clear();
-        let mut entries: Vec<(u32, &PortBitmap)> =
-            table.iter().map(|(ip, bm)| (u32::from(*ip), bm)).collect();
-        entries.sort_unstable_by_key(|e| e.0);
-        for (key, bm) in entries {
-            self.keys.push(key);
-            self.offs.push(self.words.len() as u32);
-            let base = self.words.len();
-            let nwords = bm.width().div_ceil(64);
-            self.words.resize(base + nwords, 0);
-            for p in bm.iter_ones() {
-                self.words[base + p / 64] |= 1u64 << (p % 64);
-            }
-            self.lens.push(nwords as u16);
-        }
-        self.version = version;
-        metrics().plan_rebuilds.inc();
+impl GroupTable {
+    /// The slot holding `group` (`Ok`), or the slot that keeps `keys`
+    /// ascending if it were inserted (`Err`).
+    #[inline]
+    fn search(&self, group: Ipv4Addr) -> Result<usize, usize> {
+        self.keys.binary_search(&group)
     }
 
-    /// The compiled rule for an outer group address, as a word slice.
-    fn lookup(&self, group: Ipv4Addr) -> Option<&[u64]> {
-        let i = self.keys.binary_search(&u32::from(group)).ok()?;
-        let off = self.offs[i] as usize;
-        Some(&self.words[off..off + self.lens[i] as usize])
+    #[inline]
+    fn get(&self, group: Ipv4Addr) -> Option<&PortBitmap> {
+        self.search(group).ok().map(|i| &self.rules[i])
     }
 }
 
@@ -270,14 +230,8 @@ pub struct NetworkSwitch {
     id: SwitchRef,
     topo: Clos,
     config: SwitchConfig,
-    /// s-rules: outer multicast group address -> output ports (downstream
-    /// ports only, like downstream p-rule bitmaps). Authoritative state;
-    /// the control plane and the static verifier read this.
-    group_table: GroupTable,
-    /// Compiled form of `group_table`, consulted by the replay hot path.
-    plan: MatchPlan,
-    /// Bumped on every `group_table` mutation; `plan.version` must match.
-    table_version: Stamp,
+    /// s-rules: outer multicast group address -> output ports.
+    table: GroupTable,
     /// Counters.
     pub stats: SwitchStats,
     /// Header sections popped by this switch (D2d egress). Only the
@@ -293,52 +247,32 @@ pub struct NetworkSwitch {
 }
 
 impl NetworkSwitch {
-    /// Build a leaf switch.
-    pub fn new_leaf(topo: Clos, id: LeafId, config: SwitchConfig) -> Self {
+    fn new(topo: Clos, id: SwitchRef, config: SwitchConfig) -> Self {
         NetworkSwitch {
-            id: SwitchRef::Leaf(id),
+            id,
             topo,
             config,
-            group_table: GroupTable::default(),
-            plan: MatchPlan::default(),
-            table_version: Stamp::ZERO,
+            table: GroupTable::default(),
             stats: SwitchStats::default(),
             pops: 0,
             flushed: SwitchStats::default(),
             flushed_pops: 0,
         }
+    }
+
+    /// Build a leaf switch.
+    pub fn new_leaf(topo: Clos, id: LeafId, config: SwitchConfig) -> Self {
+        Self::new(topo, SwitchRef::Leaf(id), config)
     }
 
     /// Build a spine switch.
     pub fn new_spine(topo: Clos, id: SpineId, config: SwitchConfig) -> Self {
-        NetworkSwitch {
-            id: SwitchRef::Spine(id),
-            topo,
-            config,
-            group_table: GroupTable::default(),
-            plan: MatchPlan::default(),
-            table_version: Stamp::ZERO,
-            stats: SwitchStats::default(),
-            pops: 0,
-            flushed: SwitchStats::default(),
-            flushed_pops: 0,
-        }
+        Self::new(topo, SwitchRef::Spine(id), config)
     }
 
     /// Build a core switch.
     pub fn new_core(topo: Clos, id: CoreId, config: SwitchConfig) -> Self {
-        NetworkSwitch {
-            id: SwitchRef::Core(id),
-            topo,
-            config,
-            group_table: GroupTable::default(),
-            plan: MatchPlan::default(),
-            table_version: Stamp::ZERO,
-            stats: SwitchStats::default(),
-            pops: 0,
-            flushed: SwitchStats::default(),
-            flushed_pops: 0,
-        }
+        Self::new(topo, SwitchRef::Core(id), config)
     }
 
     /// This switch's identity.
@@ -353,59 +287,40 @@ impl NetworkSwitch {
         group: Ipv4Addr,
         ports: PortBitmap,
     ) -> Result<(), GroupTableFull> {
-        if !self.group_table.contains_key(&group)
-            && self.group_table.len() >= self.config.group_table_capacity
-        {
-            return Err(GroupTableFull);
+        match self.table.search(group) {
+            Ok(i) => self.table.rules[i] = ports,
+            Err(_) if self.srule_capacity_left() == 0 => return Err(GroupTableFull),
+            Err(i) => {
+                self.table.keys.insert(i, group);
+                self.table.rules.insert(i, ports);
+            }
         }
-        self.group_table.insert(group, ports);
-        self.table_version.bump();
-        self.plan.rebuild(&self.group_table, self.table_version);
         Ok(())
     }
 
     /// Remove an s-rule; returns whether one existed.
     pub fn remove_srule(&mut self, group: &Ipv4Addr) -> bool {
-        let removed = self.group_table.remove(group).is_some();
-        if removed {
-            self.table_version.bump();
-            self.plan.rebuild(&self.group_table, self.table_version);
-        }
-        removed
-    }
-
-    /// Flip the lowest port bit of the *compiled* rule for `group`, leaving
-    /// the authoritative hash table (and the plan's version stamp) intact;
-    /// returns whether a compiled rule existed. This models the exact
-    /// failure the compiled-plan design risks — plan content silently
-    /// diverging from installed state — so tests can prove `elmo-verify`'s
-    /// differential replay catches it. Test-only by contract.
-    #[doc(hidden)]
-    pub fn corrupt_plan_for_test(&mut self, group: Ipv4Addr) -> bool {
-        if let Ok(i) = self.plan.keys.binary_search(&u32::from(group)) {
-            if self.plan.lens[i] > 0 {
-                self.plan.words[self.plan.offs[i] as usize] ^= 1;
-                return true;
-            }
-        }
-        false
+        let Ok(i) = self.table.search(*group) else {
+            return false;
+        };
+        self.table.keys.remove(i);
+        self.table.rules.remove(i);
+        true
     }
 
     /// Number of installed s-rules.
     pub fn srule_count(&self) -> usize {
-        self.group_table.len()
+        self.table.keys.len()
     }
 
     /// Look up the installed s-rule for an outer group address, if any.
     pub fn srule(&self, group: &Ipv4Addr) -> Option<&PortBitmap> {
-        self.group_table.get(group)
+        self.table.get(*group)
     }
 
-    /// Iterate over every installed s-rule. Table order is hash order
-    /// (deterministic under [`elmo_core::sig::SigHasher`] but not sorted);
-    /// collect and sort when a canonical order matters.
+    /// Iterate over every installed s-rule, ascending by group address.
     pub fn srules(&self) -> impl Iterator<Item = (&Ipv4Addr, &PortBitmap)> {
-        self.group_table.iter()
+        self.table.keys.iter().zip(&self.table.rules)
     }
 
     /// The switch's static configuration (parser and table limits).
@@ -415,7 +330,7 @@ impl NetworkSwitch {
 
     /// Remaining group-table capacity.
     pub fn srule_capacity_left(&self) -> usize {
-        self.config.group_table_capacity - self.group_table.len()
+        self.config.group_table_capacity - self.srule_count()
     }
 
     /// Process one already-parsed copy arriving on `ingress_port`: append
@@ -433,10 +348,8 @@ impl NetworkSwitch {
     /// walking the header per copy.
     ///
     /// This does *not* flush the per-switch counters into the
-    /// process-wide metric mirrors, and does not look at the plan stamp:
-    /// the engine calls `flush_global_stats` and
-    /// [`check_plan_stale`](Self::check_plan_stale) once per run of copies
-    /// against this switch.
+    /// process-wide metric mirrors: the engine calls `flush_global_stats`
+    /// once per run of copies against this switch.
     pub fn process_hops_hv(
         &mut self,
         ingress_port: usize,
@@ -459,35 +372,6 @@ impl NetworkSwitch {
         }
     }
 
-    /// Verify the compiled plan's stamp matches the group table's — a
-    /// mismatch means a mutation path forgot to recompile. Fires in
-    /// release builds too: the stale plan is still served (dropping the
-    /// packet would turn a bookkeeping bug into packet loss) but the
-    /// divergence is counted as `fabric.replay.plan_stale_detected` so
-    /// operators and the verify harness see it; debug builds trip
-    /// immediately. The run-grouped engine calls this once per switch
-    /// run, which covers every copy of the run since the table cannot
-    /// mutate mid-replay (the switch is exclusively borrowed).
-    #[inline]
-    pub fn check_plan_stale(&self) {
-        if self.plan.version != self.table_version {
-            self.note_stale_plan();
-        }
-    }
-
-    /// Cold half of [`check_plan_stale`](Self::check_plan_stale), out of
-    /// line so the hot path pays only the one-word stamp compare.
-    #[cold]
-    #[inline(never)]
-    fn note_stale_plan(&self) {
-        metrics().plan_stale_detected.inc();
-        debug_assert_eq!(
-            self.plan.version, self.table_version,
-            "stale MatchPlan at {:?}: group table mutated without recompiling",
-            self.id
-        );
-    }
-
     /// Which rule source a *downstream* copy of `pkt` resolves to at this
     /// switch, mirroring [`process_hops_hv`](Self::process_hops_hv)'s match
     /// order exactly — own-id p-rule, then the installed group table, then the
@@ -501,7 +385,7 @@ impl NetworkSwitch {
             SwitchRef::Leaf(l) => {
                 if pkt.find_d_leaf(l.0).is_some() {
                     MatchSource::PRule
-                } else if self.plan.lookup(pkt.group_ip).is_some() {
+                } else if self.table.get(pkt.group_ip).is_some() {
                     MatchSource::SRule
                 } else if pkt.d_leaf_default().is_some() {
                     MatchSource::DefaultPRule
@@ -513,7 +397,7 @@ impl NetworkSwitch {
                 let pod = self.topo.pod_of_spine(s);
                 if pkt.find_d_spine(pod.0).is_some() {
                     MatchSource::PRule
-                } else if self.plan.lookup(pkt.group_ip).is_some() {
+                } else if self.table.get(pkt.group_ip).is_some() {
                     MatchSource::SRule
                 } else if pkt.d_spine_default().is_some() {
                     MatchSource::DefaultPRule
@@ -618,15 +502,15 @@ impl NetworkSwitch {
         }
 
         // Downstream direction: match own identifier among d-leaf p-rules,
-        // then the compiled group table, then the default p-rule. Disjoint
-        // field borrows so the rule can stay borrowed while counters bump.
-        let NetworkSwitch { stats, plan, .. } = self;
+        // then the group table, then the default p-rule. Disjoint field
+        // borrows so the rule can stay borrowed while counters bump.
+        let NetworkSwitch { stats, table, .. } = self;
         if let Some(rule) = pkt.find_d_leaf(leaf.0) {
             stats.hit_prule();
             push_host_hops(&rule.bitmap, out);
-        } else if let Some(words) = plan.lookup(pkt.group_ip) {
+        } else if let Some(rule) = table.get(pkt.group_ip) {
             stats.hit_srule();
-            push_word_hops(words, HOST_STRIPPED, out);
+            push_word_hops(rule.words(), HOST_STRIPPED, out);
         } else if let Some(bm) = pkt.d_leaf_default() {
             stats.hit_default();
             push_host_hops(bm, out);
@@ -680,12 +564,12 @@ impl NetworkSwitch {
             return;
         }
 
-        // Downstream: match own pod among d-spine p-rules, then the
-        // compiled group table, then the default p-rule. Either way the
-        // next hop is a leaf, so the spine section is popped.
+        // Downstream: match own pod among d-spine p-rules, then the group
+        // table, then the default p-rule. Either way the next hop is a
+        // leaf, so the spine section is popped.
         let pod = self.topo.pod_of_spine(spine);
         let NetworkSwitch {
-            stats, plan, pops, ..
+            stats, table, pops, ..
         } = self;
         if let Some(rule) = pkt.find_d_spine(pod.0) {
             stats.hit_prule();
@@ -693,10 +577,10 @@ impl NetworkSwitch {
             for port in rule.bitmap.iter_ones() {
                 out.push((port as u16, pop::D_SPINE));
             }
-        } else if let Some(words) = plan.lookup(pkt.group_ip) {
+        } else if let Some(rule) = table.get(pkt.group_ip) {
             stats.hit_srule();
             *pops += 1;
-            push_word_hops(words, pop::D_SPINE, out);
+            push_word_hops(rule.words(), pop::D_SPINE, out);
         } else if let Some(bm) = pkt.d_spine_default() {
             stats.hit_default();
             *pops += 1;
@@ -1074,34 +958,74 @@ mod tests {
         assert_eq!(out[0].0, 2);
     }
 
+    /// Seeded install / overwrite / remove stream on one leaf and one
+    /// spine against a `BTreeMap` model, every read accessor compared
+    /// after every op. The key space is a little larger than `Fmax` so
+    /// the table sits at the capacity edge for much of the run.
     #[test]
-    fn stale_plan_is_detected() {
-        let (topo, _) = setup();
-        let mut leaf = NetworkSwitch::new_leaf(topo, LeafId(0), SwitchConfig::default());
-        leaf.install_srule(Ipv4Addr::new(239, 0, 0, 1), PortBitmap::from_ports(8, [1]))
-            .unwrap();
-        leaf.check_plan_stale(); // stamps aligned: silent
+    fn group_table_matches_btreemap_model_under_random_ops() {
+        use std::collections::BTreeMap;
 
-        // Seed the bug the guard exists for: mutate the table and bump its
-        // stamp without recompiling the plan.
-        leaf.group_table.remove(&Ipv4Addr::new(239, 0, 0, 1));
-        leaf.table_version.bump();
-
-        if cfg!(debug_assertions) {
-            // Debug builds trip immediately.
-            let r =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| leaf.check_plan_stale()));
-            assert!(r.is_err(), "stale plan must trip the debug assert");
-        } else {
-            // Release builds keep serving but must count the divergence.
-            let before = elmo_obs::snapshot()
-                .counter("fabric.replay.plan_stale_detected")
-                .unwrap_or(0);
-            leaf.check_plan_stale();
-            let after = elmo_obs::snapshot()
-                .counter("fabric.replay.plan_stale_detected")
-                .unwrap_or(0);
-            assert_eq!(after, before + 1, "stale plan must be counted in release");
+        const FMAX: usize = 32;
+        const KEYS: u64 = 48;
+        const OPS: usize = 12_000;
+        let (topo, layout) = setup();
+        let config = SwitchConfig {
+            header_vector_limit: 512,
+            group_table_capacity: FMAX,
+        };
+        let switches = [
+            (
+                NetworkSwitch::new_leaf(topo, LeafId(3), config),
+                layout.leaf_down_ports,
+            ),
+            (
+                NetworkSwitch::new_spine(topo, SpineId(1), config),
+                layout.spine_down_ports,
+            ),
+        ];
+        for (mut sw, width) in switches {
+            let mut rng = elmo_core::SplitMix64::new(0xe140 + width as u64);
+            let mut next = move || rng.next_u64();
+            let mut model: BTreeMap<Ipv4Addr, PortBitmap> = BTreeMap::new();
+            let (mut inserts, mut overwrites, mut refused, mut removes) = (0, 0, 0, 0);
+            for _ in 0..OPS {
+                // Keys straddle an octet boundary so address order is not
+                // the order of any single byte.
+                let group = Ipv4Addr::from(0xef00_00e0 + (next() % KEYS) as u32 * 7);
+                if next() % 3 == 0 {
+                    let removed = sw.remove_srule(&group);
+                    assert_eq!(removed, model.remove(&group).is_some());
+                    removes += usize::from(removed);
+                } else {
+                    let bits = next();
+                    let ports =
+                        PortBitmap::from_ports(width, (0..width).filter(|p| bits >> p & 1 == 1));
+                    let known = model.contains_key(&group);
+                    let got = sw.install_srule(group, ports.clone());
+                    if !known && model.len() == FMAX {
+                        assert_eq!(got, Err(GroupTableFull));
+                        refused += 1;
+                    } else {
+                        assert_eq!(got, Ok(()));
+                        model.insert(group, ports);
+                        overwrites += usize::from(known);
+                        inserts += usize::from(!known);
+                    }
+                }
+                assert_eq!(sw.srule_count(), model.len());
+                assert_eq!(sw.srule_capacity_left(), FMAX - model.len());
+                assert_eq!(sw.srule(&group), model.get(&group));
+                assert!(
+                    sw.srules().eq(model.iter()),
+                    "srules() must list the model's entries ascending by address"
+                );
+            }
+            assert!(
+                inserts > 1_000 && overwrites > 1_000 && removes > 1_000 && refused > 100,
+                "stream must exercise every branch: {inserts} inserts, {overwrites} overwrites, \
+                 {removes} removes, {refused} refused at Fmax"
+            );
         }
     }
 }

@@ -56,8 +56,7 @@
 //! one whole bucket per iteration (swapping it out first — a switch
 //! never forwards to itself, so the run cannot grow under its own feet).
 //! Everything per-switch is then amortized over the run instead of paid
-//! per copy: the switch borrow, its compiled
-//! [`MatchPlan`](crate::netswitch::NetworkSwitch)'s cache lines, the
+//! per copy: the switch borrow, its group table's cache lines, the
 //! failed-switch check, the termination counter (two atomic RMWs per
 //! *run*), and the global obs counters (one `add` per touched counter
 //! per run). Copy lengths come from the batch's precomputed
@@ -357,7 +356,7 @@ impl Partition {
 /// One destination switch's queued copies in struct-of-arrays form.
 /// Entry `i` is `(port[i], state[i], pkt[i])` — the switch itself is the
 /// bucket's identity, so one run through a bucket resolves the switch,
-/// its compiled plan, and its counters exactly once.
+/// its group table, and its counters exactly once.
 #[derive(Clone, Debug, Default)]
 struct Bucket {
     port: Vec<u16>,
@@ -836,7 +835,7 @@ impl Fabric {
 
 /// One shard's event loop, organized as runs: pick a non-empty bucket,
 /// swap it out, and push every copy in it through the owned switch in a
-/// single borrow. The switch and its compiled `MatchPlan`, the
+/// single borrow. The switch and its group table, the
 /// failed-switch check, the termination counter (two atomic RMWs per
 /// run), and the global obs counters (one `add` per touched counter per
 /// run) are all amortized over the run; per-copy work is an array scan:
@@ -926,9 +925,6 @@ fn run_worker(
                 hop_out,
             } = &mut *q;
             let node = &mut switches[li];
-            // One stamp compare covers the whole run: the switch is
-            // exclusively borrowed, so its table cannot mutate mid-run.
-            node.check_plan_stale();
             staged.clear();
             for e in 0..run_len {
                 let (port, state, pkt_i) = (run.port[e], run.state[e], run.pkt[e]);

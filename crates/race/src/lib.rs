@@ -1,15 +1,13 @@
 //! # elmo-race — deterministic schedule exploration for the shard protocols
 //!
-//! A std-only, loom/shuttle-style stateless model checker for the three
+//! A std-only, loom/shuttle-style stateless model checker for the two
 //! lock-free protocols the sharded replay engine stands on:
 //!
 //! 1. the bounded SPSC ring (`elmo_core::spsc`) — FIFO, no loss, no
 //!    duplication across wraparound and full-ring drain-and-retry;
 //! 2. the distributed-termination pending counter
 //!    (`elmo_core::sync::Pending`) — quiescence implies all work done
-//!    (no premature exit), and progress implies no lost wakeup;
-//! 3. the plan-version stamp protocol (`elmo_core::sync::Stamp`) —
-//!    matching stamps imply the compiled plan matches its table.
+//!    (no premature exit), and progress implies no lost wakeup.
 //!
 //! The clean ring and termination models execute the *real* generic
 //! protocol code instantiated over the instrumented [`VCell`] backend of
@@ -17,7 +15,7 @@
 //! threads through a virtual scheduler and enumerates every schedule
 //! within a preemption bound (deepening from zero, so failures come with
 //! a minimal, replayable witness). Seeded protocol mutations — dropped
-//! counter increment, reordered publish, skipped version bump — must be
+//! counter increment, reordered publish, skipped full check — must be
 //! caught deterministically; `cargo test -p elmo-race` and the CI race
 //! smoke (`elmo-eval race`) pin that.
 //!
@@ -30,15 +28,12 @@ mod models;
 mod sched;
 
 pub use explore::{Exploration, Explorer, Model, ModelInstance, Witness};
-pub use models::{
-    ring_model, ring_model_mutated, stamp_model, termination_model, RingMutation, StampMutation,
-    TermMutation,
-};
-pub use sched::{label_cell, spin_epoch, spin_wait, yield_now, OpKind, Scheduler, Step, VCell};
+pub use models::{ring_model, ring_model_mutated, termination_model, RingMutation, TermMutation};
+pub use sched::{label_cell, spin_epoch, spin_wait, OpKind, Scheduler, Step, VCell};
 
 /// Every protocol model that must pass clean, in reporting order.
 pub fn clean_models() -> Vec<Model> {
-    vec![ring_model(), termination_model(None), stamp_model(None)]
+    vec![ring_model(), termination_model(None)]
 }
 
 /// Every seeded mutation the explorer must catch, in reporting order.
@@ -48,8 +43,6 @@ pub fn mutated_models() -> Vec<Model> {
         ring_model_mutated(RingMutation::SkipFullCheck),
         termination_model(Some(TermMutation::DroppedIncrement)),
         termination_model(Some(TermMutation::RetireBeforePublish)),
-        stamp_model(Some(StampMutation::SkippedVersionBump)),
-        stamp_model(Some(StampMutation::StampBeforeContent)),
     ]
 }
 
@@ -116,10 +109,11 @@ mod tests {
 
     #[test]
     fn witnesses_are_minimal_in_preemptions() {
-        // The stamp-before-content window only opens when the packet
-        // thread preempts the mutator between its two steps: exactly one
-        // voluntary preemption, and deepening must find it at bound 1.
-        let model = stamp_model(Some(StampMutation::StampBeforeContent));
+        // The reordered-publish window only opens when the consumer
+        // preempts the producer between its cursor store and its slot
+        // write: exactly one preemption, and deepening must find it at
+        // bound 1.
+        let model = ring_model_mutated(RingMutation::ReorderedPublish);
         let report = explorer().explore(&model);
         let w = report.failure.expect("caught");
         assert_eq!(w.preemptions, 1, "witness uses minimal preemptions");

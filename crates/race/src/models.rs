@@ -1,4 +1,4 @@
-//! Small-model versions of the shard engine's three lock-free protocols,
+//! Small-model versions of the shard engine's two lock-free protocols,
 //! checked by the explorer — plus seeded mutations the explorer must
 //! deterministically catch.
 //!
@@ -13,7 +13,7 @@
 use crate::explore::{Model, ModelInstance};
 use crate::sched::{self, VCell};
 use elmo_core::spsc::{spsc_in, SpscReceiverIn, SpscSenderIn};
-use elmo_core::sync::{AtomicCell, Pending, Stamp};
+use elmo_core::sync::{AtomicCell, Pending};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
@@ -37,18 +37,6 @@ pub enum TermMutation {
     /// Retire the current entry before publishing its child — the
     /// counter can pass through zero while work is still in flight.
     RetireBeforePublish,
-}
-
-/// Seeded bugs for the plan-version stamp protocol.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StampMutation {
-    /// Mutate the table without bumping its stamp (and hence without
-    /// recompiling) — the "skipped version bump" bug: stamps agree while
-    /// contents diverge.
-    SkippedVersionBump,
-    /// Publish the rebuilt plan's stamp before its content — a window
-    /// where stamps agree but the plan still serves the old rules.
-    StampBeforeContent,
 }
 
 /// Pop values until `n` collected, parking while empty. Returns early on
@@ -341,109 +329,6 @@ pub fn termination_model(mutation: Option<TermMutation>) -> Model {
                     Err(format!(
                         "premature exit: {total}/{TERM_TASKS} tasks processed (per-worker {done:?})"
                     ))
-                }
-            }),
-        }
-    })
-}
-
-/// The four registers of the stamp protocol, mutated only inside atomic
-/// single-owner steps (the scheduler interleaves whole steps, matching
-/// the shard-ownership discipline under which `NetworkSwitch` runs).
-#[derive(Default)]
-struct StampState {
-    table_content: u64,
-    table_version: Stamp,
-    plan_content: u64,
-    plan_version: Stamp,
-}
-
-/// The stamp model: a mutator applying table updates concurrently (at
-/// single-owner step granularity) with a packet thread running the hot
-/// path's staleness check. Invariant: whenever the packet thread
-/// observes `plan_version == table_version`, the compiled plan content
-/// must equal the table content — matching stamps are the hot path's
-/// licence to serve from the plan.
-pub fn stamp_model(mutation: Option<StampMutation>) -> Model {
-    let name = match mutation {
-        None => "plan-stamp",
-        Some(StampMutation::SkippedVersionBump) => "plan-stamp+skipped-version-bump",
-        Some(StampMutation::StampBeforeContent) => "plan-stamp+stamp-before-content",
-    };
-    const UPDATES: u64 = 2;
-    const PROBES: usize = 3;
-    Model::new(name, move || {
-        let st = Arc::new(Mutex::new(StampState::default()));
-        let st_w = Arc::clone(&st);
-        let st_r = Arc::clone(&st);
-        let seen = Arc::new(Mutex::new(Vec::<String>::new()));
-        let seen_r = Arc::clone(&seen);
-        let seen_check = Arc::clone(&seen);
-        ModelInstance {
-            threads: vec![
-                Box::new(move || {
-                    for n in 1..=UPDATES {
-                        if !sched::yield_now() {
-                            return;
-                        }
-                        match mutation {
-                            None => {
-                                // install_srule: mutate, bump, recompile —
-                                // one atomic single-owner operation.
-                                let mut s = st_w.lock().unwrap_or_else(|e| e.into_inner());
-                                s.table_content = n;
-                                s.table_version.bump();
-                                s.plan_content = s.table_content;
-                                s.plan_version = s.table_version;
-                            }
-                            Some(StampMutation::SkippedVersionBump) => {
-                                // The forgotten-recompile bug: table
-                                // mutated, stamp and plan left alone.
-                                let mut s = st_w.lock().unwrap_or_else(|e| e.into_inner());
-                                s.table_content = n;
-                            }
-                            Some(StampMutation::StampBeforeContent) => {
-                                // Publish the new stamp, then recompile
-                                // in a second step — packets in between
-                                // see matching stamps over stale rules.
-                                {
-                                    let mut s = st_w.lock().unwrap_or_else(|e| e.into_inner());
-                                    s.table_content = n;
-                                    s.table_version.bump();
-                                    s.plan_version = s.table_version;
-                                }
-                                if !sched::yield_now() {
-                                    return;
-                                }
-                                let mut s = st_w.lock().unwrap_or_else(|e| e.into_inner());
-                                s.plan_content = s.table_content;
-                            }
-                        }
-                    }
-                }),
-                Box::new(move || {
-                    for _ in 0..PROBES {
-                        if !sched::yield_now() {
-                            return;
-                        }
-                        let s = st_r.lock().unwrap_or_else(|e| e.into_inner());
-                        if s.plan_version == s.table_version && s.plan_content != s.table_content {
-                            seen_r.lock().unwrap_or_else(|e| e.into_inner()).push(format!(
-                                "stale plan served as fresh: stamps {}=={} but plan content {} != table content {}",
-                                s.plan_version.value(),
-                                s.table_version.value(),
-                                s.plan_content,
-                                s.table_content
-                            ));
-                        }
-                    }
-                }),
-            ],
-            check: Box::new(move || {
-                let v = seen_check.lock().unwrap_or_else(|e| e.into_inner());
-                match v.first() {
-                    None => Ok(()),
-                    Some(msg) => Err(msg.clone()),
                 }
             }),
         }

@@ -2,7 +2,7 @@
 //!
 //! A *checked execution* runs the model's threads as real OS threads, but
 //! only one is ever runnable: every instrumented operation (a [`VCell`]
-//! access, an explicit [`yield_now`], a [`spin_wait`]) is a *yield point*
+//! access, a [`spin_wait`]) is a *yield point*
 //! where the thread surrenders control and blocks until the controller
 //! grants it the next step. The sequence of thread indices the controller
 //! picks — the **schedule** — therefore fully determines the execution,
@@ -39,8 +39,6 @@ pub enum OpKind {
     Store,
     /// Atomic read-modify-write of a location.
     Rmw,
-    /// Explicit coarse-grained step (a whole single-owner operation).
-    Step,
     /// Re-poll after a failed try (the thread was parked or yielded).
     Spin,
 }
@@ -50,7 +48,7 @@ pub enum OpKind {
 pub struct Step {
     pub thread: usize,
     pub kind: OpKind,
-    /// Location index for cell ops (`usize::MAX` for Start/Step/Spin).
+    /// Location index for cell ops (`usize::MAX` for Start/Spin).
     pub loc: usize,
     /// Value loaded / stored / resulting from the rmw.
     pub value: usize,
@@ -311,7 +309,6 @@ impl Scheduler {
             OpKind::Load => format!("t{} load{loc} -> {}", step.thread, step.value),
             OpKind::Store => format!("t{} store{loc} = {}", step.thread, step.value),
             OpKind::Rmw => format!("t{} rmw{loc} -> {}", step.thread, step.value),
-            OpKind::Step => format!("t{} step", step.thread),
             OpKind::Spin => format!("t{} spin-resume", step.thread),
         }
     }
@@ -348,16 +345,6 @@ fn current() -> Option<Arc<Scheduler>> {
 
 fn current_tid() -> Option<usize> {
     CURRENT_TID.with(|c| c.get())
-}
-
-/// Explicit coarse-grained yield point: one whole single-owner operation
-/// (e.g. an `install_srule` call in the stamp model) runs atomically
-/// between two of these. Returns `false` in abort mode.
-pub fn yield_now() -> bool {
-    match (current(), current_tid()) {
-        (Some(s), Some(tid)) => s.yield_point(tid, OpKind::Step, usize::MAX),
-        _ => true,
-    }
 }
 
 /// Store-epoch snapshot to take *before* a try-operation; pass it to

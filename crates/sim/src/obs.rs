@@ -65,14 +65,6 @@ pub const REQUIRED_METRICS: &[&str] = &[
     // Zero-copy replay health: how many copies were actually serialized
     // back to wire bytes (only host deliveries and captures should be).
     "fabric.replay.materialized",
-    // Compiled MatchPlan freshness: bumped on every s-rule install or
-    // removal that recompiles a switch's plan. Zero after a churn delta
-    // that touched group tables means a stale plan.
-    "fabric.replay.plan_rebuilds",
-    // Stale-plan detections on the replay hot path: a switch served a
-    // packet while `plan.version != table_version`. Always-on (release
-    // builds included); any nonzero value is a recompile-discipline bug.
-    "fabric.replay.plan_stale_detected",
     "fabric.replay.shard.batches",
     "fabric.replay.shard.cross_msgs",
     // Copy-tree tracing and the windowed time-series (§7 monitoring

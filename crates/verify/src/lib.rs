@@ -454,11 +454,11 @@ mod tests {
             .any(|v| v.kind == ViolationKind::StaleSRule && v.group.is_none()));
     }
 
-    #[test]
-    fn corrupted_compiled_plan_caught_by_differential_replay() {
-        // A header budget too small for eight distinct leaf bitmaps forces
-        // half the receiver leaves onto s-rules (capacity is unlimited), so
-        // the replay must route through the compiled MatchPlan.
+    /// One group with a host on every leaf of the paper example and a header
+    /// budget too small for eight distinct leaf bitmaps: half the receiver
+    /// leaves spill onto s-rules (capacity is unlimited), so the replay must
+    /// route through the group tables.
+    fn srule_spill_setup() -> (Controller, Fabric) {
         let topo = Clos::paper_example();
         let mut cfg = ControllerConfig::paper_default(0);
         cfg.header_budget_bytes = 14;
@@ -474,38 +474,106 @@ mod tests {
         );
         let mut fabric = Fabric::new(topo, SwitchConfig::default());
         install(&ctl, &mut fabric, GroupId(1));
+        (ctl, fabric)
+    }
+
+    fn assert_differential_agrees(ctl: &Controller, fabric: &mut Fabric, what: &str) {
         for shards in [1, 2] {
-            let clean = differential_check_with(&ctl, &mut fabric, 8, 0xe1, shards);
-            assert_eq!(clean.sampled, 1);
+            let out = differential_check_with(ctl, fabric, 8, 0xe1, shards);
+            assert_eq!(out.sampled, 1);
             assert!(
-                clean.violations.is_empty(),
-                "clean state diverged at {shards} shards: {:#?}",
-                clean.violations
+                out.violations.is_empty(),
+                "{what}: replay and static walk diverged at {shards} shards: {:#?}",
+                out.violations
+            );
+            assert!(out.divergence_traces.is_empty());
+        }
+    }
+
+    #[test]
+    fn corrupted_srule_is_caught_statically_and_replay_serves_the_same_table() {
+        let (ctl, mut fabric) = srule_spill_setup();
+        assert!(check_state(&ctl, &fabric).ok());
+        assert_differential_agrees(&ctl, &mut fabric, "clean state");
+
+        // Overwrite every leaf s-rule with its member port cleared.
+        let state = ctl.group(GroupId(1)).expect("group");
+        assert!(
+            !state.enc.d_leaf.s_rules.is_empty(),
+            "R=0 must force leaf s-rules"
+        );
+        for (leaf, bm) in &state.enc.d_leaf.s_rules {
+            let mut corrupted = bm.clone();
+            corrupted.clear(bm.iter_ones().next().expect("member port"));
+            fabric
+                .leaf_mut(LeafId(*leaf))
+                .install_srule(state.outer_addr, corrupted)
+                .expect("overwrite in place");
+        }
+        // A switch has one group table, so the static check reads the rule
+        // the replay serves: it reports the mismatch and the receivers the
+        // rule no longer reaches.
+        let report = check_state(&ctl, &fabric);
+        for kind in [ViolationKind::RuleMismatch, ViolationKind::Loss] {
+            assert!(
+                report.violations.iter().any(|v| v.kind == kind),
+                "corrupted s-rule: static check reported no {kind:?}: {:#?}",
+                report.violations
             );
         }
-        // Flip one compiled port bit on every s-rule leaf, leaving the
-        // authoritative tables (and the plans' version stamps) intact —
-        // the silent plan/table divergence the compiled-plan design risks.
-        let state = ctl.group(GroupId(1)).expect("group");
-        let outer = state.outer_addr;
-        let srule_leaves: Vec<u32> = state.enc.d_leaf.s_rules.iter().map(|(l, _)| *l).collect();
-        assert!(!srule_leaves.is_empty(), "R=0 must force leaf s-rules");
-        for leaf in &srule_leaves {
-            assert!(fabric.leaf_mut(LeafId(*leaf)).corrupt_plan_for_test(outer));
+        // And the replay loses exactly the hosts the static walk says it
+        // does: a copy of the table that an overwrite failed to refresh
+        // would surface here as a divergence.
+        assert_differential_agrees(&ctl, &mut fabric, "corrupted state");
+    }
+
+    #[test]
+    fn replay_divergence_the_walk_cannot_model_is_caught_by_differential() {
+        // The static walk reads rule state only, never which switches are
+        // in service, so a pod with every spine failed still checks clean
+        // while the replay drops what crosses it: the differential is the
+        // one check that can report it.
+        let (ctl, mut fabric) = srule_spill_setup();
+        let dark = PodId(3);
+        let spines: Vec<_> = ctl.topo().spines_in_pod(dark).collect();
+        for &s in &spines {
+            fabric.fail_spine(s);
         }
-        // The static checker reads the authoritative tables, so it still
-        // passes; only the differential replay can observe the divergence.
         assert!(check_state(&ctl, &fabric).ok());
         for shards in [1, 2] {
             let out = differential_check_with(&ctl, &mut fabric, 8, 0xe1, shards);
+            assert_eq!(out.sampled, 1);
+            let lost: Vec<HostId> = out
+                .violations
+                .iter()
+                .filter(|v| v.kind == ViolationKind::Loss)
+                .filter_map(|v| v.witness.host)
+                .collect();
             assert!(
-                out.violations
-                    .iter()
-                    .any(|v| matches!(v.kind, ViolationKind::Loss | ViolationKind::Leakage)),
-                "corrupted plan not caught at {shards} shards: {:#?}",
+                !lost.is_empty(),
+                "dark pod not caught at {shards} shards: {:#?}",
                 out.violations
             );
+            assert!(out.violations.iter().all(|v| v.kind == ViolationKind::Loss));
+            assert_eq!(out.divergence_traces.len(), 1);
+            let trace = &out.divergence_traces[0];
+            assert_eq!(trace.group, GroupId(1));
+            assert!(trace.tree_json.contains("elmo_trace"));
+            // Whichever sender was sampled, a lost host is on the far side
+            // of the dark pod's spines from it.
+            let sender_pod = ctl.topo().pod_of_host(trace.sender);
+            for h in lost {
+                let pod = ctl.topo().pod_of_host(h);
+                assert!(
+                    pod == dark || sender_pod == dark,
+                    "{h:?} lost outside {dark:?}"
+                );
+            }
         }
+        for s in spines {
+            fabric.restore(elmo_topology::SwitchRef::Spine(s));
+        }
+        assert_differential_agrees(&ctl, &mut fabric, "restored state");
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! The objects every layer touches must cost bytes, not mallocs: a port
 //! bitmap of up to 128 ports lives inline, the hypervisor's receive path
-//! borrows instead of building, and decoding a header allocates only its
-//! rule lists. This binary installs a counting global allocator (the
+//! borrows instead of building, decoding a header allocates only its
+//! rule lists, and an s-rule write moves entries inside a switch's one
+//! group table. This binary installs a counting global allocator (the
 //! counter is per thread, so the harness's own threads do not disturb it)
-//! and holds those three budgets. One `#[test]` only: a second test in
+//! and holds those four budgets. One `#[test]` only: a second test in
 //! this binary would share the allocator but not the reasoning about what
 //! is warm.
 
@@ -16,9 +17,11 @@ use std::hint::black_box;
 use elmo::core::bitmap::INLINE_PORTS;
 use elmo::core::bits::BitReader;
 use elmo::core::{DownstreamRule, ElmoHeader, HeaderLayout, PortBitmap, UpstreamRule};
-use elmo::dataplane::{ElmoPacketRepr, HypervisorSwitch, SenderFlow, VmSlot};
+use elmo::dataplane::{
+    ElmoPacketRepr, HypervisorSwitch, NetworkSwitch, SenderFlow, SwitchConfig, VmSlot,
+};
 use elmo::net::vxlan::Vni;
-use elmo::topology::{Clos, HostId};
+use elmo::topology::{Clos, HostId, LeafId};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -142,6 +145,33 @@ fn wire_path_stays_within_its_allocation_budget() {
     );
     let (n, _) = allocations(|| ElmoHeader::validate(&bytes, &layout).expect("valid"));
     assert_eq!(n, 0, "validate builds nothing");
+
+    // --- s-rule writes: a search and a shift, never a rebuild ---------------
+    // Once the table has held this many keys its two columns have the
+    // capacity; a write that rebuilt any derived structure would allocate.
+    let mut leaf =
+        NetworkSwitch::new_leaf(Clos::paper_example(), LeafId(0), SwitchConfig::default());
+    let groups: Vec<std::net::Ipv4Addr> = (0..256u32)
+        .map(|i| (0xef01_0000 + i * 0x9e37 % 4096).into())
+        .collect();
+    let rule = |i: usize| PortBitmap::from_ports(layout.leaf_down_ports, [i % 8]);
+    let write_all = |leaf: &mut NetworkSwitch| {
+        for (i, g) in groups.iter().enumerate() {
+            leaf.install_srule(*g, rule(i)).expect("under Fmax");
+        }
+        for (i, g) in groups.iter().enumerate() {
+            leaf.install_srule(*g, rule(i + 1)).expect("overwrite");
+        }
+        let held = leaf.srule_count();
+        for g in &groups {
+            assert!(leaf.remove_srule(g));
+        }
+        held
+    };
+    write_all(&mut leaf);
+    let (n, held) = allocations(|| write_all(&mut leaf));
+    assert_eq!(held, groups.len(), "keys are distinct");
+    assert_eq!(n, 0, "install + overwrite + remove on a warm group table");
 
     // --- HypervisorSwitch::receive: borrows, never builds -------------------
     let outer = "239.7.7.7".parse().expect("addr");
