@@ -48,21 +48,6 @@ pub fn run(
     transport: Transport,
     model: &HostModel,
 ) -> PubSubResult {
-    run_sharded(topo, subscribers, msg_bytes, transport, model, 1)
-}
-
-/// [`run`] with the fabric replay spread over `replay_threads` engine
-/// shards (0 = one shard per core). Deliveries are identical at any shard
-/// count; this exists so the eval harness can exercise the application
-/// workloads over the parallel data plane.
-pub fn run_sharded(
-    topo: Clos,
-    subscribers: usize,
-    msg_bytes: usize,
-    transport: Transport,
-    model: &HostModel,
-    replay_threads: usize,
-) -> PubSubResult {
     assert!(subscribers >= 1);
     assert!(
         subscribers < topo.num_hosts(),
@@ -123,7 +108,7 @@ pub fn run_sharded(
     let packets_per_message = packets.len();
     let mut received = vec![0usize; subscribers];
     let batch = packets.into_iter().map(|p| (publisher, p));
-    for (host, bytes) in fabric.inject_batch(batch, replay_threads) {
+    for (host, bytes) in fabric.inject_batch(batch) {
         // Locate the subscriber hypervisor for this host.
         if let Some(i) = subs.iter().position(|&h| h == host) {
             for (_, inner) in rx[i].receive(&bytes, ctl.layout()) {

@@ -135,22 +135,6 @@ pub fn replicate(
     transport: Transport,
     model: &HostModel,
 ) -> SmrResult {
-    replicate_sharded(topo, replicas, log, transport, model, 1)
-}
-
-/// [`replicate`] with the fabric replay spread over `replay_threads`
-/// engine shards (0 = one shard per core).
-/// Replicas converge to the same digest at any shard count: within one
-/// log entry every delivered frame is identical, so delivery order
-/// cannot reorder commands.
-pub fn replicate_sharded(
-    topo: Clos,
-    replicas: usize,
-    log: &[Command],
-    transport: Transport,
-    model: &HostModel,
-    replay_threads: usize,
-) -> SmrResult {
     assert!(replicas >= 1 && replicas < topo.num_hosts());
     let leader = HostId(0);
     let followers: Vec<HostId> = (1..=replicas as u32).map(HostId).collect();
@@ -210,7 +194,7 @@ pub fn replicate_sharded(
         };
         leader_egress += packets.iter().map(|p| p.len() as u64).sum::<u64>();
         let batch = packets.into_iter().map(|p| (leader, p));
-        for (host, bytes) in fabric.inject_batch(batch, replay_threads) {
+        for (host, bytes) in fabric.inject_batch(batch) {
             if let Some((hv, replica)) = machines.get_mut(&host) {
                 for (_, inner) in hv.receive(&bytes, ctl.layout()) {
                     replica.apply(inner);

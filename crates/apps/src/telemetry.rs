@@ -27,9 +27,6 @@ pub struct TelemetryConfig {
     pub datagrams_per_sec: usize,
     /// Length of the measured interval in seconds.
     pub interval_secs: usize,
-    /// Fabric replay shard count (1 = inline on the calling thread,
-    /// 0 = one shard per core). Deliveries are identical at any value.
-    pub replay_threads: usize,
 }
 
 impl Default for TelemetryConfig {
@@ -38,7 +35,6 @@ impl Default for TelemetryConfig {
             datagram_bytes: 362,
             datagrams_per_sec: 2,
             interval_secs: 1,
-            replay_threads: 1,
         }
     }
 }
@@ -121,7 +117,7 @@ pub fn run(
             }
         };
         let batch = packets.into_iter().map(|p| (agent, p));
-        for (host, bytes) in fabric.inject_batch(batch, cfg.replay_threads) {
+        for (host, bytes) in fabric.inject_batch(batch) {
             if let Some(i) = collector_hosts.iter().position(|&h| h == host) {
                 received_total += rx[i].receive(&bytes, ctl.layout()).len();
             }

@@ -327,7 +327,6 @@ fn bench_verify() -> (usize, f64, f64) {
         threads: 0,
         samples: 50,
         seed: 0xb_e4c4,
-        replay_threads: 1,
     };
     let start = Instant::now();
     let run = verify_exp::run(topo, wl, &cfg);

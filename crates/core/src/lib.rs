@@ -34,8 +34,6 @@ pub mod par;
 pub mod plan;
 pub mod rng;
 pub mod sig;
-pub mod spsc;
-pub mod sync;
 
 pub use bitmap::PortBitmap;
 pub use cluster::{
@@ -56,5 +54,3 @@ pub use sig::{
     cluster_layer_cached, CacheOutcome, CacheShard, CanonicalLayer, EncodeCache, LayerSig,
     SigHasher, CACHE_MIN_ROWS,
 };
-pub use spsc::{spsc, spsc_in, SpscReceiver, SpscReceiverIn, SpscSender, SpscSenderIn};
-pub use sync::{AtomicCell, Pending};

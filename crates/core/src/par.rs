@@ -7,10 +7,6 @@
 //! caller merges them back into index order after the joins. Output is a
 //! plain `Vec<T>` in input order, so downstream sequential folds see the
 //! same order at any thread count.
-//!
-//! Pipelines whose workers exchange messages instead of joining use the
-//! bounded SPSC ring in [`crate::spsc`] (it lived here before the `sync`
-//! abstraction made it generic over the atomic backend).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

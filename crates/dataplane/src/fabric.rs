@@ -2,9 +2,9 @@
 //! Clos topology, moving real packet bytes and accounting per-tier link
 //! traffic.
 //!
-//! There is one traversal: the run-grouped engine in [`crate::shard`],
-//! entered through [`Fabric::replay_flights_sharded`]. Injected packets are
-//! parsed **once** into [`FlightPacket`]s; every hop after that moves
+//! There is one traversal: the run-grouped, single-threaded engine in
+//! [`crate::shard`], entered through [`Fabric::replay`]. Injected packets
+//! are parsed **once** into [`FlightPacket`]s; every hop after that moves
 //! `(switch, ingress port, pop depth)` entries, and bytes are materialized
 //! only at host delivery (and for an armed capture). The byte-level entry
 //! points here — [`Fabric::inject`], [`Fabric::inject_batch`],
@@ -17,7 +17,7 @@ use elmo_topology::{Clos, CoreId, HostId, LeafId, PodId, SpineId, SwitchRef};
 
 use crate::netswitch::{NetworkSwitch, SwitchConfig};
 use crate::packet::FlightPacket;
-use crate::shard::{DeliveryBatch, Partition, Queues};
+use crate::shard::{DeliveryBatch, Queues};
 
 /// Aggregate per-tier traffic counters (bytes and packets on the wire).
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
@@ -32,19 +32,6 @@ pub struct FabricStats {
 }
 
 impl FabricStats {
-    /// Fold another shard's counters into this one. Addition is the only
-    /// merge: every field is a sum over link events, so per-shard totals
-    /// combined in any order equal the serial totals.
-    pub fn absorb(&mut self, o: &FabricStats) {
-        self.host_to_leaf_bytes += o.host_to_leaf_bytes;
-        self.leaf_to_host_bytes += o.leaf_to_host_bytes;
-        self.leaf_to_spine_bytes += o.leaf_to_spine_bytes;
-        self.spine_to_leaf_bytes += o.spine_to_leaf_bytes;
-        self.spine_to_core_bytes += o.spine_to_core_bytes;
-        self.core_to_spine_bytes += o.core_to_spine_bytes;
-        self.packets_on_links += o.packets_on_links;
-    }
-
     /// Total bytes crossing any link (the numerator of traffic overhead).
     pub fn total_link_bytes(&self) -> u64 {
         self.host_to_leaf_bytes
@@ -70,12 +57,7 @@ pub(crate) struct FabricMetrics {
     /// Packet copies serialized back to wire bytes (host deliveries and
     /// captured copies) — every other copy moved as structs only.
     pub(crate) replay_materialized: elmo_obs::Counter,
-    /// Flight copies that crossed a shard boundary through an SPSC ring.
-    /// Deterministic for a fixed topology, batch, and shard count (the
-    /// partition fixes each hop's owner).
-    pub(crate) shard_cross_msgs: elmo_obs::Counter,
-    /// Engine calls ([`Fabric::replay_flights_sharded`], at any shard
-    /// count).
+    /// Engine calls ([`Fabric::replay`]).
     pub(crate) shard_batches: elmo_obs::Counter,
     /// Copy-tree trace events handed out by `take_tree_trace`.
     pub(crate) trace_events: elmo_obs::Counter,
@@ -92,16 +74,14 @@ pub(crate) fn metrics() -> &'static FabricMetrics {
         core_to_spine_bytes: elmo_obs::counter("fabric.core_to_spine_bytes"),
         packets_on_links: elmo_obs::counter("fabric.packets_on_links"),
         replay_materialized: elmo_obs::counter("fabric.replay.materialized"),
-        shard_cross_msgs: elmo_obs::counter("fabric.replay.shard.cross_msgs"),
         shard_batches: elmo_obs::counter("fabric.replay.shard.batches"),
         trace_events: elmo_obs::counter("trace.events_recorded"),
     })
 }
 
-/// Dense switch numbering shared by the fabric's switch vector, the shard
-/// partition and the copy-tree trace: leaves first, then spines, then
-/// cores. Trace node ids must be stable across shard counts, so all three
-/// derive from this one function of the topology alone.
+/// Dense switch numbering shared by the fabric's switch vector, the
+/// engine's buckets and the copy-tree trace: leaves first, then spines,
+/// then cores — a function of the topology alone.
 pub fn dense_switch_id(topo: &Clos, sw: SwitchRef) -> u32 {
     match sw {
         SwitchRef::Leaf(l) => l.0,
@@ -147,10 +127,9 @@ pub struct Fabric {
     /// topology alone, so it is compiled once here rather than per replay
     /// call.
     pub(crate) hops: HopTable,
-    /// The one-shard ownership map and the solo worker's queues (empty
-    /// between calls; only their capacity survives). Kept here so a
-    /// one-shard replay call costs O(copies), not O(switches).
-    pub(crate) solo: (Partition, Queues),
+    /// The engine's work queues (empty between calls; only their capacity
+    /// survives, so a replay call costs O(copies), not O(switches)).
+    pub(crate) queues: Queues,
     /// Switches currently failed: packets reaching them are dropped.
     pub(crate) down: std::collections::BTreeSet<SwitchRef>,
     /// When [`inject_traced`](Self::inject_traced) is running, the per-hop
@@ -158,11 +137,9 @@ pub struct Fabric {
     pub(crate) hop_log: Option<Vec<HopRecord>>,
     /// When copy-tree tracing, the edge events of every traced injection.
     pub(crate) tree: Option<TreeTrace>,
-    /// Flight-recorder ring capacity per replay shard (0 = off).
-    pub(crate) recorder_cap: usize,
-    /// The per-shard flight recorders of the last replay call (empty
-    /// until one runs with `recorder_cap > 0`).
-    pub(crate) flight_recorders: Vec<elmo_obs::FlightRecorder>,
+    /// The flight recorder, written across replay calls (capacity 0 =
+    /// off, the state until [`arm_flight_recorder`](Self::arm_flight_recorder)).
+    pub(crate) recorder: elmo_obs::FlightRecorder,
     /// When capturing, `(capture limit, captured packets)`: every copy
     /// put on a wire (injected or forwarded) is recorded until the limit
     /// is reached. Powers `elmo-eval --trace-pcap`.
@@ -216,13 +193,12 @@ impl Fabric {
             topo,
             layout: HeaderLayout::for_clos(&topo),
             hops: HopTable::new(&topo),
-            solo: (Partition::new(&topo, 1), Queues::new(switches.len())),
+            queues: Queues::new(switches.len()),
             switches,
             down: std::collections::BTreeSet::new(),
             hop_log: None,
             tree: None,
-            recorder_cap: 0,
-            flight_recorders: Vec::new(),
+            recorder: elmo_obs::FlightRecorder::new(0),
             capture: None,
             stats: FabricStats::default(),
         }
@@ -233,10 +209,9 @@ impl Fabric {
     /// can be repeated: `start_capture` / inject / [`take_capture`]
     /// (Self::take_capture), then again.
     ///
-    /// Each replay call appends its copies in a shard-count-invariant
-    /// order — by packet; within a packet the injected copy first, then
-    /// every forwarded copy by (emitting switch in dense order, output
-    /// port) — and the limit cuts that sequence.
+    /// Each replay call appends its copies by packet; within a packet the
+    /// injected copy first, then every forwarded copy by (emitting switch
+    /// in dense order, output port) — and the limit cuts that sequence.
     pub fn start_capture(&mut self, limit: usize) {
         self.capture = Some((limit, Vec::new()));
     }
@@ -265,8 +240,8 @@ impl Fabric {
     }
 
     /// End the trace session and take its events in canonical order
-    /// (sorted by packet, parent, child, state — the shard-invariant
-    /// order). Empty if tracing was never armed.
+    /// (sorted by packet, parent, child, state). Empty if tracing was
+    /// never armed.
     pub fn take_tree_trace(&mut self) -> Vec<elmo_obs::TraceEvent> {
         let mut events = self.tree.take().map(|t| t.events).unwrap_or_default();
         elmo_obs::sort_events(&mut events);
@@ -274,28 +249,23 @@ impl Fabric {
         events
     }
 
-    /// Arm the per-shard flight recorders: each worker of subsequent
-    /// replay calls keeps a ring of its last `capacity` trace events
-    /// for postmortem dumps (0 disables). The rings survive until the
-    /// next replay call replaces them.
+    /// Arm the flight recorder: a fresh ring of the last `capacity` trace
+    /// events, written by every subsequent replay call, for postmortem
+    /// dumps (0 disables).
     pub fn arm_flight_recorder(&mut self, capacity: usize) {
-        self.recorder_cap = capacity;
-        self.flight_recorders.clear();
+        self.recorder = elmo_obs::FlightRecorder::new(capacity);
     }
 
-    /// The per-shard flight recorders of the most recent replay call.
-    pub fn flight_recorders(&self) -> &[elmo_obs::FlightRecorder] {
-        &self.flight_recorders
+    /// The flight recorder: the most recent events of every replay call
+    /// since it was armed.
+    pub fn flight_recorder(&self) -> &elmo_obs::FlightRecorder {
+        &self.recorder
     }
 
-    /// Dump every armed shard recorder through the structured log,
-    /// tagged with `reason`; returns the total events dumped.
-    pub fn dump_flight_recorders(&self, reason: &str) -> usize {
-        self.flight_recorders
-            .iter()
-            .enumerate()
-            .map(|(shard, r)| r.dump(shard, reason))
-            .sum()
+    /// Dump the flight recorder through the structured log, tagged with
+    /// `reason`; returns the events dumped.
+    pub fn dump_flight_recorder(&self, reason: &str) -> usize {
+        self.recorder.dump(reason)
     }
 
     /// Take a spine out of service: packets reaching it are dropped, as on
@@ -387,19 +357,17 @@ impl Fabric {
     /// Inject one wire packet from a host; returns all host deliveries as
     /// `(host, packet bytes)` in canonical `(host, bytes)` order.
     pub fn inject(&mut self, from: HostId, bytes: Vec<u8>) -> Vec<(HostId, Vec<u8>)> {
-        self.inject_batch([(from, bytes)], 1)
+        self.inject_batch([(from, bytes)])
     }
 
-    /// Inject a batch of wire packets through `shards` engine workers
-    /// (0 = one per available core). Deliveries come back in the engine's
-    /// canonical `(packet index, host, bytes)` order, identical for every
-    /// shard count, as do all counters.
+    /// Inject a batch of wire packets. Deliveries come back in the
+    /// engine's canonical `(packet index, host, bytes)` order.
     ///
     /// The one parse of each packet happens here on its ingress leaf's
     /// behalf: bytes that do not parse are accounted on the host link and
     /// dropped on that leaf's counters, exactly as when the leaf parsed
     /// every packet itself (a failed leaf loses them before parsing).
-    pub fn inject_batch<I>(&mut self, packets: I, shards: usize) -> Vec<(HostId, Vec<u8>)>
+    pub fn inject_batch<I>(&mut self, packets: I) -> Vec<(HostId, Vec<u8>)>
     where
         I: IntoIterator<Item = (HostId, Vec<u8>)>,
     {
@@ -426,7 +394,7 @@ impl Fabric {
             }
         }
         let mut out = DeliveryBatch::new();
-        self.replay_flights_sharded(&flights, shards, &mut out);
+        self.replay(&flights, &mut out);
         out.to_vec()
     }
 

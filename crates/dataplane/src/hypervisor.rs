@@ -304,7 +304,7 @@ impl HypervisorSwitch {
     }
 
     /// [`send`](Self::send) in flight form: produce [`FlightPacket`]s for
-    /// direct replay via `Fabric::replay_flights_sharded`, skipping the outer
+    /// direct replay via `Fabric::replay`, skipping the outer
     /// stack serialization entirely (the paper's one-DMA-write point taken
     /// to its logical end in the model — zero writes). Entropy, counters,
     /// and fallback behavior advance exactly as in `send`, so materializing

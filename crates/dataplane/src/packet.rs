@@ -650,22 +650,10 @@ impl FlightBatch {
         self.wire_len(i, state) - self.pkts[i].payload.len()
     }
 
-    /// Build an empty batch on top of recycled buffers (cleared, capacity
-    /// kept) — how the sharded engine keeps warm replay allocation-free.
-    pub(crate) fn recycle(mut pkts: Vec<FlightPacket>, mut wire: Vec<[u32; 6]>) -> Self {
-        pkts.clear();
-        wire.clear();
-        FlightBatch {
-            pkts,
-            wire,
-            ..FlightBatch::default()
-        }
-    }
-
-    /// Tear the batch into its parallel arrays (packet slots, wire-length
-    /// rows) for the engine to share across workers.
-    pub(crate) fn into_parts(self) -> (Vec<FlightPacket>, Vec<[u32; 6]>) {
-        (self.pkts, self.wire)
+    /// The batch's parallel arrays — packet slots (whose `popped` the
+    /// engine uses as scratch) and the immutable wire-length rows.
+    pub(crate) fn parts_mut(&mut self) -> (&mut [FlightPacket], &[[u32; 6]]) {
+        (&mut self.pkts, &self.wire)
     }
 }
 

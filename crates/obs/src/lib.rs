@@ -21,11 +21,11 @@
 //!   document and parse back losslessly ([`Snapshot::from_json`]), so
 //!   sims and CI can diff runs.
 //! * **Tracing** ([`trace`]) — causal copy-tree trace events, the tree
-//!   builder behind `elmo-eval trace`, and the per-shard flight
-//!   recorder; [`timeline`] adds ring-buffered per-window registry
-//!   snapshots for time-resolved replay/failure runs. Both derive every
-//!   id from (packet index, switch id) — never wall clocks — so traced
-//!   runs stay bit-identical at any shard count.
+//!   builder behind `elmo-eval trace`, and the flight recorder;
+//!   [`timeline`] adds ring-buffered per-window registry snapshots for
+//!   time-resolved replay/failure runs. Both derive every id from
+//!   (packet index, switch id) — never wall clocks — so traced runs are
+//!   bit-reproducible.
 #![forbid(unsafe_code)]
 
 pub mod hist;

@@ -1,16 +1,16 @@
 //! Causal copy-tree tracing: the event model, the tree builder, and the
-//! per-shard flight recorder.
+//! flight recorder.
 //!
 //! A traced replay records one [`TraceEvent`] per *edge* of a packet's
 //! replication tree — parent switch to child switch at every fabric hop,
 //! parent switch to host at every delivery, and a synthetic root edge at
 //! injection. Recording edges (rather than annotating queue entries with
 //! parent pointers) keeps the hot-path cost to one branch plus a `Vec`
-//! push and, crucially, makes the trace *shard-invariant*: the multiset
-//! of edges a replay produces is the same whether copies were processed
-//! serially, or spread across N shard workers and stitched afterwards.
-//! [`sort_events`] puts any such multiset into the one canonical order,
-//! so trace equality across shard counts is plain slice equality.
+//! push and makes the trace independent of processing order: the multiset
+//! of edges a replay produces is the same whether a batch went through in
+//! one call or one packet at a time. [`sort_events`] puts any such
+//! multiset into the one canonical order, so trace equality is plain
+//! slice equality.
 //!
 //! Determinism: every identifier here derives from (packet index, dense
 //! switch id). No wall clocks, no addresses, no randomness — the same
@@ -67,9 +67,9 @@ impl TraceEvent {
     }
 }
 
-/// Sort a stitched event multiset into the canonical order: by
-/// (packet, parent, child, state). After this, traces from different
-/// shard counts (or the serial path) compare with `==`.
+/// Sort an event multiset into the canonical order: by (packet, parent,
+/// child, state). After this, traces of the same packets compare with
+/// `==` however the replay was batched.
 pub fn sort_events(events: &mut [TraceEvent]) {
     events.sort_unstable();
 }
@@ -309,9 +309,8 @@ impl CopyTree {
     }
 }
 
-/// Fixed-capacity ring of the most recent trace events for one replay
-/// shard. Single-writer (each shard worker owns its recorder), so the
-/// ring needs no locks or atomics at all — "lock-free" by construction.
+/// Fixed-capacity ring of the most recent trace events. Single-writer
+/// (the replay engine owns it), so the ring needs no locks or atomics.
 /// On anomaly the harness dumps the surviving tail as a postmortem.
 #[derive(Clone, Debug)]
 pub struct FlightRecorder {
@@ -356,6 +355,11 @@ impl FlightRecorder {
         out
     }
 
+    /// Events the ring holds before it starts overwriting (0 = off).
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
     /// Total events ever recorded.
     pub fn written(&self) -> u64 {
         self.written
@@ -372,14 +376,13 @@ impl FlightRecorder {
     }
 
     /// Dump the recorder's tail through the structured log as a
-    /// postmortem, tagged with `reason` and `shard`. Returns the number
-    /// of events dumped and bumps `trace.flight_recorder.dumps`.
-    pub fn dump(&self, shard: usize, reason: &str) -> usize {
+    /// postmortem, tagged with `reason`. Returns the number of events
+    /// dumped and bumps `trace.flight_recorder.dumps`.
+    pub fn dump(&self, reason: &str) -> usize {
         trace_metrics().1.inc();
         let events = self.events();
         crate::warn!(
             "trace.flight_recorder.dump",
-            shard = shard,
             reason = reason,
             kept = events.len(),
             written = self.written,
@@ -388,7 +391,6 @@ impl FlightRecorder {
         for ev in &events {
             crate::warn!(
                 "trace.flight_recorder.event",
-                shard = shard,
                 pkt = ev.pkt,
                 parent = ev.parent,
                 child = ev.child,

@@ -39,14 +39,6 @@
 //!   --threads N     encode worker threads (0 = all cores; results are
 //!                   identical at any thread count, only wall-clock changes)
 //!   --samples N     groups replayed in verify's differential mode (default 120)
-//!   --replay-threads N  data-plane replay shard count for verify's
-//!                   differential mode and the fig6/telemetry/SMR app
-//!                   fabrics (default: verify samples one from the seed,
-//!                   clamped to the available cores; apps stay serial;
-//!                   results are identical either way)
-//!   --replay-allow-oversubscribed  let verify's seed-derived shard count
-//!                   exceed the available cores; the report marks
-//!                   `replay_shards.oversubscribed` either way
 //!   --report-out P  write verify's JSON report to P
 //!   --group N       fixture group id for `trace` (1..=3, default 3)
 //!   --sender H      sender host for `trace` (default: group's first member)
@@ -97,8 +89,6 @@ struct Opts {
     check_file: Option<String>,
     samples: usize,
     report_out: Option<String>,
-    replay_threads: Option<usize>,
-    replay_allow_oversubscribed: bool,
     group: u64,
     sender: Option<u32>,
     trace_out: Option<String>,
@@ -112,7 +102,6 @@ struct Opts {
     min_group: Option<usize>,
     temporal_events: usize,
     temporal_senders: usize,
-    expect_min_schedules: Option<u64>,
 }
 
 fn parse_args() -> Opts {
@@ -132,8 +121,6 @@ fn parse_args() -> Opts {
         check_file: None,
         samples: 120,
         report_out: None,
-        replay_threads: None,
-        replay_allow_oversubscribed: false,
         group: 3,
         sender: None,
         trace_out: None,
@@ -147,7 +134,6 @@ fn parse_args() -> Opts {
         min_group: None,
         temporal_events: 10_000,
         temporal_senders: 2,
-        expect_min_schedules: None,
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -175,10 +161,6 @@ fn parse_args() -> Opts {
             "--seed" => opts.seed = expect_num(&mut args, "--seed"),
             "--threads" => opts.threads = expect_num(&mut args, "--threads") as usize,
             "--samples" => opts.samples = expect_num(&mut args, "--samples") as usize,
-            "--replay-threads" => {
-                opts.replay_threads = Some(expect_num(&mut args, "--replay-threads") as usize);
-            }
-            "--replay-allow-oversubscribed" => opts.replay_allow_oversubscribed = true,
             "--report-out" => {
                 opts.report_out = Some(
                     args.next()
@@ -213,9 +195,6 @@ fn parse_args() -> Opts {
             }
             "--temporal-senders" => {
                 opts.temporal_senders = expect_num(&mut args, "--temporal-senders") as usize;
-            }
-            "--expect-min-schedules" => {
-                opts.expect_min_schedules = Some(expect_num(&mut args, "--expect-min-schedules"));
             }
             "--windows" => opts.windows = expect_num(&mut args, "--windows") as usize,
             "--tick" => opts.tick = expect_num(&mut args, "--tick") as usize,
@@ -264,15 +243,14 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: elmo-eval <fig4|fig5|uniform|limited-srules|small-header|table1|table2|table3|\
-         fig6|fig7|telemetry|failures|latency|xpander|verify|churn|race|trace|timeline|all> [--full] \
+         fig6|fig7|telemetry|failures|latency|xpander|verify|churn|trace|timeline|all> [--full] \
          [--groups N] \
          [--tenants N] [--events N] [--pkt N] [--r 0,6,12] [--seed N] [--threads N] \
-         [--samples N] [--replay-threads N] [--replay-allow-oversubscribed] \
-         [--report-out PATH] [--metrics-out PATH] \
+         [--samples N] [--report-out PATH] [--metrics-out PATH] \
          [--trace-pcap PATH] \
          [--group N] [--sender H] [--trace-out PATH] [--expect-nodes N] \
          [--burst N] [--delta on|off] [--expect-hit-rate PCT] \
-         [--temporal-events N] [--temporal-senders N] [--expect-min-schedules N] \
+         [--temporal-events N] [--temporal-senders N] \
          [--windows N] [--tick N] [--timeline-out PATH] \
          [-v|-vv|--quiet] [--log-json]\n\
          \n       elmo-eval check-metrics <snapshot.json>"
@@ -334,7 +312,6 @@ fn main() {
             "trace",
             "timeline",
             "churn",
-            "race",
             "table1",
         ] {
             let mut o = opts.clone();
@@ -465,7 +442,6 @@ fn run_one(opts: &Opts) {
         "two-tier" => run_two_tier(opts),
         "verify" => run_verify(opts),
         "churn" => run_churn(opts),
-        "race" => run_race(opts),
         "trace" => run_trace(opts),
         "timeline" => run_timeline(opts),
         other => usage(&format!("unknown experiment: {other}")),
@@ -534,13 +510,12 @@ fn run_trace(opts: &Opts) {
 }
 
 /// `elmo-eval timeline` — the windowed failure replay: `--windows`
-/// logical ticks of `--tick` packets each through the sharded engine,
+/// logical ticks of `--tick` packets each through the replay engine,
 /// with the copy tree's first spine hop failed during the middle third.
 /// `--timeline-out` writes one JSONL line per window. Exit 1 if the run
 /// shows no loss window (the failure must be observable).
 fn run_timeline(opts: &Opts) {
-    let shards = opts.replay_threads.unwrap_or(2);
-    let run = match elmo_sim::timeline_exp::run(opts.windows, opts.tick, shards) {
+    let run = match elmo_sim::timeline_exp::run(opts.windows, opts.tick) {
         Ok(r) => r,
         Err(e) => {
             elmo_obs::error!("timeline.failed", error = e.as_str());
@@ -548,8 +523,8 @@ fn run_timeline(opts: &Opts) {
         }
     };
     println!(
-        "timeline: {} windows x {} packets, {} replay shards, spine {} failed for the middle third",
-        opts.windows, opts.tick, shards, run.failed_spine
+        "timeline: {} windows x {} packets, spine {} failed for the middle third",
+        opts.windows, opts.tick, run.failed_spine
     );
     let rows: Vec<Vec<String>> = run
         .rows
@@ -568,7 +543,7 @@ fn run_timeline(opts: &Opts) {
         table(&["window", "delivered", "expected", "spine"], &rows)
     );
     println!(
-        "{} loss windows; flight recorders captured {} events at first shortfall",
+        "{} loss windows; flight recorder held {} events at first shortfall",
         run.loss_windows, run.recorder_events
     );
     if let Some(path) = &opts.timeline_out {
@@ -605,33 +580,12 @@ fn run_verify(opts: &Opts) {
         .max_header_bytes(2, 30, 2)
         .max(if opts.full { 325 } else { 0 });
     let r = opts.r_values.iter().copied().max().unwrap_or(12);
-    // Differential replay goes through the sharded engine at a shard
-    // count sampled from the seed (2 or 4), unless --replay-threads pins
-    // one. Either way the replays diff against the same static walk, so
-    // this doubles as a continuous cross-check of the multi-core path.
-    // The seed-derived count is clamped to the cores actually available
-    // (a CI runner with one core would otherwise time scheduler churn,
-    // not the engine) unless --replay-allow-oversubscribed opts in; an
-    // explicit --replay-threads is always honored as given.
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let replay_threads = opts.replay_threads.unwrap_or_else(|| {
-        let seeded = if opts.seed.is_multiple_of(2) { 2 } else { 4 };
-        if opts.replay_allow_oversubscribed {
-            seeded
-        } else {
-            seeded.min(cpus.max(1))
-        }
-    });
-    let replay_oversubscribed = replay_threads > cpus;
     let cfg = VerifyExpConfig {
         r,
         header_budget: budget,
         threads: opts.threads,
         samples: opts.samples,
         seed: opts.seed,
-        replay_threads,
     };
     let mut reports = std::collections::BTreeMap::new();
     let mut failed = false;
@@ -647,7 +601,7 @@ fn run_verify(opts: &Opts) {
         let rep = &run.report;
         println!(
             "verify {name}: R={r}, {} groups ({} unicast fallback), {} sender walks, \
-             {} differential replays ({replay_threads} shards), {} traffic cross-checks -> {}",
+             {} differential replays, {} traffic cross-checks -> {}",
             count(rep.groups_checked as u64),
             rep.skipped_unicast_fallback,
             count(rep.senders_checked as u64),
@@ -724,26 +678,6 @@ fn run_verify(opts: &Opts) {
         reports.insert("temporal".to_string(), rep.to_json());
     }
     if let Some(path) = &opts.report_out {
-        // Record how the differential replays were sharded, so a report
-        // produced on an oversubscribed runner is marked as such instead
-        // of being indistinguishable from a clean one.
-        let mut shards = std::collections::BTreeMap::new();
-        shards.insert(
-            "threads".to_string(),
-            elmo_obs::JsonValue::U64(replay_threads as u64),
-        );
-        shards.insert(
-            "cpus_available".to_string(),
-            elmo_obs::JsonValue::U64(cpus as u64),
-        );
-        shards.insert(
-            "oversubscribed".to_string(),
-            elmo_obs::JsonValue::Bool(replay_oversubscribed),
-        );
-        reports.insert(
-            "replay_shards".to_string(),
-            elmo_obs::JsonValue::Object(shards),
-        );
         let json = elmo_obs::JsonValue::Object(reports).pretty();
         match std::fs::write(path, json) {
             Ok(()) => elmo_obs::info!("verify.report_written", path = path.as_str()),
@@ -755,91 +689,6 @@ fn run_verify(opts: &Opts) {
                 );
                 std::process::exit(1);
             }
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!();
-}
-
-/// `elmo-eval race` — run the `elmo-race` schedule explorer over every
-/// clean protocol model and every seeded mutation. Exit 1 if a clean
-/// model fails any schedule, a model degenerates below 10 schedules, a
-/// mutation goes uncaught, a witness fails to replay identically, or the
-/// clean-model schedule total falls below `--expect-min-schedules`.
-fn run_race(opts: &Opts) {
-    use elmo_race::{clean_models, mutated_models, Explorer};
-    let explorer = Explorer::default();
-    let mut failed = false;
-    let mut total_schedules = 0u64;
-    for model in clean_models() {
-        let rep = explorer.explore(&model);
-        total_schedules += rep.schedules;
-        let degenerate = rep.schedules < 10;
-        println!(
-            "race clean {}: {} schedules, {} executions -> {}",
-            rep.model,
-            count(rep.schedules),
-            count(rep.executions),
-            if rep.failure.is_none() && !degenerate {
-                "ok"
-            } else {
-                "FAIL"
-            },
-        );
-        if degenerate {
-            failed = true;
-            println!("  model degenerated: fewer than 10 distinct schedules");
-        }
-        if let Some(w) = rep.failure {
-            failed = true;
-            println!("  failure: {} (schedule {:?})", w.message, w.schedule);
-            for line in w.trace.iter().take(30) {
-                println!("    {line}");
-            }
-        }
-    }
-    for model in mutated_models() {
-        let rep = explorer.explore(&model);
-        match rep.failure {
-            Some(w) => {
-                // The witness must replay to the identical failure:
-                // that is what makes it actionable.
-                let replayed = explorer.replay(&model, &w.schedule);
-                let ok = replayed.as_deref() == Some(w.message.as_str());
-                println!(
-                    "race mutated {}: caught in {} executions, {} preemptions, replay {} -> {}",
-                    rep.model,
-                    count(rep.executions),
-                    w.preemptions,
-                    if ok { "identical" } else { "DIVERGED" },
-                    if ok { "ok" } else { "FAIL" },
-                );
-                if !ok {
-                    failed = true;
-                }
-            }
-            None => {
-                failed = true;
-                println!(
-                    "race mutated {}: NOT caught in {} schedules -> FAIL",
-                    rep.model,
-                    count(rep.schedules),
-                );
-            }
-        }
-    }
-    if let Some(floor) = opts.expect_min_schedules {
-        let ok = total_schedules >= floor;
-        println!(
-            "race schedule floor: {} clean-model schedules, floor {} -> {}",
-            count(total_schedules),
-            count(floor),
-            if ok { "ok" } else { "FAIL" },
-        );
-        if !ok {
-            failed = true;
         }
     }
     if failed {
@@ -1185,7 +1034,7 @@ fn run_table3() {
 }
 
 fn run_fig6(opts: &Opts) {
-    use elmo_apps::pubsub::{run_sharded, Transport};
+    use elmo_apps::pubsub::{run, Transport};
     use elmo_apps::HostModel;
     let topo = if opts.full {
         Clos::facebook_fabric()
@@ -1193,15 +1042,14 @@ fn run_fig6(opts: &Opts) {
         Clos::scaled_fabric(4, 8, 12)
     };
     let model = HostModel::default();
-    let rt = opts.replay_threads.unwrap_or(1);
     println!("Figure 6: pub-sub over ZeroMQ-style workload, 100-byte messages");
     let mut rows = Vec::new();
     for n in [1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
         if n + 1 >= topo.num_hosts() {
             break;
         }
-        let uni = run_sharded(topo, n, 100, Transport::Unicast, &model, rt);
-        let elmo = run_sharded(topo, n, 100, Transport::Elmo, &model, rt);
+        let uni = run(topo, n, 100, Transport::Unicast, &model);
+        let elmo = run(topo, n, 100, Transport::Elmo, &model);
         assert!(
             uni.delivery_verified && elmo.delivery_verified,
             "fabric delivery broken"
@@ -1275,10 +1123,7 @@ fn run_telemetry(opts: &Opts) {
         Clos::scaled_fabric(4, 8, 12)
     };
     println!("Host telemetry (sFlow): agent egress bandwidth vs collectors");
-    let cfg = TelemetryConfig {
-        replay_threads: opts.replay_threads.unwrap_or(1),
-        ..TelemetryConfig::default()
-    };
+    let cfg = TelemetryConfig::default();
     let mut rows = Vec::new();
     for n in [1usize, 2, 4, 8, 16, 32, 64] {
         if n + 1 >= topo.num_hosts() {

@@ -66,7 +66,6 @@ pub const REQUIRED_METRICS: &[&str] = &[
     // back to wire bytes (only host deliveries and captures should be).
     "fabric.replay.materialized",
     "fabric.replay.shard.batches",
-    "fabric.replay.shard.cross_msgs",
     // Copy-tree tracing and the windowed time-series (§7 monitoring
     // direction; `elmo-eval trace` / `timeline`).
     "trace.events_recorded",

@@ -1,20 +1,21 @@
 //! The `elmo-eval timeline` experiment: a windowed failure replay that
-//! exercises the [`elmo_obs::Timeline`] ring and the per-shard flight
-//! recorders end to end.
+//! exercises the [`elmo_obs::Timeline`] ring and the flight recorder end
+//! to end.
 //!
 //! One cross-pod group replays a fixed per-window packet budget through
-//! the sharded engine for `windows` logical ticks. A third of the way in,
+//! the engine for `windows` logical ticks. A third of the way in,
 //! the spine the traced copy tree actually uses is failed; two thirds in
 //! it is restored. Every window closes a [`elmo_obs::TimelineWindow`]
 //! carrying the delivery/drop counter deltas plus absolute gauges
 //! (per-window deliveries, expected deliveries, leaf group-table
 //! occupancy), so the emitted `timeline.jsonl` shows the loss window as a
 //! step the reader can diff against the surrounding healthy windows.
-//! The first shortfall window also dumps the shard flight recorders — the
-//! "what were the workers doing just before the anomaly" postmortem.
+//! The first shortfall window also dumps the flight recorder, whose ring
+//! is sized for two windows — the failing one and the healthy one just
+//! before it, the "what did the copies do before the anomaly" postmortem.
 //!
 //! Windows are logical ticks, never wall clocks: the run is bit-identical
-//! for a given (windows, tick, shards) triple.
+//! for a given (windows, tick) pair.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -54,7 +55,7 @@ pub struct TimelineRun {
     pub failed_spine: u32,
     /// Windows that delivered fewer copies than expected.
     pub loss_windows: usize,
-    /// Flight-recorder events captured across shards at dump time.
+    /// Flight-recorder events held at dump time.
     pub recorder_events: usize,
 }
 
@@ -66,9 +67,9 @@ impl TimelineRun {
 }
 
 /// Run the windowed failure replay: `windows` logical ticks of `tick`
-/// packets each through `shards` replay shards. Fails the copy tree's
-/// first spine hop during the middle third of the run.
-pub fn run(windows: usize, tick: usize, shards: usize) -> Result<TimelineRun, String> {
+/// packets each. Fails the copy tree's first spine hop during the middle
+/// third of the run.
+pub fn run(windows: usize, tick: usize) -> Result<TimelineRun, String> {
     if windows < 3 {
         return Err("need at least 3 windows (healthy / failed / restored)".into());
     }
@@ -124,7 +125,7 @@ pub fn run(windows: usize, tick: usize, shards: usize) -> Result<TimelineRun, St
     // instead of a spine the encoding happened to avoid.
     let mut batch = DeliveryBatch::new();
     fabric.start_tree_trace();
-    fabric.replay_flights_sharded(&[(sender, pkt.clone())], 1, &mut batch);
+    fabric.replay(&[(sender, pkt.clone())], &mut batch);
     let events = fabric.take_tree_trace();
     let spine = events
         .iter()
@@ -148,7 +149,8 @@ pub fn run(windows: usize, tick: usize, shards: usize) -> Result<TimelineRun, St
     let expected_gauge = elmo_obs::gauge("timeline.window.expected");
     let occupancy_gauge = elmo_obs::gauge("timeline.window.leaf_srules");
 
-    fabric.arm_flight_recorder(tick.max(64));
+    // Room for two whole windows of copy-tree edges.
+    fabric.arm_flight_recorder(2 * tick * events.len());
     let mut tl = Timeline::start(windows);
     let mut rows = Vec::with_capacity(windows);
     let mut expected = 0u64;
@@ -162,7 +164,7 @@ pub fn run(windows: usize, tick: usize, shards: usize) -> Result<TimelineRun, St
         if w == restore_at {
             fabric.restore(SwitchRef::Spine(spine));
         }
-        fabric.replay_flights_sharded(&flights, shards, &mut batch);
+        fabric.replay(&flights, &mut batch);
         let delivered = batch.len() as u64;
         if w == 0 {
             expected = delivered;
@@ -171,14 +173,9 @@ pub fn run(windows: usize, tick: usize, shards: usize) -> Result<TimelineRun, St
         if delivered < expected {
             loss_windows += 1;
             if !dumped {
-                // First anomaly: capture what each shard worker saw just
-                // before the shortfall.
-                recorder_events = fabric
-                    .flight_recorders()
-                    .iter()
-                    .map(|r| r.events().len())
-                    .sum();
-                fabric.dump_flight_recorders("delivery shortfall");
+                // First anomaly: what the copies did in this window and
+                // the healthy one before it.
+                recorder_events = fabric.dump_flight_recorder("delivery shortfall");
                 dumped = true;
             }
         }
@@ -208,7 +205,7 @@ mod tests {
 
     #[test]
     fn failure_run_shows_a_loss_window() {
-        let run = run(12, 8, 2).expect("timeline runs");
+        let run = run(12, 8).expect("timeline runs");
         assert_eq!(run.rows.len(), 12);
         assert_eq!(run.timeline.closed(), 12);
         // The middle third delivers strictly less than the healthy
@@ -227,8 +224,8 @@ mod tests {
 
     #[test]
     fn windows_carry_gauges_and_are_deterministic() {
-        let a = run(9, 4, 1).expect("runs");
-        let b = run(9, 4, 4).expect("runs");
+        let a = run(9, 4).expect("runs");
+        let b = run(9, 4).expect("runs");
         for (wa, wb) in a.timeline.windows().iter().zip(b.timeline.windows()) {
             assert_eq!(
                 wa.gauge("timeline.window.deliveries"),
@@ -243,7 +240,7 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_configs() {
-        assert!(run(2, 8, 1).is_err());
-        assert!(run(12, 0, 1).is_err());
+        assert!(run(2, 8).is_err());
+        assert!(run(12, 0).is_err());
     }
 }

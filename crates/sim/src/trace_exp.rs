@@ -122,7 +122,7 @@ pub fn run(group: u64, sender: Option<u32>) -> Result<TraceRun, String> {
     // bit-identical to an untraced run (pinned by tests/path_trace.rs).
     fabric.start_tree_trace();
     let mut deliveries = DeliveryBatch::new();
-    fabric.replay_flights_sharded(&[(sender, pkt)], 1, &mut deliveries);
+    fabric.replay(&[(sender, pkt)], &mut deliveries);
     let events = fabric.take_tree_trace();
     let mut tree = CopyTree::build(0, &events, |n| trace_node_label(&topo, n));
 

@@ -20,8 +20,7 @@ use elmo_dataplane::{Fabric, HypervisorSwitch, SenderFlow, SwitchConfig, VmSlot}
 use elmo_net::vxlan::Vni;
 use elmo_topology::{Clos, HostId, LeafId, PodId};
 use elmo_verify::{
-    check_state_with, differential_check_with, Report, VerifyOptions, Violation, ViolationKind,
-    Witness,
+    check_state_with, differential_check, Report, VerifyOptions, Violation, ViolationKind, Witness,
 };
 use elmo_workloads::{initial_roles, Role, Workload, WorkloadConfig};
 
@@ -52,10 +51,6 @@ pub struct VerifyExpConfig {
     pub samples: usize,
     /// Seed for the differential sampler.
     pub seed: u64,
-    /// Shard count for the differential replay: 1 = serial loop, more
-    /// = the sharded multi-core engine, 0 = one shard per core. Either
-    /// way the replays are diffed against the same static walk.
-    pub replay_threads: usize,
 }
 
 /// Compile `workload_cfg` on `topo`, install the full state, and verify it.
@@ -137,8 +132,7 @@ pub fn run(topo: Clos, workload_cfg: WorkloadConfig, cfg: &VerifyExpConfig) -> V
     }
     report.violations.extend(extra);
 
-    let diff =
-        differential_check_with(&ctl, &mut fabric, cfg.samples, cfg.seed, cfg.replay_threads);
+    let diff = differential_check(&ctl, &mut fabric, cfg.samples, cfg.seed);
     report.violations.extend(diff.violations);
 
     VerifyRun {
@@ -230,9 +224,6 @@ mod tests {
                 threads: 0,
                 samples: 120,
                 seed: 0xe1_40,
-                // Route the differential replays through the sharded
-                // engine so the checker also diffs the multi-core path.
-                replay_threads: 2,
             },
         );
         assert!(

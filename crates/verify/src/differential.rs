@@ -55,22 +55,6 @@ pub fn differential_check(
     max_samples: usize,
     seed: u64,
 ) -> DifferentialOutcome {
-    differential_check_with(ctl, fabric, max_samples, seed, 1)
-}
-
-/// [`differential_check`] with the replay spread over `replay_threads`
-/// engine shards — the same diff against the static walk, but exercising
-/// the multi-core forwarding path (partitioned switches, cross-shard
-/// rings) when more than one. The walk's predictions don't change, so any
-/// divergence sharding introduces surfaces as a
-/// Loss/Leakage/EncapMismatch violation here.
-pub fn differential_check_with(
-    ctl: &Controller,
-    fabric: &mut Fabric,
-    max_samples: usize,
-    seed: u64,
-    replay_threads: usize,
-) -> DifferentialOutcome {
     let layout = *ctl.layout();
     let mut ids: Vec<GroupId> = ctl
         .groups()
@@ -150,7 +134,7 @@ pub fn differential_check_with(
         };
 
         let flight = [(sender, pkt)];
-        fabric.replay_flights_sharded(&flight, replay_threads, &mut delivered);
+        fabric.replay(&flight, &mut delivered);
         let mut observed: BTreeMap<HostId, u32> = BTreeMap::new();
         delivered.for_each(|h, bytes| {
             *observed.entry(h).or_insert(0) += 1;
@@ -203,7 +187,7 @@ pub fn differential_check_with(
             // witness. Tracing never changes deliveries, so the re-run
             // reproduces exactly what the diff above observed.
             fabric.start_tree_trace();
-            fabric.replay_flights_sharded(&flight, replay_threads, &mut delivered);
+            fabric.replay(&flight, &mut delivered);
             let events = fabric.take_tree_trace();
             let tree = elmo_obs::CopyTree::build(0, &events, |n| {
                 elmo_dataplane::trace_node_label(ctl.topo(), n)

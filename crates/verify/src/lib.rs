@@ -48,9 +48,7 @@ use elmo_controller::{Controller, GroupState};
 use elmo_dataplane::{ElmoPacketRepr, Fabric, HypervisorSwitch};
 use elmo_topology::{HostId, LeafId, SwitchRef};
 
-pub use differential::{
-    differential_check, differential_check_with, DifferentialOutcome, DivergenceTrace,
-};
+pub use differential::{differential_check, DifferentialOutcome, DivergenceTrace};
 pub use report::{
     BudgetSummary, RedundancySummary, Report, RuleRef, SenderTraffic, TableTier, Violation,
     ViolationKind, Witness,
@@ -478,16 +476,14 @@ mod tests {
     }
 
     fn assert_differential_agrees(ctl: &Controller, fabric: &mut Fabric, what: &str) {
-        for shards in [1, 2] {
-            let out = differential_check_with(ctl, fabric, 8, 0xe1, shards);
-            assert_eq!(out.sampled, 1);
-            assert!(
-                out.violations.is_empty(),
-                "{what}: replay and static walk diverged at {shards} shards: {:#?}",
-                out.violations
-            );
-            assert!(out.divergence_traces.is_empty());
-        }
+        let out = differential_check(ctl, fabric, 8, 0xe1);
+        assert_eq!(out.sampled, 1);
+        assert!(
+            out.violations.is_empty(),
+            "{what}: replay and static walk diverged: {:#?}",
+            out.violations
+        );
+        assert!(out.divergence_traces.is_empty());
     }
 
     #[test]
@@ -540,35 +536,33 @@ mod tests {
             fabric.fail_spine(s);
         }
         assert!(check_state(&ctl, &fabric).ok());
-        for shards in [1, 2] {
-            let out = differential_check_with(&ctl, &mut fabric, 8, 0xe1, shards);
-            assert_eq!(out.sampled, 1);
-            let lost: Vec<HostId> = out
-                .violations
-                .iter()
-                .filter(|v| v.kind == ViolationKind::Loss)
-                .filter_map(|v| v.witness.host)
-                .collect();
+        let out = differential_check(&ctl, &mut fabric, 8, 0xe1);
+        assert_eq!(out.sampled, 1);
+        let lost: Vec<HostId> = out
+            .violations
+            .iter()
+            .filter(|v| v.kind == ViolationKind::Loss)
+            .filter_map(|v| v.witness.host)
+            .collect();
+        assert!(
+            !lost.is_empty(),
+            "dark pod not caught: {:#?}",
+            out.violations
+        );
+        assert!(out.violations.iter().all(|v| v.kind == ViolationKind::Loss));
+        assert_eq!(out.divergence_traces.len(), 1);
+        let trace = &out.divergence_traces[0];
+        assert_eq!(trace.group, GroupId(1));
+        assert!(trace.tree_json.contains("elmo_trace"));
+        // Whichever sender was sampled, a lost host is on the far side
+        // of the dark pod's spines from it.
+        let sender_pod = ctl.topo().pod_of_host(trace.sender);
+        for h in lost {
+            let pod = ctl.topo().pod_of_host(h);
             assert!(
-                !lost.is_empty(),
-                "dark pod not caught at {shards} shards: {:#?}",
-                out.violations
+                pod == dark || sender_pod == dark,
+                "{h:?} lost outside {dark:?}"
             );
-            assert!(out.violations.iter().all(|v| v.kind == ViolationKind::Loss));
-            assert_eq!(out.divergence_traces.len(), 1);
-            let trace = &out.divergence_traces[0];
-            assert_eq!(trace.group, GroupId(1));
-            assert!(trace.tree_json.contains("elmo_trace"));
-            // Whichever sender was sampled, a lost host is on the far side
-            // of the dark pod's spines from it.
-            let sender_pod = ctl.topo().pod_of_host(trace.sender);
-            for h in lost {
-                let pod = ctl.topo().pod_of_host(h);
-                assert!(
-                    pod == dark || sender_pod == dark,
-                    "{h:?} lost outside {dark:?}"
-                );
-            }
         }
         for s in spines {
             fabric.restore(elmo_topology::SwitchRef::Spine(s));

@@ -21,13 +21,12 @@
 //!    (`obs/trace.rs`, `obs/timeline.rs`, `dataplane/fabric.rs`,
 //!    `dataplane/shard.rs`) get the encode path's wall-clock ban — trace
 //!    ids derive from (packet index, switch id) and windows are logical
-//!    ticks, so traced replays stay bit-identical at any shard count.
+//!    ticks, so traced replays are bit-reproducible.
 //! 5. **Audited atomics**: every atomic `Ordering::*` token in non-test
 //!    code must live in an allowlisted sync module *and* sit under a
 //!    `// ordering:` justification comment (the comment covers uses up
-//!    to the next blank line). New lock-free code must either join the
-//!    allowlist deliberately or use the `elmo_core::sync` abstraction,
-//!    whose backends are exhaustively schedule-checked by `elmo-race`.
+//!    to the next blank line). New lock-free code must join the
+//!    allowlist deliberately.
 //! 6. **`forbid(unsafe_code)` coverage**: every crate root and binary
 //!    root under `crates/` must carry `#![forbid(unsafe_code)]` — the
 //!    workspace is 100% safe Rust and stays that way by construction.
@@ -243,8 +242,8 @@ fn is_encode_path(rel: &str) -> bool {
 /// Files where trace ids and timeline windows are derived. Trace ids must
 /// be pure functions of (packet index, switch id) and windows must be
 /// logical ticks, so these paths get the same clock ban as the encode
-/// path — a wall-clock read here would silently break the "trace-enabled
-/// replay is bit-identical at any shard count" guarantee.
+/// path — a wall-clock read here would silently break the "a traced
+/// replay is bit-reproducible" guarantee.
 fn is_trace_path(rel: &str) -> bool {
     [
         "crates/obs/src/trace.rs",
@@ -344,17 +343,13 @@ fn string_array(text: &str, name: &str) -> Vec<String> {
     names
 }
 
-/// Modules allowed to touch atomic memory orderings directly. Everything
-/// else goes through `elmo_core::sync`, whose two backends (real atomics
-/// and the `elmo-race` instrumented cells) are schedule-checked.
+/// Modules allowed to touch atomic memory orderings directly: the
+/// encode fork/join cursor and the metrics registry. The replay engine is
+/// single-threaded and has none.
 const ORDERING_ALLOWLIST: &[&str] = &[
     "crates/core/src/par.rs",
-    "crates/core/src/spsc.rs",
-    "crates/core/src/sync.rs",
     "crates/obs/src/log.rs",
     "crates/obs/src/registry.rs",
-    "crates/race/src/sched.rs",
-    "crates/race/src/models.rs",
 ];
 
 /// The atomic `Ordering` variants. `std::cmp::Ordering`'s variants
@@ -395,8 +390,8 @@ fn check_atomic_orderings(rel: &str, text: &str, problems: &mut Vec<String>) {
         if !allowlisted {
             problems.push(format!(
                 "{rel}:{line_no}: atomic Ordering use outside the allowlisted sync \
-                 modules; build on elmo_core::sync (or extend the xtask allowlist \
-                 deliberately, with a `// ordering:` justification)"
+                 modules; extend the xtask allowlist deliberately, with a \
+                 `// ordering:` justification"
             ));
         } else if !justified {
             problems.push(format!(

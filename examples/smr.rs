@@ -2,12 +2,10 @@
 //! workloads): a leader replicates an ordered command log to N replicas,
 //! over native multicast vs sender-side unicast replication.
 //!
-//! Run with: `cargo run --example smr [replicas] [replay-threads]`
-//! (replay-threads > 1 routes the fabric replay through the sharded
-//! multi-core engine; the replicas converge identically either way)
+//! Run with: `cargo run --example smr [replicas]`
 
 use elmo::apps::pubsub::Transport;
-use elmo::apps::smr::{replicate_sharded, sample_log};
+use elmo::apps::smr::{replicate, sample_log};
 use elmo::apps::HostModel;
 use elmo::topology::Clos;
 
@@ -16,10 +14,6 @@ fn main() {
         .nth(1)
         .and_then(|v| v.parse().ok())
         .unwrap_or(48);
-    let replay_threads: usize = std::env::args()
-        .nth(2)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
     let topo = Clos::paper_example();
     let model = HostModel::default();
     let log = sample_log(200);
@@ -31,8 +25,8 @@ fn main() {
     );
     let mut n = 2;
     while n <= max && n < topo.num_hosts() {
-        let e = replicate_sharded(topo, n, &log, Transport::Elmo, &model, replay_threads);
-        let u = replicate_sharded(topo, n, &log, Transport::Unicast, &model, replay_threads);
+        let e = replicate(topo, n, &log, Transport::Elmo, &model);
+        let u = replicate(topo, n, &log, Transport::Unicast, &model);
         assert!(e.converged && u.converged, "replicas diverged at n={n}");
         println!(
             "{:>8}  {:>16.0} {:>16.0}  {:>14.1} {:>14.1}",

@@ -3,25 +3,27 @@
 //! The objects every layer touches must cost bytes, not mallocs: a port
 //! bitmap of up to 128 ports lives inline, the hypervisor's receive path
 //! borrows instead of building, decoding a header allocates only its
-//! rule lists, and an s-rule write moves entries inside a switch's one
-//! group table. This binary installs a counting global allocator (the
-//! counter is per thread, so the harness's own threads do not disturb it)
-//! and holds those four budgets. One `#[test]` only: a second test in
-//! this binary would share the allocator but not the reasoning about what
-//! is warm.
+//! rule lists, an s-rule write moves entries inside a switch's one
+//! group table, and a warm replay call makes one allocation. This binary
+//! installs a counting global allocator (the counter is per thread, so the
+//! harness's own threads do not disturb it) and holds those five budgets.
+//! One `#[test]` only: a second test in this binary would share the
+//! allocator but not the reasoning about what is warm.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
+use elmo::controller::{Controller, ControllerConfig, GroupId, MemberRole};
 use elmo::core::bitmap::INLINE_PORTS;
 use elmo::core::bits::BitReader;
 use elmo::core::{DownstreamRule, ElmoHeader, HeaderLayout, PortBitmap, UpstreamRule};
 use elmo::dataplane::{
-    ElmoPacketRepr, HypervisorSwitch, NetworkSwitch, SenderFlow, SwitchConfig, VmSlot,
+    DeliveryBatch, ElmoPacketRepr, Fabric, FlightPacket, HypervisorSwitch, NetworkSwitch,
+    SenderFlow, SwitchConfig, VmSlot,
 };
 use elmo::net::vxlan::Vni;
-use elmo::topology::{Clos, HostId, LeafId};
+use elmo::topology::{Clos, HostId, LeafId, PodId};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -104,6 +106,46 @@ fn figure3b_header(l: &HeaderLayout) -> ElmoHeader {
         ],
         d_leaf_default: Some(PortBitmap::from_ports(l.leaf_down_ports, [1])),
     }
+}
+
+/// The three paper-example groups (same-leaf, same-pod, cross-pod) installed
+/// on a fabric, and `n` flights from H0 round-robined over them.
+fn example_groups_flights(n: usize) -> (Fabric, Vec<(HostId, FlightPacket)>) {
+    let topo = Clos::paper_example();
+    let mut ctl = Controller::new(topo, ControllerConfig::paper_default(12));
+    let mut fabric = Fabric::new(topo, SwitchConfig::default());
+    let shapes: [&[u32]; 3] = [&[0, 1], &[0, 8, 13], &[0, 1, 42, 48, 49, 57]];
+    let mut hv = HypervisorSwitch::new(HostId(0));
+    let tenant = |gi: usize| std::net::Ipv4Addr::new(225, 9, 9, gi as u8 + 1);
+    for (gi, members) in shapes.iter().enumerate() {
+        let gid = GroupId(gi as u64 + 1);
+        let members = members.iter().map(|&h| (HostId(h), MemberRole::Both));
+        ctl.create_group(gid, Vni(7), tenant(gi), members);
+        let state = ctl.group(gid).expect("created group");
+        for (leaf, bm) in &state.enc.d_leaf.s_rules {
+            let leaf = fabric.leaf_mut(LeafId(*leaf));
+            leaf.install_srule(state.outer_addr, bm.clone())
+                .expect("capacity");
+        }
+        for (pod, bm) in &state.enc.d_spine.s_rules {
+            fabric
+                .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
+                .expect("capacity");
+        }
+        let header = ctl.header_for(gid, HostId(0)).expect("sender header");
+        let flow = SenderFlow::new(state.outer_addr, Vni(7), &header, ctl.layout(), vec![]);
+        hv.install_flow(Vni(7), tenant(gi), flow);
+    }
+    let payload: std::sync::Arc<[u8]> = std::sync::Arc::from(vec![0xE1u8; 1_500]);
+    let flights = (0..n)
+        .map(|i| {
+            (
+                HostId(0),
+                hv.send_flight(Vni(7), tenant(i % 3), &payload).remove(0),
+            )
+        })
+        .collect();
+    (fabric, flights)
 }
 
 #[test]
@@ -228,4 +270,19 @@ fn wire_path_stays_within_its_allocation_budget() {
     assert_eq!(rx.stats.delivered, 2 + 2 + 2 + 1);
     assert_eq!(rx.stats.discarded, 1);
     assert_eq!(bystander.stats.discarded, 3);
+
+    // --- Fabric::replay: a warm call into a reused batch makes one -----------
+    // Queues, the delivery entries, the batch's length rows and the sort
+    // keys all keep their capacity; the one allocation is the counting
+    // sort's per-packet count buffer (not recycled on purpose, see
+    // `DeliveryBatch::sort_canonical`). Any per-call worker, ring,
+    // partition, seed or result vector would show up here as a count.
+    let (mut fabric, flights) = example_groups_flights(3_000);
+    let mut out = DeliveryBatch::new();
+    for (batch, copies) in [(&flights[..], 8_000), (&flights[2..3], 5)] {
+        fabric.replay(batch, &mut out);
+        let (n, ()) = allocations(|| fabric.replay(batch, &mut out));
+        assert_eq!(out.len(), copies);
+        assert_eq!(n, 1, "warm replay of {} packets", batch.len());
+    }
 }

@@ -117,7 +117,7 @@ fn replay_one(
     pkt: elmo::dataplane::FlightPacket,
 ) -> Vec<(HostId, Vec<u8>)> {
     let mut out = elmo::dataplane::DeliveryBatch::new();
-    fabric.replay_flights_sharded(&[(from, pkt)], 1, &mut out);
+    fabric.replay(&[(from, pkt)], &mut out);
     out.to_vec()
 }
 
@@ -166,4 +166,55 @@ fn tracing_off_is_a_no_op() {
         plain_fab.take_tree_trace().is_empty(),
         "untraced run recorded events"
     );
+}
+
+/// The flight recorder is one ring written across replay calls: dumped at
+/// the first failing window it still holds the healthy window before it.
+/// (One recorder per call, replaced on every call, held only the failing
+/// window.)
+#[test]
+fn flight_recorder_keeps_the_window_before_the_failing_one() {
+    let (topo, mut fabric, pkt) = tree_fixture();
+    let window = vec![(HostId(0), pkt); 4];
+    let mut out = elmo::dataplane::DeliveryBatch::new();
+    fabric.arm_flight_recorder(1024);
+
+    fabric.replay(&window, &mut out);
+    let healthy = fabric.flight_recorder().events();
+    assert!(
+        !healthy.is_empty() && healthy.len() % 4 == 0,
+        "four whole trees"
+    );
+    let spine = healthy
+        .iter()
+        .find_map(
+            |e| match elmo::dataplane::dense_switch_ref(&topo, e.parent) {
+                SwitchRef::Spine(s) => Some((s, e.parent)),
+                _ => None,
+            },
+        )
+        .expect("the tree crosses a spine");
+
+    fabric.fail_spine(spine.0);
+    fabric.replay(&window, &mut out);
+    let recorder = fabric.flight_recorder();
+    let held = recorder.events();
+    assert_eq!(
+        recorder.overflowed(),
+        0,
+        "the ring is larger than two windows"
+    );
+    assert_eq!(
+        held[..healthy.len()],
+        healthy[..],
+        "the healthy window first"
+    );
+    let failing = &held[healthy.len()..];
+    assert!(
+        !failing.is_empty() && failing.len() < healthy.len(),
+        "the failing window lost copies: {} then {}",
+        healthy.len(),
+        failing.len()
+    );
+    assert!(failing.iter().all(|e| e.parent != spine.1));
 }

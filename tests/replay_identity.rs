@@ -1,11 +1,13 @@
-//! Engine ≡ spec: the replay engine (`Fabric::replay_flights_sharded` and
-//! the byte adapters over it) must be observationally indistinguishable
-//! from the executable specification in `tests/spec/` — identical
+//! Engine ≡ spec: the replay engine (`Fabric::replay` and the byte
+//! adapters over it) must be observationally indistinguishable from the
+//! executable specification in `tests/spec/` — identical
 //! `(HostId, Vec<u8>)` deliveries in canonical order, identical per-switch
-//! `SwitchStats`, identical per-tier link-byte counters — at 1/2/4/8
-//! shards, with and without failed switches and tree tracing, on the
-//! paper's Figure 3 scenario, s-rule and default-p-rule encodings, unicast,
-//! garbage input and a generated workload.
+//! `SwitchStats`, identical per-tier link-byte counters — however a batch
+//! is handed over (one call, one call per packet, a reused
+//! `DeliveryBatch`, the benchmark's `replay_flights_sharded` shim), with
+//! and without failed switches and tree tracing, on the paper's Figure 3
+//! scenario, s-rule and default-p-rule encodings, unicast, garbage input
+//! and a generated workload.
 
 mod spec;
 
@@ -34,7 +36,6 @@ const MEMBERS: [HostId; 6] = [
     HostId(49),
     HostId(57),
 ];
-const SHARDS: [usize; 4] = [1, 2, 4, 8];
 
 type Packets = Vec<(HostId, Vec<u8>)>;
 
@@ -161,11 +162,13 @@ fn parse_all(pkts: &Packets, layout: &HeaderLayout) -> Vec<(HostId, FlightPacket
 enum Via {
     /// One `inject` call per packet.
     Inject,
-    /// One `inject_batch` call at this shard count.
-    InjectBatch(usize),
-    /// Parsed up front, one `replay_flights_sharded` call at this shard
-    /// count, read back through `for_each`.
-    Flights(usize),
+    /// One `inject_batch` call.
+    InjectBatch,
+    /// Parsed up front, one `replay` call, read back through `for_each`.
+    Flights,
+    /// As `Flights`, through the `replay_flights_sharded` shim the
+    /// benchmark binds, whose shard count must mean nothing.
+    Shim(usize),
 }
 
 fn drive(fabric: &mut Fabric, pkts: &Packets, via: Via, out: &mut DeliveryBatch) -> Packets {
@@ -174,10 +177,13 @@ fn drive(fabric: &mut Fabric, pkts: &Packets, via: Via, out: &mut DeliveryBatch)
             .iter()
             .flat_map(|(h, b)| fabric.inject(*h, b.clone()))
             .collect(),
-        Via::InjectBatch(shards) => fabric.inject_batch(pkts.clone(), shards),
-        Via::Flights(shards) => {
+        Via::InjectBatch => fabric.inject_batch(pkts.clone()),
+        Via::Flights | Via::Shim(_) => {
             let flights = parse_all(pkts, fabric.layout());
-            fabric.replay_flights_sharded(&flights, shards, out);
+            match via {
+                Via::Shim(shards) => fabric.replay_flights_sharded(&flights, shards, out),
+                _ => fabric.replay(&flights, out),
+            }
             let mut got = Vec::with_capacity(out.len());
             out.for_each(|h, b| got.push((h, b.to_vec())));
             got
@@ -277,16 +283,16 @@ fn default_prule_fast_path_is_byte_identical_to_reference() {
     assert_inject_matches_spec(&default_prule_scenario());
 }
 
-/// The engine entry at 1/2/4/8 shards through one *reused*
-/// `DeliveryBatch` (so buffer recycling is part of what is proven), with
-/// tracing enabled as well as disabled.
+/// The engine entry, repeatedly through one *reused* `DeliveryBatch` (so
+/// buffer recycling is part of what is proven: a short batch after a long
+/// one must not see the long one's entries), with tracing enabled as well
+/// as disabled.
 fn assert_flights_match_spec(s: &Scenario) {
     let (pristine, pkts) = (build_fabric(s), batch(s, 3));
     let out = &mut DeliveryBatch::new();
     for tracing in [false, true] {
-        for shards in SHARDS {
-            let via = Via::Flights(shards);
-            assert_engine_matches_spec(&pristine, &pkts, &no_failures(), via, tracing, out);
+        for pkts in [&pkts, &pkts[..5].to_vec(), &pkts] {
+            assert_engine_matches_spec(&pristine, pkts, &no_failures(), Via::Flights, tracing, out);
         }
     }
 }
@@ -306,14 +312,16 @@ fn default_prule_batched_engine_matches_reference() {
     assert_flights_match_spec(&default_prule_scenario());
 }
 
-/// The batch byte adapter at 1/2/4/8 shards.
+/// The batch byte adapter ≡ spec, and ≡ the same packets injected one by
+/// one: canonical order is packet-major, so the per-packet results
+/// concatenate to the batch's, with the same counters on every switch.
 fn assert_inject_batch_matches_spec(s: &Scenario) {
     let (pristine, pkts) = (build_fabric(s), batch(s, 3));
     let out = &mut DeliveryBatch::new();
-    for shards in SHARDS {
-        let via = Via::InjectBatch(shards);
-        assert_engine_matches_spec(&pristine, &pkts, &no_failures(), via, false, out);
-    }
+    let none = no_failures();
+    let batched = assert_engine_matches_spec(&pristine, &pkts, &none, Via::InjectBatch, false, out);
+    let serial = assert_engine_matches_spec(&pristine, &pkts, &none, Via::Inject, false, out);
+    assert_eq!(batched.stats, serial.stats);
 }
 
 #[test]
@@ -331,31 +339,31 @@ fn default_prule_sharded_replay_matches_serial_at_all_shard_counts() {
     assert_inject_batch_matches_spec(&default_prule_scenario());
 }
 
-/// Copy-tree tracing is shard-count-invariant: the event sequence
-/// `take_tree_trace` returns is the same at 1/2/4/8 shards, and the same
-/// when the session spans one call per packet instead of one batch (packet
-/// indices continue across calls).
+/// Copy-tree tracing does not depend on how the session is batched: the
+/// event sequence `take_tree_trace` returns is the same from one call, from
+/// one call per packet (packet indices continue across calls) and through
+/// the shim at any shard count.
 fn assert_traced_identical(s: &Scenario) {
     let pristine = build_fabric(s);
-    let flights = parse_all(&batch(s, 2), &s.layout);
+    let pkts = batch(s, 2);
     let out = &mut DeliveryBatch::new();
     let mut one_by_one = pristine.clone();
     one_by_one.start_tree_trace();
-    for flight in &flights {
-        one_by_one.replay_flights_sharded(std::slice::from_ref(flight), 1, out);
+    for pkt in &pkts {
+        drive(&mut one_by_one, &vec![pkt.clone()], Via::Flights, out);
     }
     let want = one_by_one.take_tree_trace();
     assert!(!want.is_empty(), "trace recorded nothing");
-    for shards in SHARDS {
+    for via in [Via::Flights, Via::Shim(0), Via::Shim(8)] {
         let mut traced = pristine.clone();
         traced.start_tree_trace();
-        traced.replay_flights_sharded(&flights, shards, out);
+        drive(&mut traced, &pkts, via, out);
         let events = traced.take_tree_trace();
-        assert!(events == want, "trace events diverged at {shards} shards");
+        assert!(events == want, "trace events diverged via {via:?}");
         // The per-packet trees those events reconstruct are identical too.
         let tree = elmo::obs::CopyTree::build(0, &events, |n| format!("{n}"));
         let want_tree = elmo::obs::CopyTree::build(0, &want, |n| format!("{n}"));
-        assert_eq!(tree, want_tree, "copy tree diverged at {shards} shards");
+        assert_eq!(tree, want_tree, "copy tree diverged via {via:?}");
     }
 }
 
@@ -388,7 +396,7 @@ fn unicast_fast_path_is_byte_identical_to_reference() {
         .collect();
     let pristine = Fabric::new(topo, SwitchConfig::default());
     let out = &mut DeliveryBatch::new();
-    for via in [Via::Inject, Via::InjectBatch(2), Via::Flights(4)] {
+    for via in [Via::Inject, Via::InjectBatch, Via::Flights, Via::Shim(4)] {
         assert_engine_matches_spec(&pristine, &pkts, &no_failures(), via, false, out);
     }
     let delivered: Vec<HostId> = drive(&mut pristine.clone(), &pkts, Via::Inject, out)
@@ -403,7 +411,7 @@ fn garbage_bytes_count_parse_drop_on_ingress_leaf() {
     let pristine = Fabric::new(Clos::paper_example(), SwitchConfig::default());
     let pkts = vec![(HostId(0), vec![0u8; 24])];
     let out = &mut DeliveryBatch::new();
-    for via in [Via::Inject, Via::InjectBatch(2)] {
+    for via in [Via::Inject, Via::InjectBatch] {
         let engine = assert_engine_matches_spec(&pristine, &pkts, &no_failures(), via, false, out);
         assert_eq!(engine.leaf(LeafId(0)).stats.dropped_parse, 1);
         assert_eq!(engine.stats.host_to_leaf_bytes, 24);
@@ -433,8 +441,7 @@ fn sharded_replay_respects_failed_switches() {
     let (pristine, pkts) = (build_fabric(&s), batch(&s, 2));
     let out = &mut DeliveryBatch::new();
     for tracing in [false, true] {
-        for shards in SHARDS {
-            let via = Via::Flights(shards);
+        for via in [Via::Flights, Via::Shim(3)] {
             assert_engine_matches_spec(&pristine, &pkts, &both_pod0_cores(), via, tracing, out);
         }
     }
@@ -447,7 +454,7 @@ fn inject_batch_matches_sequential_injects() {
     let out = &mut DeliveryBatch::new();
     let (mut one_by_one, mut batched) = (build_fabric(&s), build_fabric(&s));
     let expected = drive(&mut one_by_one, &pkts, Via::Inject, out);
-    let got = drive(&mut batched, &pkts, Via::InjectBatch(1), out);
+    let got = drive(&mut batched, &pkts, Via::InjectBatch, out);
     assert_eq!(got, expected);
     assert_eq!(one_by_one.stats, batched.stats);
 }
@@ -476,7 +483,7 @@ fn inject_flight_matches_byte_injection() {
     let (mut from_bytes, mut from_flights) = (pristine.clone(), pristine);
     let out = &mut DeliveryBatch::new();
     for ((sender, pkt), flight) in bytes.into_iter().zip(&flights) {
-        from_flights.replay_flights_sharded(std::slice::from_ref(flight), 1, out);
+        from_flights.replay(std::slice::from_ref(flight), out);
         assert_eq!(from_bytes.inject(sender, pkt), out.to_vec());
     }
     assert_eq!(from_bytes.stats, from_flights.stats);
@@ -487,7 +494,7 @@ fn sharded_flights_match_sharded_bytes() {
     let (pristine, bytes, flights) = bytes_and_flights(6);
     let (mut from_bytes, mut from_flights) = (pristine.clone(), pristine);
     let out = &mut DeliveryBatch::new();
-    let d_bytes = from_bytes.inject_batch(bytes, 4);
+    let d_bytes = from_bytes.inject_batch(bytes);
     from_flights.replay_flights_sharded(&flights, 4, out);
     assert!(!d_bytes.is_empty());
     assert_eq!(d_bytes, out.to_vec(), "flight/byte entries diverged");
@@ -515,14 +522,22 @@ fn replay_is_deterministic_across_runs() {
 
 #[test]
 fn sharded_replay_is_deterministic_across_runs_and_shard_counts() {
-    let run = |shards: usize| {
+    // Two fresh runs, then the shim at two shard counts into one reused
+    // batch: all four bit-identical.
+    let out = &mut DeliveryBatch::new();
+    let mut run = |via: Via| {
         let s = figure3_scenario();
         let mut fabric = build_fabric(&s);
-        let out = fabric.inject_batch(batch(&s, 2), shards);
-        (out, fabric.stats)
+        let got = drive(&mut fabric, &batch(&s, 2), via, out);
+        (got, fabric.stats)
     };
-    assert!(run(2) == run(2), "same shard count must be bit-identical");
-    assert!(run(2) == run(4), "shard count must not change the outcome");
+    let first = run(Via::InjectBatch);
+    assert!(first == run(Via::InjectBatch), "two runs of one input");
+    assert!(first == run(Via::Shim(2)), "the shim");
+    assert!(
+        first == run(Via::Shim(0)),
+        "the shim's shard count means nothing"
+    );
 }
 
 /// The capture buffer holds exactly the spec's wire copies, and sessions
@@ -564,33 +579,33 @@ fn capture_is_identical_and_restartable() {
     assert_eq!(fabric.take_capture(), cap1[..3]);
 }
 
-/// Capture and the hop trace do not depend on the shard count. At the
-/// parent commit this held only vacuously: an armed capture or hop trace
-/// made every sharded call silently run the serial loop, so shards > 1
-/// were never exercised with either armed. Now the workers record locally
-/// and the records are stitched in (packet, switch, port) order.
+/// Capture and the hop trace depend on (packet, switch, port) only, not on
+/// the order the engine drained its buckets in: a batch captures what the
+/// same packets capture one call at a time, and a limit cuts the same
+/// prefix.
 #[test]
 fn capture_and_hop_trace_do_not_depend_on_the_shard_count() {
     let s = figure3_scenario();
     let pristine = build_fabric(&s);
     let pkts = batch(&s, 2);
-    let capture = |shards: usize, limit: usize| {
+    let capture = |via: Via, limit: usize| {
+        let out = &mut DeliveryBatch::new();
         let mut fabric = pristine.clone();
         fabric.start_capture(limit);
-        fabric.inject_batch(pkts.clone(), shards);
+        drive(&mut fabric, &pkts, via, out);
         let first = fabric.take_capture();
         // take_capture then start_capture starts a fresh session.
         fabric.start_capture(limit);
-        fabric.inject_batch(pkts[..1].to_vec(), shards);
+        drive(&mut fabric, &pkts[..1].to_vec(), via, out);
         (first, fabric.take_capture())
     };
-    let (all, fresh) = capture(1, usize::MAX);
+    let (all, fresh) = capture(Via::InjectBatch, usize::MAX);
     let want = spec::replay(&pristine, &no_failures(), &pkts);
     assert_eq!(all.len(), want.wire.len(), "one capture per wire copy");
     assert!(fresh.len() < all.len() && fresh[..] == all[..fresh.len()]);
-    for shards in [2, 4] {
-        assert!(capture(shards, usize::MAX) == (all.clone(), fresh.clone()));
-        let (cut, _) = capture(shards, 7);
+    for via in [Via::Inject, Via::Shim(4)] {
+        assert!(capture(via, usize::MAX) == (all.clone(), fresh.clone()));
+        let (cut, _) = capture(via, 7);
         assert_eq!(cut, all[..7], "the limit keeps the same first copies");
     }
 
@@ -613,7 +628,7 @@ fn capture_and_hop_trace_do_not_depend_on_the_shard_count() {
 /// What the retired `elmo-bench --replay-only --expect-deliveries 8000` CI
 /// steps pinned: 3,000 packets round-robined over the three paper-example
 /// groups (same-leaf, same-pod, cross-pod) deliver exactly 8,000 copies,
-/// identically at 1 and 2 shards.
+/// identically into a fresh batch, into a reused one and through the shim.
 #[test]
 fn three_thousand_packets_over_the_example_groups_deliver_8000_copies() {
     let topo = Clos::paper_example();
@@ -636,13 +651,19 @@ fn three_thousand_packets_over_the_example_groups_deliver_8000_copies() {
             )
         })
         .collect();
-    let run = |shards: usize| {
-        let (mut fabric, mut out) = (fabric.clone(), DeliveryBatch::new());
-        fabric.replay_flights_sharded(&flights, shards, &mut out);
-        assert_eq!(out.len(), 8_000, "{shards} shards");
+    let out = &mut DeliveryBatch::new();
+    let mut run = |shim: Option<usize>| {
+        let mut fabric = fabric.clone();
+        match shim {
+            None => fabric.replay(&flights, out),
+            Some(shards) => fabric.replay_flights_sharded(&flights, shards, out),
+        }
+        assert_eq!(out.len(), 8_000, "{shim:?}");
         (out.to_vec(), fabric.stats)
     };
-    assert!(run(1) == run(2), "1 and 2 shards diverged");
+    let first = run(None);
+    assert!(first == run(None), "a reused batch diverged");
+    assert!(first == run(Some(2)), "the shim diverged");
 }
 
 /// Create group `gi` on the controller, install its s-rules on `fabric`,
@@ -745,21 +766,17 @@ fn generated_workload_engine_matches_spec() {
             (&pkts[third..2 * third], down),
             (&pkts[2 * third..], no_failures()),
         ] {
-            for shards in [1, 2] {
-                let via = Via::Flights(shards);
-                let engine =
-                    assert_engine_matches_spec(&fabric, &chunk.to_vec(), &down, via, false, out);
-                if shards == 1 {
-                    let topo = *engine.topo();
-                    for st in (topo.leaves().map(|l| engine.leaf(l).stats))
-                        .chain(topo.spines().map(|s| engine.spine(s).stats))
-                    {
-                        hits.prule_hits += st.prule_hits;
-                        hits.srule_hits += st.srule_hits;
-                        hits.default_hits += st.default_hits;
-                        hits.unicast_forwarded += st.unicast_forwarded;
-                    }
-                }
+            let via = Via::Flights;
+            let engine =
+                assert_engine_matches_spec(&fabric, &chunk.to_vec(), &down, via, false, out);
+            let topo = *engine.topo();
+            for st in (topo.leaves().map(|l| engine.leaf(l).stats))
+                .chain(topo.spines().map(|s| engine.spine(s).stats))
+            {
+                hits.prule_hits += st.prule_hits;
+                hits.srule_hits += st.srule_hits;
+                hits.default_hits += st.default_hits;
+                hits.unicast_forwarded += st.unicast_forwarded;
             }
         }
         packets += pkts.len();

@@ -1,18 +1,19 @@
 //! Differential-mode acceptance: the static walk must agree byte for byte
 //! with the fast-path fabric replay on at least 100 sampled groups, and
 //! the walk's redundancy accounting must match the independent traffic
-//! model on every checked (group, sender) pair — over both the serial
-//! replay loop and the sharded multi-core engine.
+//! model on every checked (group, sender) pair — on the dispersed
+//! placement (P = 1) and the clustered one (P = 12), which sample groups
+//! with different tree shapes.
 
 use elmo_core::HeaderLayout;
 use elmo_sim::verify_exp::{self, VerifyExpConfig};
 use elmo_topology::Clos;
 use elmo_workloads::{GroupSizeDist, WorkloadConfig};
 
-fn run_at(replay_threads: usize) {
+fn run_at(placement_p: usize) {
     let topo = Clos::scaled_fabric(6, 24, 16);
     let layout = HeaderLayout::for_clos(&topo);
-    let mut wl = WorkloadConfig::scaled(&topo, 1, GroupSizeDist::Wve);
+    let mut wl = WorkloadConfig::scaled(&topo, placement_p, GroupSizeDist::Wve);
     wl.total_groups = 400;
     let run = verify_exp::run(
         topo,
@@ -23,12 +24,11 @@ fn run_at(replay_threads: usize) {
             threads: 0,
             samples: 120,
             seed: 0xe1_40,
-            replay_threads,
         },
     );
     assert!(
         run.report.ok(),
-        "expected a clean report at {replay_threads} shards, got {:?}",
+        "expected a clean report at P = {placement_p}, got {:?}",
         run.report.counts_by_kind()
     );
     assert!(
@@ -53,5 +53,5 @@ fn differential_replay_matches_on_100_sampled_groups() {
 
 #[test]
 fn differential_replay_matches_through_the_sharded_engine() {
-    run_at(4);
+    run_at(12);
 }
