@@ -12,20 +12,21 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use elmo_core::{
-    encode_group, header_for_sender, DetHashMap, ElmoHeader, EncodeCache, EncoderConfig,
-    GroupEncoding, HeaderLayout, RedundancyMode,
+    header_for_sender, DetHashMap, ElmoHeader, EncodeScratch, EncoderConfig, GroupEncoding,
+    HeaderLayout, RedundancyMode,
 };
 use elmo_dataplane::MembershipSignal;
 use elmo_net::vxlan::Vni;
 use elmo_topology::{Clos, FailureState, GroupTree, HostId, LeafId, PodId, UpstreamCover};
 
-use crate::srules::SRuleSpace;
+use crate::srules::{encode_group_admitted, SRuleSpace};
 
 /// Group-lifecycle counters. All mutation entry points are `&mut self`
-/// (sequential), so these are deterministic across thread counts.
+/// (sequential), so these are deterministic.
 struct CtlMetrics {
     groups_created: elmo_obs::Counter,
     groups_deleted: elmo_obs::Counter,
+    batch_groups: elmo_obs::Counter,
     membership_changes: elmo_obs::Counter,
 }
 
@@ -34,6 +35,7 @@ fn metrics() -> &'static CtlMetrics {
     M.get_or_init(|| CtlMetrics {
         groups_created: elmo_obs::counter("controller.groups_created"),
         groups_deleted: elmo_obs::counter("controller.groups_deleted"),
+        batch_groups: elmo_obs::counter("controller.batch.groups"),
         membership_changes: elmo_obs::counter("controller.membership_changes"),
     })
 }
@@ -217,9 +219,6 @@ pub struct Controller {
     layout: HeaderLayout,
     encoder: EncoderConfig,
     srules: SRuleSpace,
-    /// Structural encoding cache for the batch pipeline's optimistic
-    /// phase, warm across batches (see `elmo_core::sig`).
-    cache: EncodeCache,
     groups: DetHashMap<GroupId, GroupState>,
     /// Tenant-facing index: (VNI, tenant group address) -> group.
     by_addr: DetHashMap<(Vni, Ipv4Addr), GroupId>,
@@ -245,7 +244,6 @@ impl Controller {
             layout,
             encoder,
             srules: SRuleSpace::new(&topo, config.leaf_fmax, config.spine_fmax),
-            cache: EncodeCache::new(),
             groups: DetHashMap::default(),
             by_addr: DetHashMap::default(),
             next_group_id: 0,
@@ -344,6 +342,53 @@ impl Controller {
         members: impl IntoIterator<Item = (HostId, MemberRole)>,
     ) -> UpdateSet {
         let _span = elmo_obs::span!("create_group");
+        let state = self.insert_group(id, vni, tenant_addr, members, &mut EncodeScratch::new());
+        let mut updates = UpdateSet::default();
+        for h in state.sender_hosts().chain(state.receiver_hosts()) {
+            updates.hypervisors.insert(h);
+        }
+        for (l, _) in &state.enc.d_leaf.s_rules {
+            updates.leaves.insert(LeafId(*l));
+        }
+        for (p, _) in &state.enc.d_spine.s_rules {
+            updates.spine_pods.insert(PodId(*p));
+        }
+        updates
+    }
+
+    /// Create many groups, one at a time in slice order, exactly as one
+    /// [`Self::create_group`] call per spec would; one encode scratch is
+    /// reused across the batch. Per-group [`UpdateSet`]s are not collected
+    /// (bulk installation reprograms every touched device anyway).
+    ///
+    /// `_threads` is ignored: the encode is sequential. The parameter stays
+    /// only because the pipeline benchmark binds this signature.
+    pub fn create_groups_batch(&mut self, specs: &[GroupSpec], _threads: usize) {
+        metrics().batch_groups.add(specs.len() as u64);
+        let mut scratch = EncodeScratch::new();
+        for (id, vni, tenant_addr, members) in specs {
+            self.insert_group(
+                *id,
+                *vni,
+                *tenant_addr,
+                members.iter().copied(),
+                &mut scratch,
+            );
+        }
+    }
+
+    /// The insert path shared by [`Self::create_group`] and
+    /// [`Self::create_groups_batch`]: count members, build the receiver
+    /// tree, run Algorithm 1 against the live s-rule space, certify the
+    /// leaf layer for the delta path, and index the group.
+    fn insert_group(
+        &mut self,
+        id: GroupId,
+        vni: Vni,
+        tenant_addr: Ipv4Addr,
+        members: impl IntoIterator<Item = (HostId, MemberRole)>,
+        scratch: &mut EncodeScratch,
+    ) -> &GroupState {
         let mut counts: BTreeMap<HostId, MemberCounts> = BTreeMap::new();
         for (h, role) in members {
             let c = counts.entry(h).or_default();
@@ -355,7 +400,8 @@ impl Controller {
             }
         }
         let tree = Self::receiver_tree(&self.topo, &counts);
-        let enc = self.encode(&tree);
+        let enc =
+            encode_group_admitted(&self.topo, &tree, &self.encoder, &mut self.srules, scratch);
         let leaf_parsimonious = self.delta_enabled
             && crate::delta::certify_leaf_parsimony(
                 &self.topo,
@@ -378,144 +424,11 @@ impl Controller {
             epoch: 0,
             leaf_parsimonious,
         };
-        let mut updates = UpdateSet::default();
-        for h in state.sender_hosts().chain(state.receiver_hosts()) {
-            updates.hypervisors.insert(h);
-        }
-        for (l, _) in &state.enc.d_leaf.s_rules {
-            updates.leaves.insert(LeafId(*l));
-        }
-        for (p, _) in &state.enc.d_spine.s_rules {
-            updates.spine_pods.insert(PodId(*p));
-        }
         self.by_addr.insert((vni, tenant_addr), id);
         self.next_group_id = self.next_group_id.max(id.0 + 1);
-        let prev = self.groups.insert(id, state);
-        debug_assert!(prev.is_none(), "group id reused");
         metrics().groups_created.inc();
-        updates
-    }
-
-    /// Create many groups at once through the two-phase parallel encode
-    /// pipeline (see [`crate::batch`]): groups are encoded concurrently on
-    /// `threads` workers, then admitted into the s-rule space sequentially
-    /// in slice order. The resulting controller state — encodings, s-rule
-    /// occupancy, address index — is identical to calling
-    /// [`Self::create_group`] once per spec in the same order; only
-    /// wall-clock time differs. Per-group [`UpdateSet`]s are not collected
-    /// (bulk installation reprograms every touched device anyway).
-    pub fn create_groups_batch(&mut self, specs: &[GroupSpec], threads: usize) {
-        let bm = crate::batch::metrics();
-        bm.groups.add(specs.len() as u64);
-        // Phase 1 (parallel): member counts, receiver tree, optimistic encode
-        // through the (frozen) structural cache.
-        let topo = &self.topo;
-        let layout = &self.layout;
-        let encoder = &self.encoder;
-        let base = &self.cache;
-        let delta_enabled = self.delta_enabled;
-        let prepared = {
-            let _span = elmo_obs::span!("batch_optimistic");
-            elmo_core::parallel_map_with(
-                specs.len(),
-                threads,
-                || {
-                    (
-                        elmo_core::EncodeScratch::new(),
-                        Vec::new(),
-                        elmo_core::CacheShard::new(),
-                        Vec::new(),
-                        crate::delta::DeltaScratch::default(),
-                    )
-                },
-                |(scratch, reqs, shard, outcomes, delta_scratch), i| {
-                    let mut counts: BTreeMap<HostId, MemberCounts> = BTreeMap::new();
-                    for &(h, role) in &specs[i].3 {
-                        let c = counts.entry(h).or_default();
-                        if role.sends() {
-                            c.senders += 1;
-                        }
-                        if role.receives() {
-                            c.receivers += 1;
-                        }
-                    }
-                    let tree = Self::receiver_tree(topo, &counts);
-                    let enc = crate::batch::encode_group_optimistic_cached(
-                        topo, &tree, encoder, scratch, base, shard, outcomes, reqs,
-                    );
-                    crate::batch::metrics().optimistic_encodes.inc();
-                    let leaf_parsimonious = delta_enabled
-                        && crate::delta::certify_leaf_parsimony(
-                            topo,
-                            layout,
-                            encoder,
-                            &tree,
-                            &enc,
-                            delta_scratch,
-                        );
-                    (
-                        counts,
-                        tree,
-                        enc,
-                        std::mem::take(reqs),
-                        std::mem::take(outcomes),
-                        leaf_parsimonious,
-                    )
-                },
-            )
-        };
-        // Phase 2 (sequential, slice order): cache merge + admission + state
-        // install.
-        let _span = elmo_obs::span!("batch_admission");
-        let mut scratch = elmo_core::EncodeScratch::new();
-        for (spec, prep) in specs.iter().zip(prepared) {
-            let (counts, tree, mut enc, reqs, outcomes, mut leaf_parsimonious) = prep;
-            let (id, vni, tenant_addr, _) = spec;
-            let (hits, misses) = self.cache.absorb(outcomes);
-            bm.cache_hit.add(hits);
-            bm.cache_miss.add(misses);
-            if crate::batch::try_admit(&mut self.srules, &reqs) {
-                bm.admitted.inc();
-            } else {
-                bm.reencoded.inc();
-                enc = crate::batch::encode_group_admitted(
-                    &self.topo,
-                    &tree,
-                    &self.encoder,
-                    &mut self.srules,
-                    &mut scratch,
-                );
-                // The serial re-encode may land on a different layer shape;
-                // its certificate must be re-established.
-                leaf_parsimonious = self.delta_enabled
-                    && crate::delta::certify_leaf_parsimony(
-                        &self.topo,
-                        &self.layout,
-                        &self.encoder,
-                        &tree,
-                        &enc,
-                        &mut self.delta_scratch,
-                    );
-            }
-            let state = GroupState {
-                id: *id,
-                vni: *vni,
-                tenant_addr: *tenant_addr,
-                outer_addr: Self::outer_addr(*id),
-                members: counts,
-                tree,
-                enc,
-                covers: BTreeMap::new(),
-                unicast_fallback: false,
-                epoch: 0,
-                leaf_parsimonious,
-            };
-            self.by_addr.insert((*vni, *tenant_addr), *id);
-            self.next_group_id = self.next_group_id.max(id.0 + 1);
-            let prev = self.groups.insert(*id, state);
-            debug_assert!(prev.is_none(), "group id reused");
-            metrics().groups_created.inc();
-        }
+        debug_assert!(!self.groups.contains_key(&id), "group id reused");
+        self.groups.entry(id).insert_entry(state).into_mut()
     }
 
     /// Remove a group entirely, freeing its s-rule reservations.
@@ -672,7 +585,13 @@ impl Controller {
         let old_tree =
             std::mem::replace(&mut state.tree, Self::receiver_tree(topo, &state.members));
         Self::free_srules(srules, &state.enc);
-        let new_enc = encode_group_full(topo, &state.tree, encoder, srules);
+        let new_enc = encode_group_admitted(
+            topo,
+            &state.tree,
+            encoder,
+            srules,
+            &mut EncodeScratch::new(),
+        );
         let old_enc = std::mem::replace(&mut state.enc, new_enc);
         state.leaf_parsimonious = *delta_enabled
             && crate::delta::certify_leaf_parsimony(
@@ -710,10 +629,6 @@ impl Controller {
                 .filter(|(_, c)| c.receivers > 0)
                 .map(|(&h, _)| h),
         )
-    }
-
-    fn encode(&mut self, tree: &GroupTree) -> GroupEncoding {
-        encode_group_full(&self.topo, tree, &self.encoder, &mut self.srules)
     }
 
     fn free_srules(srules: &mut SRuleSpace, enc: &GroupEncoding) {
@@ -896,21 +811,6 @@ impl Controller {
             &cover,
         ))
     }
-}
-
-/// Run Algorithm 1 for both downstream layers against the shared capacity
-/// tracker. Free-standing so the borrow of `srules` is clean.
-pub(crate) fn encode_group_full(
-    topo: &Clos,
-    tree: &GroupTree,
-    encoder: &EncoderConfig,
-    srules: &mut SRuleSpace,
-) -> GroupEncoding {
-    // Algorithm 1 runs per layer; both layers draw from the same tracker.
-    let cell = std::cell::RefCell::new(srules);
-    let mut spine_alloc = |p: PodId| cell.borrow_mut().alloc_pod(p);
-    let mut leaf_alloc = |l: LeafId| cell.borrow_mut().alloc_leaf(l);
-    encode_group(topo, tree, encoder, &mut spine_alloc, &mut leaf_alloc)
 }
 
 #[cfg(test)]
@@ -1112,31 +1012,25 @@ mod tests {
         for (id, vni, addr, members) in &specs {
             serial.create_group(*id, *vni, *addr, members.iter().copied());
         }
-        for threads in [1, 2, 8] {
-            let mut batch = Controller::new(topo, config);
-            batch.create_groups_batch(&specs, threads);
-            assert_eq!(batch.group_count(), serial.group_count());
-            assert_eq!(
-                batch.srules().leaf_usages(),
-                serial.srules().leaf_usages(),
-                "threads={threads}"
-            );
-            assert_eq!(batch.srules().pod_usages(), serial.srules().pod_usages());
-            for (id, ..) in &specs {
-                let b = batch.group(*id).unwrap();
-                let s = serial.group(*id).unwrap();
-                assert_eq!(b.enc, s.enc, "group {id:?}, threads={threads}");
-                assert_eq!(b.members, s.members);
-                assert_eq!(b.tree, s.tree);
-                assert_eq!(b.outer_addr, s.outer_addr);
-            }
-            // Tenant-facing index works the same way.
-            let (_, vni, addr, _) = &specs[7];
-            assert_eq!(
-                batch.group_id_for(*vni, *addr),
-                serial.group_id_for(*vni, *addr)
-            );
+        let mut batch = Controller::new(topo, config);
+        batch.create_groups_batch(&specs, 1);
+        assert_eq!(batch.group_count(), serial.group_count());
+        assert_eq!(batch.srules().leaf_usages(), serial.srules().leaf_usages());
+        assert_eq!(batch.srules().pod_usages(), serial.srules().pod_usages());
+        for (id, ..) in &specs {
+            let b = batch.group(*id).unwrap();
+            let s = serial.group(*id).unwrap();
+            assert_eq!(b.enc, s.enc, "group {id:?}");
+            assert_eq!(b.members, s.members);
+            assert_eq!(b.tree, s.tree);
+            assert_eq!(b.outer_addr, s.outer_addr);
         }
+        // Tenant-facing index works the same way.
+        let (_, vni, addr, _) = &specs[7];
+        assert_eq!(
+            batch.group_id_for(*vni, *addr),
+            serial.group_id_for(*vni, *addr)
+        );
     }
 
     #[test]

@@ -17,18 +17,16 @@
 #![forbid(unsafe_code)]
 
 pub mod attribution;
-pub mod batch;
 pub mod controller;
 pub mod delta;
 pub mod failures;
 pub mod srules;
 
 pub use attribution::RuleAttribution;
-pub use batch::{encode_batch, encode_batch_cached, optimistic_reqs, BatchOutcome, SRuleReq};
 pub use controller::{
     Controller, ControllerConfig, GroupId, GroupSpec, GroupState, MemberCounts, MemberRole,
     UpdateSet,
 };
 pub use delta::ChurnStats;
 pub use failures::FailureImpact;
-pub use srules::{SRuleSpace, UsageStats};
+pub use srules::{encode_group_admitted, SRuleSpace, UsageStats};

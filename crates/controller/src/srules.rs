@@ -7,14 +7,16 @@
 //! physical spine — the tracker accounts pods but reports physical-switch
 //! occupancy.
 
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
-use elmo_topology::{Clos, LeafId, PodId};
+use elmo_core::{encode_group_with, EncodeScratch, EncoderConfig, GroupEncoding};
+use elmo_topology::{Clos, GroupTree, LeafId, PodId};
 
 /// Admission counters. A refused allocation is exactly the paper's
 /// "spill": Algorithm 1 falls back to the default p-rule (spine) or a
-/// wider p-rule set (leaf) when the group table is full. All callers are
-/// sequential (phase 2 / serial path), so counts are deterministic.
+/// wider p-rule set (leaf) when the group table is full. Every caller runs
+/// sequentially in group order, so counts are deterministic.
 struct SRuleMetrics {
     leaf_allocs: elmo_obs::Counter,
     leaf_refused: elmo_obs::Counter,
@@ -128,6 +130,25 @@ impl SRuleSpace {
     pub fn spine_capacity(&self) -> usize {
         self.spine_cap
     }
+}
+
+/// Run Algorithm 1 for both downstream layers of one group against the live
+/// tracker: each s-rule the encoder asks for is reserved on the spot, and a
+/// refusal sends that switch to a wider p-rule or the default rule. Partial
+/// allocations stick even when later ones are refused. This is the one
+/// serial encode: the controller's create and full re-encode run it, and
+/// so does the sweep when a group's optimistic reservations are refused.
+pub fn encode_group_admitted(
+    topo: &Clos,
+    tree: &GroupTree,
+    cfg: &EncoderConfig,
+    srules: &mut SRuleSpace,
+    scratch: &mut EncodeScratch,
+) -> GroupEncoding {
+    let cell = RefCell::new(srules);
+    let mut spine_alloc = |p: PodId| cell.borrow_mut().alloc_pod(p);
+    let mut leaf_alloc = |l: LeafId| cell.borrow_mut().alloc_leaf(l);
+    encode_group_with(topo, tree, cfg, &mut spine_alloc, &mut leaf_alloc, scratch)
 }
 
 /// Summary statistics over a usage vector.

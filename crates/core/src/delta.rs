@@ -5,8 +5,8 @@
 //! gains or loses one bit. Re-running Algorithm 1 from scratch for that is
 //! wasteful — but a patch is only sound if it lands on *exactly* the
 //! encoding a from-scratch run would produce, because the controller's
-//! invariants (bit-identity across the batch pipeline, cache coherence,
-//! verify's static walk) all assume one canonical encoding per tree.
+//! invariants (delta-on state bit-identical to delta-off, verify's static
+//! walk) all assume one canonical encoding per tree.
 //!
 //! [`try_patch_layer`] therefore proves, before touching anything, that the
 //! stored layer is the unique *parsimonious* encoding of its current

@@ -1,9 +1,9 @@
-//! Minimal scoped-thread fork/join helpers (std only).
+//! Minimal scoped-thread fork/join helper (std only).
 //!
-//! The encode pipeline fans out per-group work across a worker pool with
-//! `std::thread::scope` — no external threadpool crate, no unsafe. Work is
-//! claimed from a shared atomic cursor in small contiguous batches, each
-//! worker keeps its results in a local `Vec<(index, value)>`, and the
+//! The Figure 4/5 sweep fans its per-group encode out across a worker pool
+//! with `std::thread::scope` — no external threadpool crate, no unsafe.
+//! Work is claimed from a shared atomic cursor in small contiguous batches,
+//! each worker keeps its results in a local `Vec<(index, value)>`, and the
 //! caller merges them back into index order after the joins. Output is a
 //! plain `Vec<T>` in input order, so downstream sequential folds see the
 //! same order at any thread count.
@@ -28,7 +28,7 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// synchronization — the sequential path is the parallel path, so results
 /// are identical by construction. The returned vector is always in index
 /// order regardless of which worker computed which element.
-pub fn parallel_map_with<S, T, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
+pub fn map_with<S, T, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,
     I: Fn() -> S + Sync,
@@ -84,15 +84,6 @@ where
         .collect()
 }
 
-/// [`parallel_map_with`] without per-worker scratch.
-pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_with(n, threads, || (), |(), i| f(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,7 +91,7 @@ mod tests {
     #[test]
     fn maps_in_index_order() {
         for threads in [1, 2, 8] {
-            let out = parallel_map(100, threads, |i| i * 3);
+            let out = map_with(100, threads, || (), |(), i| i * 3);
             assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
         }
     }
@@ -110,7 +101,7 @@ mod tests {
         // Each worker's scratch accumulates independently; results must not
         // depend on which worker ran which index.
         for threads in [1, 4] {
-            let out = parallel_map_with(50, threads, Vec::<usize>::new, |scratch, i| {
+            let out = map_with(50, threads, Vec::<usize>::new, |scratch, i| {
                 scratch.push(i);
                 i + 1
             });
@@ -120,13 +111,13 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let out = parallel_map(0, 8, |i| i);
+        let out = map_with(0, 8, || (), |(), i| i);
         assert!(out.is_empty());
     }
 
     #[test]
     fn more_threads_than_items() {
-        let out = parallel_map(3, 16, |i| i * i);
+        let out = map_with(3, 16, || (), |(), i| i * i);
         assert_eq!(out, vec![0, 1, 4]);
     }
 

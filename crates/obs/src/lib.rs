@@ -5,15 +5,16 @@
 //!
 //! * **Metrics** ([`registry`]) — a global registry of named counters,
 //!   gauges, and log-linear [`histogram`]s. Recording is sharded per
-//!   thread: each thread owns a private slab of relaxed atomics, so
-//!   workers inside `elmo_core::par` record without taking any lock, and
+//!   thread: each thread owns a private slab of relaxed atomics, so the
+//!   sweep's workers in `elmo_core::par` record without taking any lock, and
 //!   [`snapshot`] merges the shards on read. Because counters and
 //!   histogram buckets are commutative sums — and because nothing in the
 //!   instrumented code ever *reads* the registry — enabling metrics can
 //!   never change encoding output (asserted by
 //!   `tests/parallel_determinism.rs` at the workspace root).
 //! * **Spans** ([`span!`]) — RAII wall-clock timers feeding `span.*_ns`
-//!   histograms, the per-phase timing profile `elmo-bench` exports.
+//!   histograms, the per-phase timing profile that `elmo-eval
+//!   --metrics-out` snapshots carry.
 //! * **Events** ([`error!`]/[`warn!`]/[`info!`]/[`debug!`]/[`trace!`]) —
 //!   structured, leveled logging with key=value fields; human-readable
 //!   on stderr by default, JSONL with [`set_format`].

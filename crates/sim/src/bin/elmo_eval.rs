@@ -36,8 +36,11 @@
 //!   --pkt N         extra payload size for the traffic columns
 //!   --r LIST        comma-separated redundancy limits (default 0,2,4,6,8,10,12)
 //!   --seed N        workload seed
-//!   --threads N     encode worker threads (0 = all cores; results are
-//!                   identical at any thread count, only wall-clock changes)
+//!   --threads N     sweep encode threads for fig4, fig5, uniform,
+//!                   limited-srules, small-header, table1 and two-tier (0 =
+//!                   all cores; results are identical at any thread count,
+//!                   only wall-clock changes). Other experiments ignore it:
+//!                   the controller encodes sequentially
 //!   --samples N     groups replayed in verify's differential mode (default 120)
 //!   --report-out P  write verify's JSON report to P
 //!   --group N       fixture group id for `trace` (1..=3, default 3)
@@ -583,7 +586,6 @@ fn run_verify(opts: &Opts) {
     let cfg = VerifyExpConfig {
         r,
         header_budget: budget,
-        threads: opts.threads,
         samples: opts.samples,
         seed: opts.seed,
     };
@@ -645,7 +647,6 @@ fn run_verify(opts: &Opts) {
         let tcfg = TemporalExpConfig {
             r,
             header_budget: budget,
-            threads: opts.threads,
             events: opts.temporal_events,
             burst: opts.burst,
             seed: opts.seed ^ 0x7e,
@@ -726,7 +727,6 @@ fn run_churn(opts: &Opts) {
     let cfg_on = ChurnExpConfig {
         r,
         header_budget: budget,
-        threads: opts.threads,
         events: opts.events,
         burst: opts.burst,
         seed: opts.seed ^ 0xc4,
@@ -935,7 +935,7 @@ fn run_sweep(
 fn run_table2(opts: &Opts) {
     let topo = fabric(opts);
     let wl = workload_cfg(opts, &topo, 1, GroupSizeDist::Wve);
-    let t = elmo_sim::table2::run(topo, wl, opts.events, 1000.0, opts.threads);
+    let t = elmo_sim::table2::run(topo, wl, opts.events, 1000.0);
     println!(
         "Table 2: {} churn events at 1,000 events/s, P=1, WVE ({} hosts, {} groups)",
         count(t.events as u64),

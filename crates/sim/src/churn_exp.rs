@@ -2,8 +2,7 @@
 //! controller burst by burst, timing the membership path and optionally
 //! re-verifying the full installed state at every burst boundary.
 //!
-//! This is what `elmo-eval churn`, the churn section of `elmo-bench`, and
-//! the CI churn smoke job drive. The stream comes from
+//! This is what `elmo-eval churn` (and the CI churn smoke runs) drive. The stream comes from
 //! [`elmo_workloads::churn_bursts`], so every consumer sees the identical
 //! events and the identical checkpoints for a given (workload, seed, burst
 //! size); only what is measured differs. The delta re-encode engine
@@ -30,10 +29,6 @@ pub struct ChurnExpConfig {
     pub r: usize,
     /// Controller header budget in bytes.
     pub header_budget: usize,
-    /// Encoder worker threads for the initial group creation (0 = all
-    /// cores). The churn replay itself is sequential — that is the
-    /// operation being measured.
-    pub threads: usize,
     /// Join/leave events to replay.
     pub events: usize,
     /// Events per burst; verification runs at burst boundaries. 0 = one
@@ -157,8 +152,8 @@ pub(crate) fn to_role(r: Role) -> MemberRole {
     }
 }
 
-/// Build the pre-churn controller: every workload group created through
-/// the batch pipeline, with the delta path toggled per `cfg`.
+/// Build the pre-churn controller: every workload group created in order
+/// through [`Controller::create_groups_batch`], with the delta path toggled per `cfg`.
 pub fn build_controller(
     topo: Clos,
     workload: &Workload,
@@ -192,7 +187,7 @@ pub fn build_controller(
     // certificates the delta path patches under, and the delta-off
     // baseline should not pay for certification it will never use.
     ctl.set_delta_enabled(cfg.delta);
-    ctl.create_groups_batch(&specs, cfg.threads);
+    ctl.create_groups_batch(&specs, 1);
     ctl
 }
 
@@ -295,7 +290,7 @@ pub fn replay(
 }
 
 /// Generate the workload, build the controller, replay the stream. The
-/// convenience entry point for eval/bench/CI; callers that need the final
+/// convenience entry point for eval and CI; callers that need the final
 /// controller (identity checks) use [`build_controller`] + [`replay`].
 pub fn run(topo: Clos, workload_cfg: WorkloadConfig, cfg: &ChurnExpConfig) -> ChurnRun {
     let workload = Workload::generate(topo, workload_cfg);
@@ -371,7 +366,6 @@ mod tests {
         let cfg = ChurnExpConfig {
             r: 12,
             header_budget: 325,
-            threads: 1,
             events: 600,
             burst: 200,
             seed: 7,
@@ -395,7 +389,6 @@ mod tests {
         let base = ChurnExpConfig {
             r: 12,
             header_budget: 325,
-            threads: 1,
             events: 500,
             burst: 500,
             seed: 9,

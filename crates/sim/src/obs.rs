@@ -17,13 +17,10 @@ use elmo_topology::{Clos, HostId};
 /// Every metric name an exported snapshot must contain, with its paper-§5
 /// counterpart documented in the workspace README's "Metrics" table.
 pub const REQUIRED_METRICS: &[&str] = &[
-    // Controller hot path (§5.1: encode + admission pipeline).
+    // Controller hot path (§5.1: group creation and Algorithm 1).
     "controller.groups_created",
     "controller.groups_deleted",
     "controller.batch.groups",
-    "controller.batch.optimistic_encodes",
-    "controller.batch.admitted",
-    "controller.batch.reencoded",
     "controller.membership_changes",
     // Incremental churn engine (§5.1.3a: membership update handling).
     "churn.delta_hit",
@@ -73,10 +70,6 @@ pub const REQUIRED_METRICS: &[&str] = &[
     "trace.flight_recorder.dumps",
     "timeline.windows_closed",
     "timeline.windows_evicted",
-    // Encoding memoization (shared by the controller batch path and the
-    // sweep; hit rate is the tenant-reuse signal the bench reports).
-    "encode.cache_hit",
-    "encode.cache_miss",
     // Sweep / workload (§5.1.1-2).
     "sim.sweep.groups_encoded",
     "sim.sweep.reencoded",

@@ -11,13 +11,35 @@
 //!   with the Li et al. baseline for the dashed line (center panels);
 //! * **traffic overhead** — total bytes over ideal multicast, with unicast
 //!   and overlay baselines (right panels), for each payload size.
+//!
+//! Group encoding is the one place in the workspace that runs on several
+//! threads, in two phases per chunk of groups. The fabric-wide s-rule
+//! budget (per-switch `Fmax`) is the only state groups share, so:
+//!
+//! * **Phase 1 (parallel)** encodes every group *optimistically*, as if
+//!   every s-rule allocation succeeds, and records the exact sequence of
+//!   capacity requests Algorithm 1 issued (`encode_group_optimistic`).
+//! * **Phase 2 (sequential, group order)** replays each group's requests
+//!   into the real [`SRuleSpace`] (`try_admit`). If every request is
+//!   granted — always true with unlimited `Fmax`, the paper's main setting —
+//!   the optimistic encoding *is* the serial encoding, because Algorithm 1's
+//!   control flow only observes allocation results. On any refusal the
+//!   group's reservations are rolled back and it is re-encoded serially
+//!   against the live tracker ([`encode_group_admitted`]), which reproduces
+//!   the serial path exactly, including a refused *spine* allocation
+//!   growing the spine default rule and thereby shrinking the leaf layer's
+//!   bit budget.
+//!
+//! Rows are therefore bit-identical at any thread count;
+//! `tests/parallel_determinism.rs` checks them against a serial
+//! [`elmo_controller::Controller`].
 
-use elmo_controller::batch::{self, SRuleReq};
-use elmo_controller::srules::{SRuleSpace, UsageStats};
-use elmo_core::HeaderLayout;
-use elmo_core::{CacheOutcome, CacheShard, EncodeCache};
-use elmo_core::{EncodeScratch, EncoderConfig, GroupEncoding};
-use elmo_topology::{Clos, GroupTree, HostId};
+use std::cell::RefCell;
+
+use elmo_controller::srules::{encode_group_admitted, SRuleSpace, UsageStats};
+use elmo_core::par::{map_with, resolve_threads};
+use elmo_core::{encode_group_with, EncodeScratch, EncoderConfig, GroupEncoding, HeaderLayout};
+use elmo_topology::{Clos, GroupTree, HostId, LeafId, PodId};
 use elmo_workloads::{Workload, WorkloadConfig};
 
 use crate::baselines;
@@ -26,14 +48,10 @@ use crate::metrics::{self, GroupTraffic, Summary};
 /// Sweep metrics. `groups_encoded` is recorded inside parallel workers
 /// (commutative); everything else from the sequential fold. The
 /// `header_bytes` histogram is the per-sender header-size distribution of
-/// Figures 4/5 (left panels) as a live metric. The cache counters share
-/// their names with the controller batch pipeline: both paths feed the one
-/// declared `encode.cache_hit` / `encode.cache_miss` contract.
+/// Figures 4/5 (left panels) as a live metric.
 struct SweepMetrics {
     groups_encoded: elmo_obs::Counter,
     reencoded: elmo_obs::Counter,
-    cache_hit: elmo_obs::Counter,
-    cache_miss: elmo_obs::Counter,
     header_bytes: elmo_obs::Histogram,
 }
 
@@ -42,8 +60,6 @@ fn ometrics() -> &'static SweepMetrics {
     M.get_or_init(|| SweepMetrics {
         groups_encoded: elmo_obs::counter("sim.sweep.groups_encoded"),
         reencoded: elmo_obs::counter("sim.sweep.reencoded"),
-        cache_hit: elmo_obs::counter("encode.cache_hit"),
-        cache_miss: elmo_obs::counter("encode.cache_miss"),
         header_bytes: elmo_obs::histogram("sim.sweep.header_bytes"),
     })
 }
@@ -52,6 +68,61 @@ fn ometrics() -> &'static SweepMetrics {
 /// and recorded s-rule requests are resident at once, so million-group
 /// workloads stream through the parallel pipeline in constant memory.
 const CHUNK: usize = 4096;
+
+/// One s-rule capacity request recorded during an optimistic encode, in the
+/// order Algorithm 1 issues it against a live tracker.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum SRuleReq {
+    /// One group-table entry on every spine of the pod.
+    Pod(PodId),
+    /// One group-table entry on the leaf.
+    Leaf(LeafId),
+}
+
+/// Phase 1: encode one group assuming unlimited s-rule capacity, recording
+/// every allocation Algorithm 1 would have made into `reqs` (cleared first).
+fn encode_group_optimistic(
+    topo: &Clos,
+    tree: &GroupTree,
+    cfg: &EncoderConfig,
+    scratch: &mut EncodeScratch,
+    reqs: &mut Vec<SRuleReq>,
+) -> GroupEncoding {
+    reqs.clear();
+    let cell = RefCell::new(reqs);
+    let mut spine_alloc = |p: PodId| {
+        cell.borrow_mut().push(SRuleReq::Pod(p));
+        true
+    };
+    let mut leaf_alloc = |l: LeafId| {
+        cell.borrow_mut().push(SRuleReq::Leaf(l));
+        true
+    };
+    encode_group_with(topo, tree, cfg, &mut spine_alloc, &mut leaf_alloc, scratch)
+}
+
+/// Phase 2 admission: try to reserve every recorded request, in order.
+/// All-or-nothing — on the first refusal every reservation made for this
+/// group is rolled back and `false` is returned, leaving `srules` exactly
+/// as it was so the caller can re-encode against the pre-group state.
+fn try_admit(srules: &mut SRuleSpace, reqs: &[SRuleReq]) -> bool {
+    for (i, req) in reqs.iter().enumerate() {
+        let granted = match *req {
+            SRuleReq::Pod(p) => srules.alloc_pod(p),
+            SRuleReq::Leaf(l) => srules.alloc_leaf(l),
+        };
+        if !granted {
+            for r in &reqs[..i] {
+                match *r {
+                    SRuleReq::Pod(p) => srules.free_pod(p),
+                    SRuleReq::Leaf(l) => srules.free_leaf(l),
+                }
+            }
+            return false;
+        }
+    }
+    true
+}
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
@@ -68,13 +139,9 @@ pub struct SweepConfig {
     pub header_budget: usize,
     /// Payload sizes to report traffic overhead for.
     pub payloads: Vec<u64>,
-    /// Worker threads for group encoding (0 = all available cores). Results
-    /// are identical at any thread count; see `elmo_controller::batch`.
+    /// Worker threads for the optimistic encode phase (0 = all available
+    /// cores). Results are identical at any thread count.
     pub threads: usize,
-    /// Memoize structural clustering decisions across groups (and across
-    /// the R sweep) via [`EncodeCache`]. Rows are bit-identical either way;
-    /// the cache only changes how fast the optimistic phase runs.
-    pub cache: bool,
 }
 
 impl SweepConfig {
@@ -90,7 +157,6 @@ impl SweepConfig {
             header_budget: 325,
             payloads: vec![1500, 64],
             threads: 1,
-            cache: true,
         }
     }
 }
@@ -140,16 +206,13 @@ struct GroupEval {
     sender: HostId,
     enc: GroupEncoding,
     reqs: Vec<SRuleReq>,
-    /// Cache outcomes (in layer order) for deterministic phase-2 absorption.
-    cache: Vec<CacheOutcome>,
     header_bytes: f64,
     /// One entry per configured payload size.
     traffic: Vec<GroupTraffic>,
 }
 
-/// Per-worker scratch: encode scratch, recorded s-rule requests, the
-/// worker-local cache shard, and the per-group cache outcomes.
-type WorkerState = (EncodeScratch, Vec<SRuleReq>, CacheShard, Vec<CacheOutcome>);
+/// Per-worker scratch: encode scratch and recorded s-rule requests.
+type WorkerState = (EncodeScratch, Vec<SRuleReq>);
 
 /// Measure one encoding: per-sender header bytes plus one traffic row per
 /// payload size. One fabric walk total — [`metrics::traffic_model`] captures
@@ -169,34 +232,45 @@ fn measure(
     (model.header_len as f64, traffic)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn eval_group(
     topo: &Clos,
     layout: &HeaderLayout,
     encoder: &EncoderConfig,
     payloads: &[u64],
-    base: Option<&EncodeCache>,
     tree: GroupTree,
     sender: HostId,
-    ws: &mut WorkerState,
+    (scratch, reqs): &mut WorkerState,
 ) -> GroupEval {
-    let (scratch, reqs, shard, outcomes) = ws;
-    let enc = match base {
-        Some(base) => batch::encode_group_optimistic_cached(
-            topo, &tree, encoder, scratch, base, shard, outcomes, reqs,
-        ),
-        None => batch::encode_group_optimistic(topo, &tree, encoder, scratch, reqs),
-    };
+    let enc = encode_group_optimistic(topo, &tree, encoder, scratch, reqs);
     let (header_bytes, traffic) = measure(topo, layout, payloads, &tree, &enc, sender);
     GroupEval {
         tree,
         sender,
         enc,
         reqs: std::mem::take(reqs),
-        cache: std::mem::take(outcomes),
         header_bytes,
         traffic,
     }
+}
+
+/// Phase 2 admission for one group: reserve its recorded requests, or, on
+/// a refusal, re-encode it serially against the live tracker (serial
+/// semantics: allocations that succeed before a refusal stick). Returns
+/// `true` when `enc` was replaced by the re-encode.
+fn admit_or_reencode(
+    topo: &Clos,
+    encoder: &EncoderConfig,
+    srules: &mut SRuleSpace,
+    scratch: &mut EncodeScratch,
+    tree: &GroupTree,
+    reqs: &[SRuleReq],
+    enc: &mut GroupEncoding,
+) -> bool {
+    if try_admit(srules, reqs) {
+        return false;
+    }
+    *enc = encode_group_admitted(topo, tree, encoder, srules, scratch);
+    true
 }
 
 /// Per-R accumulators folded strictly in group order, so float summaries are
@@ -228,33 +302,26 @@ impl RowAccum {
         }
     }
 
-    /// Phase 2 for one group: absorb its cache outcomes (group order keeps
-    /// hit/miss counts thread-count-independent), then admit its optimistic
-    /// reservations, or re-encode it serially against the live tracker
-    /// (serial semantics: allocations that succeed before a refusal stick).
+    /// Phase 2 for one group: admit it, re-measuring it if it had to be
+    /// re-encoded, then fold its metrics into the row.
     fn fold(
         &mut self,
         topo: &Clos,
         layout: &HeaderLayout,
         encoder: &EncoderConfig,
         payloads: &[u64],
-        cache: Option<&mut EncodeCache>,
         mut ev: GroupEval,
     ) {
-        if let Some(cache) = cache {
-            let (hits, misses) = cache.absorb(std::mem::take(&mut ev.cache));
-            ometrics().cache_hit.add(hits);
-            ometrics().cache_miss.add(misses);
-        }
-        if !batch::try_admit(&mut self.srules, &ev.reqs) {
+        if admit_or_reencode(
+            topo,
+            encoder,
+            &mut self.srules,
+            &mut self.scratch,
+            &ev.tree,
+            &ev.reqs,
+            &mut ev.enc,
+        ) {
             ometrics().reencoded.inc();
-            ev.enc = batch::encode_group_admitted(
-                topo,
-                &ev.tree,
-                encoder,
-                &mut self.srules,
-                &mut self.scratch,
-            );
             let (hb, traffic) = measure(topo, layout, payloads, &ev.tree, &ev.enc, ev.sender);
             ev.header_bytes = hb;
             ev.traffic = traffic;
@@ -306,32 +373,15 @@ impl RowAccum {
     }
 }
 
-/// Run the sweep. Group encoding fans out over `cfg.threads` workers via the
-/// two-phase pipeline in [`elmo_controller::batch`]; every result — s-rule
-/// occupancy, coverage counts, float traffic summaries — is bit-identical to
-/// the single-threaded run because admission and metric folding happen
-/// sequentially in group order. With `cfg.cache` set, structural clustering
-/// decisions are memoized across groups and R-values ([`EncodeCache`]) —
-/// rows are still bit-identical to the uncached run.
+/// Run the sweep. Group encoding fans out over `cfg.threads` workers in
+/// the two phases described in the module docs; every result — s-rule
+/// occupancy, coverage counts, float traffic summaries — is bit-identical
+/// to the single-threaded run because admission and metric folding happen
+/// sequentially in group order.
 pub fn run(cfg: &SweepConfig) -> SweepResult {
-    if cfg.cache {
-        run_with_cache(cfg, &mut EncodeCache::new())
-    } else {
-        run_impl(cfg, None)
-    }
-}
-
-/// Run the sweep against a caller-owned [`EncodeCache`], which warms across
-/// calls: rerunning the same workload against a warmed cache hits on every
-/// group. Used by the bench harness to time warm vs cold encoding.
-pub fn run_with_cache(cfg: &SweepConfig, cache: &mut EncodeCache) -> SweepResult {
-    run_impl(cfg, Some(cache))
-}
-
-fn run_impl(cfg: &SweepConfig, mut cache: Option<&mut EncodeCache>) -> SweepResult {
     let topo = cfg.topo;
     let layout = HeaderLayout::for_clos(&topo);
-    let threads = elmo_core::resolve_threads(cfg.threads);
+    let threads = resolve_threads(cfg.threads);
     let workload = Workload::generate(topo, cfg.workload);
 
     // Li et al. baseline over the same workload (independent of R). Tree
@@ -345,10 +395,15 @@ fn run_impl(cfg: &SweepConfig, mut cache: Option<&mut EncodeCache>) -> SweepResu
     };
     for (chunk_idx, chunk) in workload.groups.chunks(CHUNK).enumerate() {
         let base = chunk_idx * CHUNK;
-        let trees = elmo_core::parallel_map(chunk.len(), threads, |i| {
-            let tree = GroupTree::new(&topo, workload.member_hosts(&chunk[i]));
-            baselines::li_tree(&topo, &tree, (base + i) as u64)
-        });
+        let trees = map_with(
+            chunk.len(),
+            threads,
+            || (),
+            |(), i| {
+                let tree = GroupTree::new(&topo, workload.member_hosts(&chunk[i]));
+                baselines::li_tree(&topo, &tree, (base + i) as u64)
+            },
+        );
         for lt in trees {
             for l in lt.leaves {
                 li_usage.leaf[l as usize] += 1;
@@ -373,22 +428,12 @@ fn run_impl(cfg: &SweepConfig, mut cache: Option<&mut EncodeCache>) -> SweepResu
         let mut acc = RowAccum::new(&topo, cfg);
         for chunk in workload.groups.chunks(CHUNK) {
             // Phase 1 (parallel): tree + optimistic encode + metrics.
-            // Workers see a frozen view of the cache; fresh entries ride
-            // back in each group's outcomes.
             let evals = {
                 let _span = elmo_obs::span!("sweep_phase1");
-                let base = cache.as_deref();
-                elmo_core::parallel_map_with(
+                map_with(
                     chunk.len(),
                     threads,
-                    || {
-                        (
-                            EncodeScratch::new(),
-                            Vec::new(),
-                            CacheShard::default(),
-                            Vec::new(),
-                        )
-                    },
+                    || (EncodeScratch::new(), Vec::new()),
                     |ws, i| {
                         let hosts = workload.member_hosts(&chunk[i]);
                         let tree = GroupTree::new(&topo, hosts.iter().copied());
@@ -402,7 +447,6 @@ fn run_impl(cfg: &SweepConfig, mut cache: Option<&mut EncodeCache>) -> SweepResu
                             &layout,
                             &encoder,
                             &cfg.payloads,
-                            base,
                             tree,
                             sender,
                             ws,
@@ -410,18 +454,10 @@ fn run_impl(cfg: &SweepConfig, mut cache: Option<&mut EncodeCache>) -> SweepResu
                     },
                 )
             };
-            // Phase 2 (sequential, group order): cache absorption +
-            // admission + metric fold.
+            // Phase 2 (sequential, group order): admission + metric fold.
             let _span = elmo_obs::span!("sweep_fold");
             for ev in evals.into_iter().flatten() {
-                acc.fold(
-                    &topo,
-                    &layout,
-                    &encoder,
-                    &cfg.payloads,
-                    cache.as_deref_mut(),
-                    ev,
-                );
+                acc.fold(&topo, &layout, &encoder, &cfg.payloads, ev);
             }
         }
         let row = acc.into_row(&topo, cfg, r, workload.groups.len());
@@ -537,5 +573,131 @@ mod tests {
             );
             assert!(row.header_bytes.min >= 1.0);
         }
+    }
+
+    fn random_trees(topo: &Clos, n: usize, seed: u64) -> Vec<GroupTree> {
+        let mut rng = elmo_core::SplitMix64::new(seed);
+        (0..n)
+            .map(|_| {
+                let size = rng.range_inclusive(2, 24);
+                let members: Vec<HostId> = (0..size)
+                    .map(|_| HostId(rng.below(topo.num_hosts() as u64) as u32))
+                    .collect();
+                GroupTree::new(topo, members)
+            })
+            .collect()
+    }
+
+    /// Both phases over a list of trees, with the sweep's own pieces:
+    /// parallel optimistic encodes, then admission in slice order.
+    struct TwoPhase {
+        encodings: Vec<GroupEncoding>,
+        reencoded: usize,
+    }
+
+    fn two_phase(
+        topo: &Clos,
+        cfg: &EncoderConfig,
+        srules: &mut SRuleSpace,
+        trees: &[GroupTree],
+        threads: usize,
+    ) -> TwoPhase {
+        let phase1 = map_with(
+            trees.len(),
+            threads,
+            || (EncodeScratch::new(), Vec::new()),
+            |(scratch, reqs), i| {
+                let enc = encode_group_optimistic(topo, &trees[i], cfg, scratch, reqs);
+                (enc, std::mem::take(reqs))
+            },
+        );
+        let mut scratch = EncodeScratch::new();
+        let mut reencoded = 0;
+        let encodings = phase1
+            .into_iter()
+            .zip(trees)
+            .map(|((mut enc, reqs), tree)| {
+                if admit_or_reencode(topo, cfg, srules, &mut scratch, tree, &reqs, &mut enc) {
+                    reencoded += 1;
+                }
+                enc
+            })
+            .collect();
+        TwoPhase {
+            encodings,
+            reencoded,
+        }
+    }
+
+    fn serial_reference(
+        topo: &Clos,
+        cfg: &EncoderConfig,
+        srules: &mut SRuleSpace,
+        trees: &[GroupTree],
+    ) -> Vec<GroupEncoding> {
+        let mut scratch = EncodeScratch::new();
+        trees
+            .iter()
+            .map(|t| encode_group_admitted(topo, t, cfg, srules, &mut scratch))
+            .collect()
+    }
+
+    #[test]
+    fn optimistic_matches_serial_when_capacity_is_unlimited() {
+        let topo = Clos::paper_example();
+        let layout = HeaderLayout::for_clos(&topo);
+        let cfg = EncoderConfig::with_budget(&layout, 48, 0);
+        let trees = random_trees(&topo, 60, 0xA11C);
+        for threads in [1, 2, 8] {
+            let mut srules = SRuleSpace::unlimited(&topo);
+            let out = two_phase(&topo, &cfg, &mut srules, &trees, threads);
+            assert_eq!(out.reencoded, 0, "unlimited capacity never re-encodes");
+            let mut ref_srules = SRuleSpace::unlimited(&topo);
+            let reference = serial_reference(&topo, &cfg, &mut ref_srules, &trees);
+            assert_eq!(out.encodings, reference);
+            assert_eq!(srules.leaf_usages(), ref_srules.leaf_usages());
+            assert_eq!(srules.pod_usages(), ref_srules.pod_usages());
+        }
+    }
+
+    #[test]
+    fn capacity_pressure_reencodes_but_stays_identical_to_serial() {
+        let topo = Clos::paper_example();
+        let layout = HeaderLayout::for_clos(&topo);
+        // Tiny header budget spills aggressively into s-rules; tiny Fmax
+        // then forces admission failures and the re-encode path.
+        let cfg = EncoderConfig::with_budget(&layout, 16, 0);
+        let trees = random_trees(&topo, 80, 0xBEE);
+        let mut any_reencoded = false;
+        for threads in [1, 2, 8] {
+            let mut srules = SRuleSpace::new(&topo, 3, 2);
+            let out = two_phase(&topo, &cfg, &mut srules, &trees, threads);
+            any_reencoded |= out.reencoded > 0;
+            let mut ref_srules = SRuleSpace::new(&topo, 3, 2);
+            let reference = serial_reference(&topo, &cfg, &mut ref_srules, &trees);
+            assert_eq!(out.encodings, reference, "threads={threads}");
+            assert_eq!(srules.leaf_usages(), ref_srules.leaf_usages());
+            assert_eq!(srules.pod_usages(), ref_srules.pod_usages());
+        }
+        assert!(
+            any_reencoded,
+            "test must actually exercise the re-encode path"
+        );
+    }
+
+    #[test]
+    fn try_admit_rolls_back_on_refusal() {
+        let topo = Clos::paper_example();
+        let mut srules = SRuleSpace::new(&topo, 1, 1);
+        assert!(srules.alloc_leaf(LeafId(0))); // pre-fill leaf 0
+        let reqs = [
+            SRuleReq::Leaf(LeafId(1)),
+            SRuleReq::Pod(PodId(0)),
+            SRuleReq::Leaf(LeafId(0)), // refused: at capacity
+        ];
+        assert!(!try_admit(&mut srules, &reqs));
+        assert_eq!(srules.leaf_usage(LeafId(1)), 0, "rolled back");
+        assert_eq!(srules.pod_usage(PodId(0)), 0, "rolled back");
+        assert_eq!(srules.leaf_usage(LeafId(0)), 1, "pre-existing kept");
     }
 }

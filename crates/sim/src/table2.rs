@@ -72,17 +72,10 @@ fn to_role(r: Role) -> MemberRole {
 }
 
 /// Run the churn experiment: `events` membership changes at
-/// `events_per_sec`. Group installation fans out over `threads` encode
-/// workers (0 = all cores) through `Controller::create_groups_batch`; the
-/// churn replay itself is inherently sequential (each event's update set
-/// depends on all prior state).
-pub fn run(
-    topo: Clos,
-    workload_cfg: WorkloadConfig,
-    events: usize,
-    events_per_sec: f64,
-    threads: usize,
-) -> Table2 {
+/// `events_per_sec`. Groups are installed in order through
+/// `Controller::create_groups_batch`, then the churn stream is replayed
+/// (each event's update set depends on all prior state).
+pub fn run(topo: Clos, workload_cfg: WorkloadConfig, events: usize, events_per_sec: f64) -> Table2 {
     let _span = elmo_obs::span!("table2_run");
     let churn_updates = elmo_obs::counter("sim.table2.device_updates");
     let churn_events_ctr = elmo_obs::counter("sim.table2.events");
@@ -111,7 +104,7 @@ pub fn run(
             )
         })
         .collect();
-    ctl.create_groups_batch(&specs, threads);
+    ctl.create_groups_batch(&specs, 1);
 
     // Replay churn, accumulating per-device update counts.
     let stream = churn_events(&workload, events, workload_cfg.seed ^ 0xc4u64);
@@ -209,7 +202,7 @@ mod tests {
             dist: GroupSizeDist::Wve,
             seed: 5,
         };
-        run(topo, cfg, 2_000, 1000.0, 1)
+        run(topo, cfg, 2_000, 1000.0)
     }
 
     #[test]

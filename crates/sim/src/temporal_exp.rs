@@ -31,8 +31,6 @@ pub struct TemporalExpConfig {
     pub r: usize,
     /// Controller header budget in bytes.
     pub header_budget: usize,
-    /// Encoder worker threads for initial group creation (0 = all cores).
-    pub threads: usize,
     /// Churn events to replay and check.
     pub events: usize,
     /// Events per generated burst (stream shaping only; every event is
@@ -101,7 +99,6 @@ pub fn run(topo: Clos, workload_cfg: WorkloadConfig, cfg: &TemporalExpConfig) ->
     let churn_cfg = ChurnExpConfig {
         r: cfg.r,
         header_budget: cfg.header_budget,
-        threads: cfg.threads,
         events: cfg.events,
         burst: cfg.burst,
         seed: cfg.seed,
@@ -184,7 +181,6 @@ mod tests {
         let cfg = TemporalExpConfig {
             r: 12,
             header_budget: 80,
-            threads: 1,
             events: 400,
             burst: 50,
             seed: 0xe1_40,
@@ -223,7 +219,6 @@ mod tests {
         let cfg = TemporalExpConfig {
             r: 12,
             header_budget: 80,
-            threads: 1,
             events: 200,
             burst: 25,
             seed: 0xe1_41,

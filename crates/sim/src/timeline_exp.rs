@@ -203,8 +203,13 @@ pub fn run(windows: usize, tick: usize) -> Result<TimelineRun, String> {
 mod tests {
     use super::*;
 
+    /// `run` sets process-global gauges that each window snapshots; two
+    /// runs on parallel test threads would read each other's values.
+    static GAUGES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn failure_run_shows_a_loss_window() {
+        let _guard = GAUGES.lock().unwrap_or_else(|e| e.into_inner());
         let run = run(12, 8).expect("timeline runs");
         assert_eq!(run.rows.len(), 12);
         assert_eq!(run.timeline.closed(), 12);
@@ -224,6 +229,7 @@ mod tests {
 
     #[test]
     fn windows_carry_gauges_and_are_deterministic() {
+        let _guard = GAUGES.lock().unwrap_or_else(|e| e.into_inner());
         let a = run(9, 4).expect("runs");
         let b = run(9, 4).expect("runs");
         for (wa, wb) in a.timeline.windows().iter().zip(b.timeline.windows()) {

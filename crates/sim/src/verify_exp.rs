@@ -45,8 +45,6 @@ pub struct VerifyExpConfig {
     pub r: usize,
     /// Controller header budget in bytes.
     pub header_budget: usize,
-    /// Encoder worker threads (0 = all cores).
-    pub threads: usize,
     /// Groups to replay in differential mode.
     pub samples: usize,
     /// Seed for the differential sampler.
@@ -82,7 +80,7 @@ pub fn run(topo: Clos, workload_cfg: WorkloadConfig, cfg: &VerifyExpConfig) -> V
             )
         })
         .collect();
-    ctl.create_groups_batch(&specs, cfg.threads);
+    ctl.create_groups_batch(&specs, 1);
 
     let (mut fabric, hvs) = install_state(&ctl);
     let layout = *ctl.layout();
@@ -221,7 +219,6 @@ mod tests {
             &VerifyExpConfig {
                 r: 12,
                 header_budget: 325,
-                threads: 0,
                 samples: 120,
                 seed: 0xe1_40,
             },

@@ -7,8 +7,9 @@
 //!    bit-reproducibility guarantee. Use `elmo_core::DetHashMap`/
 //!    `DetHashSet` (or spell out a fixed third hasher parameter).
 //! 2. **Pure encode paths**: `elmo_core`'s encoding hot path
-//!    (`cluster.rs`, `sig.rs`, `min_k_union.rs`, `par.rs`) must stay free
-//!    of wall-clock reads (`Instant::now`, `SystemTime`) and float
+//!    (`cluster.rs`, `min_k_union.rs`, `par.rs`) and the two delta
+//!    patchers (`core/delta.rs`, `controller/delta.rs`) must stay free of
+//!    wall-clock reads (`Instant::now`, `SystemTime`) and float
 //!    arithmetic — encodings must be exactly reproducible across runs,
 //!    thread counts, and architectures.
 //! 3. **Declared-metric contract**: every literal metric name passed to
@@ -227,7 +228,6 @@ fn top_level_commas(s: &str) -> usize {
 fn is_encode_path(rel: &str) -> bool {
     [
         "crates/core/src/cluster.rs",
-        "crates/core/src/sig.rs",
         "crates/core/src/min_k_union.rs",
         "crates/core/src/par.rs",
         // The churn delta patcher sits on the membership hot path and its
@@ -343,8 +343,8 @@ fn string_array(text: &str, name: &str) -> Vec<String> {
     names
 }
 
-/// Modules allowed to touch atomic memory orderings directly: the
-/// encode fork/join cursor and the metrics registry. The replay engine is
+/// Modules allowed to touch atomic memory orderings directly: the sweep's
+/// fork/join cursor and the metrics registry. The replay engine is
 /// single-threaded and has none.
 const ORDERING_ALLOWLIST: &[&str] = &[
     "crates/core/src/par.rs",

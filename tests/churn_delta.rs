@@ -65,7 +65,6 @@ fn every_prefix_matches_a_fresh_build() {
     let cfg = ChurnExpConfig {
         r: 12,
         header_budget: 10_000,
-        threads: 1,
         events: 900,
         burst: 300,
         seed: 0x51,
@@ -145,7 +144,6 @@ fn delta_on_and_off_agree_at_every_burst() {
     let cfg_on = ChurnExpConfig {
         r: 12,
         header_budget: 325,
-        threads: 1,
         events: 800,
         burst: 200,
         seed: 0x52,
@@ -236,37 +234,62 @@ fn join_then_leave_round_trips_exactly() {
     );
 }
 
-/// Batch admission threads must not leak into churn behavior: controllers
-/// built with 1, 2, and 8 encoder threads are bit-identical before the
-/// stream and stay bit-identical (same states, same churn counters) after
+/// `create_groups_batch` is one `create_group` per spec, in order: a
+/// controller built through it and one built group by group hold
+/// identical state before the stream, leaf-parsimony certificates
+/// included, and stay identical (same states, same churn counters) after
 /// replaying it.
 #[test]
 fn thread_counts_do_not_change_the_outcome() {
     let (topo, workload, roles) = small_workload(0xde1c);
-    let base = ChurnExpConfig {
+    let cfg = ChurnExpConfig {
         r: 12,
         header_budget: 325,
-        threads: 1,
         events: 600,
         burst: 600,
         seed: 0x53,
         delta: true,
         verify_each_burst: false,
     };
-    let mut runs = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let cfg = ChurnExpConfig { threads, ..base };
-        let mut ctl = build_controller(topo, &workload, &roles, &cfg);
-        let run = replay(&workload, &roles, &cfg, &mut ctl);
-        runs.push((threads, ctl, run));
+    let mut batch = build_controller(topo, &workload, &roles, &cfg);
+    let mut ctl_cfg = ControllerConfig::paper_default(cfg.r);
+    ctl_cfg.header_budget_bytes = cfg.header_budget;
+    let mut serial = Controller::new(topo, ctl_cfg);
+    for (gi, g) in workload.groups.iter().enumerate() {
+        let tenant = &workload.tenants[g.tenant as usize];
+        serial.create_group(
+            GroupId(gi as u64),
+            Vni(g.tenant),
+            Ipv4Addr::new(225, (gi >> 16) as u8, (gi >> 8) as u8, gi as u8),
+            g.members
+                .iter()
+                .zip(&roles[gi])
+                .map(|(&vm, &r)| (tenant.vms[vm as usize], to_role(r))),
+        );
     }
-    let (_, ref ctl1, ref run1) = runs[0];
-    for (threads, ctl, run) in &runs[1..] {
-        states_identical(ctl1, ctl)
-            .unwrap_or_else(|e| panic!("{threads}-thread build diverged: {e}"));
+    assert_same_certificates(&batch, &serial);
+    states_identical(&batch, &serial).expect("batch build diverged from serial creates");
+
+    let run_batch = replay(&workload, &roles, &cfg, &mut batch);
+    let run_serial = replay(&workload, &roles, &cfg, &mut serial);
+    assert_same_certificates(&batch, &serial);
+    states_identical(&batch, &serial).expect("replayed states diverged");
+    assert_eq!(run_batch.stats, run_serial.stats, "churn counters diverged");
+    assert!(
+        run_batch.stats.delta_hits > 0,
+        "stream exercised no delta patches"
+    );
+}
+
+/// Both controllers certified exactly the same groups' leaf layers as
+/// parsimonious (the certificate decides which churn events may patch).
+fn assert_same_certificates(a: &Controller, b: &Controller) {
+    for g in a.groups() {
+        let other = b.group(g.id).expect("same group ids");
         assert_eq!(
-            run1.stats, run.stats,
-            "{threads}-thread churn counters diverged"
+            g.leaf_parsimonious, other.leaf_parsimonious,
+            "group {:?} certificate",
+            g.id
         );
     }
 }

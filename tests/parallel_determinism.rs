@@ -1,18 +1,20 @@
-//! The parallel encode pipeline must be invisible in the results: a sweep
+//! The sweep's parallel encode must be invisible in the results: a sweep
 //! (Figures 4/5) run at any thread count produces bit-identical rows —
 //! including float summaries, whose accumulation order is pinned by the
 //! sequential phase-2 fold — and identical s-rule occupancy, even when
 //! limited group-table capacity forces the admission-failure re-encode
-//! path. The encode cache must be equally invisible: cached and uncached
-//! sweeps agree bit-for-bit, and the hit/miss accounting itself is a pure
-//! function of the workload, not of the thread count.
+//! path. Under that pressure its rows must also match a serial
+//! controller that creates the same groups one at a time.
 
+use std::net::Ipv4Addr;
 use std::sync::Mutex;
 
-use elmo::core::EncodeCache;
+use elmo::controller::{Controller, ControllerConfig, GroupId, MemberRole, UsageStats};
+use elmo::core::RedundancyMode;
+use elmo::net::vxlan::Vni;
 use elmo::sim::{sweep, SweepConfig};
 use elmo::topology::Clos;
-use elmo::workloads::{GroupSizeDist, WorkloadConfig};
+use elmo::workloads::{GroupSizeDist, Workload, WorkloadConfig};
 
 /// The obs registry is process-global; tests in this binary that reset or
 /// snapshot it must not interleave with other sweeps recording into it.
@@ -73,12 +75,10 @@ fn sweep_with_limited_srule_capacity_is_identical() {
     }
 }
 
-/// A configuration the encode cache actually engages with: dispersed
-/// placement (`P = 1`) on a wide fabric plus a large minimum group size
-/// makes most groups span well over [`elmo::core::sig::CACHE_MIN_ROWS`]
-/// leaves, and the reduced header budget presses those leaf layers so they
-/// take the cacheable greedy path instead of the (uncached) fast path.
-fn cache_stress_config() -> SweepConfig {
+/// A header-pressed configuration: dispersed placement (`P = 2`) on a wide
+/// fabric plus a large minimum group size makes groups span many leaves,
+/// and the reduced header budget pushes those leaf layers into s-rules.
+fn pressed_config() -> SweepConfig {
     let topo = Clos::scaled_fabric(4, 12, 8); // 48 leaves, 384 hosts
     let workload = WorkloadConfig {
         tenants: 12,
@@ -95,90 +95,94 @@ fn cache_stress_config() -> SweepConfig {
     cfg
 }
 
-/// Remove the cache accounting counters so cached and uncached metric
-/// snapshots can be compared: they are the only metrics allowed to differ
-/// between the two modes.
-fn scrub_cache_counters(snap: &elmo::obs::Snapshot) -> elmo::obs::Snapshot {
-    let mut s = snap.clone();
-    s.counters.remove("encode.cache_hit");
-    s.counters.remove("encode.cache_miss");
-    s
+/// Per-switch group-table capacity for the oracle comparison.
+const FMAX: usize = 8;
+
+/// The row fields a serial controller can reproduce.
+#[derive(PartialEq, Debug)]
+struct SerialRow {
+    covered: usize,
+    defaulted: usize,
+    leaf_srules: UsageStats,
+    spine_srules: UsageStats,
 }
 
+fn serial_row(cfg: &SweepConfig, r: usize) -> SerialRow {
+    let topo = cfg.topo;
+    let workload = Workload::generate(topo, cfg.workload);
+    let mut ctl = Controller::new(
+        topo,
+        ControllerConfig {
+            header_budget_bytes: cfg.header_budget,
+            r,
+            leaf_fmax: cfg.leaf_fmax,
+            spine_fmax: cfg.spine_fmax,
+            mode: RedundancyMode::Sum,
+        },
+    );
+    let (mut covered, mut defaulted) = (0, 0);
+    for (gi, g) in workload.groups.iter().enumerate() {
+        let id = GroupId(gi as u64);
+        let addr = Ipv4Addr::new(225, (gi >> 16) as u8, (gi >> 8) as u8, gi as u8);
+        let members = workload
+            .member_hosts(g)
+            .into_iter()
+            .map(|h| (h, MemberRole::Both));
+        ctl.create_group(id, Vni(g.tenant), addr, members);
+        let enc = &ctl.group(id).expect("created").enc;
+        covered += enc.leaf_covered_by_p_rules() as usize;
+        defaulted +=
+            (enc.d_leaf.default_rule.is_some() || enc.d_spine.default_rule.is_some()) as usize;
+    }
+    let spine_usage: Vec<usize> = topo
+        .spines()
+        .map(|s| ctl.srules().pod_usage(topo.pod_of_spine(s)))
+        .collect();
+    SerialRow {
+        covered,
+        defaulted,
+        leaf_srules: UsageStats::of(ctl.srules().leaf_usages()),
+        spine_srules: UsageStats::of(&spine_usage),
+    }
+}
+
+/// The optimistic two-phase sweep against an independent serial oracle:
+/// a `Controller` that creates the same groups one `create_group` at a
+/// time (every member `Both`, so its receiver tree is the sweep's tree)
+/// with the same budget, `R` and `Fmax`. Group tables are small enough
+/// that admission refuses groups and the sweep's re-encode path runs; at
+/// every thread count each row's coverage, defaults and s-rule occupancy
+/// must match the serial controller's.
 #[test]
 fn cached_sweep_is_bit_identical_to_uncached_at_any_thread_count() {
     let _guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     elmo::obs::set_enabled(true);
-    let mut cfg = cache_stress_config();
+    let mut cfg = pressed_config();
+    cfg.leaf_fmax = FMAX;
+    cfg.spine_fmax = FMAX;
 
-    // Uncached single-thread run: the ground truth for rows and metrics.
-    cfg.cache = false;
-    cfg.threads = 1;
-    elmo::obs::reset();
-    let reference = sweep::run(&cfg);
-    let ref_snap = elmo::obs::snapshot().deterministic();
-    assert_eq!(
-        ref_snap.counter("encode.cache_miss").unwrap_or(0),
-        0,
-        "uncached run must not touch the cache counters"
-    );
-
-    cfg.cache = true;
-    let mut cached_snap: Option<elmo::obs::Snapshot> = None;
+    let serial: Vec<SerialRow> = cfg.r_values.iter().map(|&r| serial_row(&cfg, r)).collect();
     for threads in [1, 2, 8] {
         cfg.threads = threads;
         elmo::obs::reset();
         let result = sweep::run(&cfg);
-        let snap = elmo::obs::snapshot().deterministic();
-
-        // Rows (floats included) are bit-identical to the uncached run.
-        assert_eq!(result.rows, reference.rows, "threads={threads}");
-        assert_eq!(result.li_leaf, reference.li_leaf);
-        assert_eq!(result.li_spine, reference.li_spine);
-        assert_eq!(result.li_core, reference.li_core);
-
-        // The cache actually engaged: misses on first sight, hits when the
-        // same placement signature recurs across groups and R-values.
-        let misses = snap.counter("encode.cache_miss").unwrap_or(0);
-        let hits = snap.counter("encode.cache_hit").unwrap_or(0);
-        assert!(misses > 0, "threads={threads}: cache never engaged");
-        assert!(hits > 0, "threads={threads}: no signature ever recurred");
-
-        // Every non-cache metric matches the uncached run exactly.
-        assert_eq!(
-            scrub_cache_counters(&snap).to_json(),
-            scrub_cache_counters(&ref_snap).to_json(),
-            "threads={threads}: cached metrics diverged from uncached"
+        let reencoded = elmo::obs::snapshot()
+            .counter("sim.sweep.reencoded")
+            .unwrap_or(0);
+        assert!(
+            reencoded > 0,
+            "threads={threads}: Fmax must force the re-encode path"
         );
-
-        // And the hit/miss accounting itself is thread-count-independent,
-        // because outcomes are absorbed sequentially in group order.
-        match &cached_snap {
-            None => cached_snap = Some(snap),
-            Some(first) => assert_eq!(
-                first.to_json(),
-                snap.to_json(),
-                "cache accounting diverged at threads={threads}"
-            ),
+        for (row, want) in result.rows.iter().zip(&serial) {
+            let got = SerialRow {
+                covered: row.covered,
+                defaulted: row.defaulted,
+                leaf_srules: row.leaf_srules,
+                spine_srules: row.spine_srules,
+            };
+            assert_eq!(&got, want, "threads={threads}, R={}", row.r);
         }
     }
-
-    // A warm rerun against a persistent cache: every cacheable layer hits,
-    // none misses, and the rows still match the uncached ground truth.
-    let mut cache = EncodeCache::new();
-    cfg.threads = 1;
-    let cold = sweep::run_with_cache(&cfg, &mut cache);
-    assert_eq!(cold.rows, reference.rows);
-    elmo::obs::reset();
-    let warm = sweep::run_with_cache(&cfg, &mut cache);
-    let warm_snap = elmo::obs::snapshot();
-    assert_eq!(warm.rows, reference.rows, "warm cache perturbed the rows");
-    assert_eq!(
-        warm_snap.counter("encode.cache_miss").unwrap_or(0),
-        0,
-        "a warmed cache must hit on every cacheable layer"
-    );
-    assert!(warm_snap.counter("encode.cache_hit").unwrap_or(0) > 0);
 }
 
 #[test]

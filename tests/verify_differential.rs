@@ -21,7 +21,6 @@ fn run_at(placement_p: usize) {
         &VerifyExpConfig {
             r: 12,
             header_budget: layout.max_header_bytes(2, 30, 2),
-            threads: 0,
             samples: 120,
             seed: 0xe1_40,
         },
