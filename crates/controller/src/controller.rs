@@ -12,8 +12,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use elmo_core::{
-    header_for_sender, DetHashMap, ElmoHeader, EncodeScratch, EncoderConfig, GroupEncoding,
-    HeaderLayout, RedundancyMode,
+    header_for_sender, DetHashMap, DownstreamSections, ElmoHeader, EncodeScratch, EncoderConfig,
+    GroupEncoding, HeaderLayout, RedundancyMode,
 };
 use elmo_dataplane::MembershipSignal;
 use elmo_net::vxlan::Vni;
@@ -90,6 +90,12 @@ pub struct GroupState {
     pub tree: GroupTree,
     /// Current p-/s-rule encoding.
     pub enc: GroupEncoding,
+    /// The downstream half of every sender's header, built from `enc` and
+    /// `tree` once per encoding and shared by every header and flow built
+    /// while it is current. The controller refreshes it wherever it
+    /// assigns `enc`; a flow built under an earlier encoding keeps that
+    /// encoding's sections alive until it is rebuilt.
+    pub downstream: DownstreamSections,
     /// Explicit upstream cover per sender pod (empty = multipath).
     pub covers: BTreeMap<PodId, UpstreamCover>,
     /// Groups degraded to unicast during failure reconfiguration.
@@ -136,6 +142,20 @@ impl GroupState {
             .get(&pod)
             .cloned()
             .unwrap_or_else(UpstreamCover::multipath)
+    }
+
+    /// Bring `downstream` in step with `enc` and `tree` after they were
+    /// assigned: rebuild the sections flagged as changed and keep the
+    /// other's allocation, which the live flows already point at.
+    fn refresh_downstream(&mut self, topo: &Clos, layout: &HeaderLayout, spine: bool, leaf: bool) {
+        if spine {
+            self.downstream
+                .rebuild_spine(topo, layout, &self.tree, &self.enc);
+        }
+        if leaf {
+            self.downstream
+                .rebuild_leaf(topo, layout, &self.tree, &self.enc);
+        }
     }
 }
 
@@ -417,6 +437,7 @@ impl Controller {
             tenant_addr,
             outer_addr: Self::outer_addr(id),
             members: counts,
+            downstream: DownstreamSections::new(&self.topo, &self.layout, &tree, &enc),
             tree,
             enc,
             covers: BTreeMap::new(),
@@ -565,9 +586,11 @@ impl Controller {
                     churn.delta_hits += 1;
                     crate::delta::metrics().delta_hit.inc();
                     // A patch edits the shared downstream leaf section (or,
-                    // for single-leaf groups, the per-sender synthesized
-                    // rules), so every sender re-encapsulates; s-rules are
+                    // for single-leaf groups, the synthesized leaf rule),
+                    // so every sender re-encapsulates; the leaf set, and so
+                    // the spine section, is unchanged. s-rules are
                     // untouched by construction, so no switch updates.
+                    state.refresh_downstream(topo, layout, false, true);
                     updates.all_senders = true;
                     return updates;
                 }
@@ -603,7 +626,9 @@ impl Controller {
                 delta_scratch,
             );
         Self::diff_srules_into(&old_enc, &state.enc, &mut updates);
-        if Self::headers_changed_for_all(&old_tree, &state.tree, &old_enc, &state.enc) {
+        let (spine, leaf) = Self::sections_changed(&old_tree, &state.tree, &old_enc, &state.enc);
+        state.refresh_downstream(topo, layout, spine, leaf);
+        if spine || leaf || !old_tree.pods().eq(state.tree.pods()) {
             updates.all_senders = true;
         } else {
             for h in state
@@ -692,57 +717,42 @@ impl Controller {
         });
     }
 
-    /// Whether every sender's packet header changed between two encodings:
-    /// the shared downstream sections differ, the pod set (core bitmap)
-    /// differs, or a synthesized downstream layer's source sets differ. An
-    /// all-empty downstream layer is synthesized per sender straight from
-    /// the tree (out-of-span receivers), so equal stored sections do not
-    /// imply equal headers: if either layer is synthesized in either
-    /// encoding, any change to the sets it is synthesized from changes
-    /// every sender's header.
-    fn headers_changed_for_all(
+    /// Which shared downstream sections, `(spine, leaf)`, differ between
+    /// the headers built from two encodings: the stored rules or default
+    /// differ, or the layer is synthesized from the tree (see
+    /// [`DownstreamSections`]) in either encoding and the sets it is
+    /// synthesized from changed. Every sender's header changed when either
+    /// did or when the pod set (the core bitmap) did.
+    fn sections_changed(
         old_tree: &GroupTree,
         new_tree: &GroupTree,
         old: &GroupEncoding,
         new: &GroupEncoding,
-    ) -> bool {
-        if old.d_leaf.p_rules != new.d_leaf.p_rules
-            || old.d_leaf.default_rule != new.d_leaf.default_rule
-            || old.d_spine.p_rules != new.d_spine.p_rules
-            || old.d_spine.default_rule != new.d_spine.default_rule
-        {
-            return true;
+    ) -> (bool, bool) {
+        fn changed(
+            o: &elmo_core::LayerEncoding,
+            n: &elmo_core::LayerEncoding,
+            synth_same: &dyn Fn() -> bool,
+        ) -> bool {
+            o.p_rules != n.p_rules
+                || o.default_rule != n.default_rule
+                || o.is_unencoded() != n.is_unencoded()
+                || (o.is_unencoded() && !synth_same())
         }
-        if !old_tree.pods().eq(new_tree.pods()) {
-            return true;
-        }
-        let leaf_synth = |e: &GroupEncoding| {
-            e.d_leaf.p_rules.is_empty()
-                && e.d_leaf.s_rules.is_empty()
-                && e.d_leaf.default_rule.is_none()
-        };
-        let spine_synth = |e: &GroupEncoding| {
-            e.d_spine.p_rules.is_empty()
-                && e.d_spine.s_rules.is_empty()
-                && e.d_spine.default_rule.is_none()
-        };
-        let (lo, ln) = (leaf_synth(old), leaf_synth(new));
-        let (so, sn) = (spine_synth(old), spine_synth(new));
-        if lo != ln || so != sn {
-            return true;
-        }
-        if lo && !old_tree.leaf_hosts().eq(new_tree.leaf_hosts()) {
-            return true;
-        }
-        if so && !old_tree.pod_leaves().eq(new_tree.pod_leaves()) {
-            return true;
-        }
-        false
+        (
+            changed(&old.d_spine, &new.d_spine, &|| {
+                old_tree.pod_leaves().eq(new_tree.pod_leaves())
+            }),
+            changed(&old.d_leaf, &new.d_leaf, &|| {
+                old_tree.leaf_hosts().eq(new_tree.leaf_hosts())
+            }),
+        )
     }
 
     /// Whether a sender's header changed through its *upstream* parts only
-    /// (valid after [`Self::headers_changed_for_all`] returned false): the
-    /// sender's leaf's host set or its pod's leaf set.
+    /// (valid once [`Self::sections_changed`] found no section changed and
+    /// the pod set is equal): the sender's leaf's host set or its pod's
+    /// leaf set.
     fn sender_upstream_changed(
         topo: &Clos,
         old_tree: &GroupTree,
@@ -806,7 +816,7 @@ impl Controller {
             &self.topo,
             &self.layout,
             &state.tree,
-            &state.enc,
+            &state.downstream,
             sender,
             &cover,
         ))
@@ -816,6 +826,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     const TADDR: Ipv4Addr = Ipv4Addr::new(225, 1, 2, 3);
 
@@ -1059,6 +1070,59 @@ mod tests {
         let h42 = ctl.header_for(GroupId(1), HostId(42)).unwrap();
         assert_ne!(h0.core, h42.core, "core bitmaps are sender-specific");
         assert_eq!(h0.d_leaf, h42.d_leaf, "downstream leaf rules are shared");
+        // Shared by allocation, not only by value: one copy per group.
+        assert!(!h0.d_spine.is_empty() && !h0.d_leaf.is_empty());
+        assert!(Arc::ptr_eq(&h0.d_spine, &h42.d_spine));
+        assert!(Arc::ptr_eq(&h0.d_leaf, &h42.d_leaf));
+        let old_bytes = h0.encode(ctl.layout());
+
+        // A sender-only join leaves the encoding, and so the sections, alone.
+        ctl.join(GroupId(1), HostId(30), MemberRole::Sender);
+        let same = ctl.header_for(GroupId(1), HostId(0)).unwrap();
+        assert!(Arc::ptr_eq(&same.d_spine, &h0.d_spine));
+        assert!(Arc::ptr_eq(&same.d_leaf, &h0.d_leaf));
+
+        // Host 16 is on L2 in pod 1: both layers re-encode, and new headers
+        // point at new sections, still one copy for every sender...
+        ctl.join(GroupId(1), HostId(16), MemberRole::Receiver);
+        let n0 = ctl.header_for(GroupId(1), HostId(0)).unwrap();
+        let n42 = ctl.header_for(GroupId(1), HostId(42)).unwrap();
+        assert!(!Arc::ptr_eq(&n0.d_spine, &h0.d_spine));
+        assert!(!Arc::ptr_eq(&n0.d_leaf, &h0.d_leaf));
+        assert!(Arc::ptr_eq(&n0.d_spine, &n42.d_spine));
+        assert!(Arc::ptr_eq(&n0.d_leaf, &n42.d_leaf));
+        // ... equal by value to a header built from a fresh encode of the
+        // new tree ...
+        let state = ctl.group(GroupId(1)).unwrap();
+        let (topo, layout) = (ctl.topo(), ctl.layout());
+        let enc = elmo_core::encode_group(
+            topo,
+            &state.tree,
+            ctl.encoder_config(),
+            &mut |_| true,
+            &mut |_| true,
+        );
+        let fresh = header_for_sender(
+            topo,
+            layout,
+            &state.tree,
+            &DownstreamSections::new(topo, layout, &state.tree, &enc),
+            HostId(0),
+            &UpstreamCover::multipath(),
+        );
+        assert_eq!(n0, fresh);
+        // ... while a header taken before the event still encodes its own
+        // epoch's bytes.
+        assert_eq!(h0.encode(layout), old_bytes);
+        assert_ne!(n0.encode(layout), old_bytes);
+
+        // A receiver joining a leaf the tree already has (host 43 on L5)
+        // keeps the leaf set, so the spine section keeps its allocation.
+        ctl.join(GroupId(1), HostId(43), MemberRole::Receiver);
+        let p0 = ctl.header_for(GroupId(1), HostId(0)).unwrap();
+        assert!(Arc::ptr_eq(&p0.d_spine, &n0.d_spine));
+        assert!(!Arc::ptr_eq(&p0.d_leaf, &n0.d_leaf));
+        assert_ne!(p0.d_leaf, n0.d_leaf);
     }
 }
 

@@ -164,8 +164,8 @@ pub(crate) fn try_apply(
     if tree.num_leaves() <= 1 {
         // Single-leaf tree staying single-leaf: both downstream layers are
         // empty and stay empty, so the encoding is already correct. Only
-        // headers change (upstream leaf rule and per-sender synthesized
-        // rules), which the caller covers with sender fan-out.
+        // headers change (upstream leaf rule and the synthesized leaf
+        // rule), which the caller covers with sender fan-out.
         debug_assert!(enc.d_leaf.p_rules.is_empty() && enc.d_leaf.s_rules.is_empty());
         apply_tree_edit(topo, tree, host, joining);
         return DeltaOutcome::Patched;

@@ -87,6 +87,12 @@ impl LayerEncoding {
         }
     }
 
+    /// Whether the layer holds no rule of any kind: the encoder skipped it
+    /// because the tree has at most one switch there.
+    pub fn is_unencoded(&self) -> bool {
+        self.p_rules.is_empty() && self.s_rules.is_empty() && self.default_rule.is_none()
+    }
+
     /// Whether every switch got a non-default p-rule (the paper's "groups
     /// covered with p-rules" metric counts groups where this holds for all
     /// layers).

@@ -15,6 +15,13 @@
 //! Switches pop the sections for layers already traversed (D2d), so the
 //! header shrinks hop by hop; [`ElmoHeader::pop_upstream_leaf`] and friends
 //! model exactly what the egress pipeline's header invalidation does.
+//!
+//! The two downstream rule lists are reference-counted slices: every
+//! sender's header of a group points at the same allocation (built once per
+//! encoding, see [`crate::plan::DownstreamSections`]), so cloning a header
+//! moves two reference counts instead of copying its rules.
+
+use std::sync::Arc;
 
 use crate::bitmap::PortBitmap;
 use crate::bits::{BitReader, BitWriter, OutOfBits};
@@ -81,15 +88,20 @@ pub struct DownstreamRule {
 }
 
 /// A decoded Elmo header.
+///
+/// Equality compares the downstream sections by value, not by allocation.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ElmoHeader {
     pub u_leaf: Option<UpstreamRule>,
     pub u_spine: Option<UpstreamRule>,
     /// Pods the logical core forwards to.
     pub core: Option<PortBitmap>,
-    pub d_spine: Vec<DownstreamRule>,
+    /// Downstream spine rules, shared with every header of the same group
+    /// and encoding.
+    pub d_spine: Arc<[DownstreamRule]>,
     pub d_spine_default: Option<PortBitmap>,
-    pub d_leaf: Vec<DownstreamRule>,
+    /// Downstream leaf rules, shared like `d_spine`.
+    pub d_leaf: Arc<[DownstreamRule]>,
     pub d_leaf_default: Option<PortBitmap>,
 }
 
@@ -166,15 +178,16 @@ fn skip_rules(
 }
 
 impl ElmoHeader {
-    /// An empty header (nothing present).
+    /// An empty header (nothing present). Allocates nothing: an empty
+    /// `Arc<[_]>` is a shared static.
     pub fn empty() -> Self {
         ElmoHeader {
             u_leaf: None,
             u_spine: None,
             core: None,
-            d_spine: Vec::new(),
+            d_spine: Arc::default(),
             d_spine_default: None,
-            d_leaf: Vec::new(),
+            d_leaf: Arc::default(),
             d_leaf_default: None,
         }
     }
@@ -198,14 +211,14 @@ impl ElmoHeader {
             bits += layout.core_bits();
         }
         if depth < pop::D_SPINE {
-            for r in &self.d_spine {
+            for r in self.d_spine.iter() {
                 bits += layout.d_spine_rule_bits(r.switches.len());
             }
             if self.d_spine_default.is_some() {
                 bits += layout.d_spine_default_bits();
             }
         }
-        for r in &self.d_leaf {
+        for r in self.d_leaf.iter() {
             bits += layout.d_leaf_rule_bits(r.switches.len());
         }
         if self.d_leaf_default.is_some() {
@@ -246,14 +259,14 @@ impl ElmoHeader {
             0
         };
         let mut d_spine = 0;
-        for r in &self.d_spine {
+        for r in self.d_spine.iter() {
             d_spine += layout.d_spine_rule_bits(r.switches.len());
         }
         if self.d_spine_default.is_some() {
             d_spine += layout.d_spine_default_bits();
         }
         let mut tail = layout.flags_bits();
-        for r in &self.d_leaf {
+        for r in self.d_leaf.iter() {
             tail += layout.d_leaf_rule_bits(r.switches.len());
         }
         if self.d_leaf_default.is_some() {
@@ -444,27 +457,34 @@ impl ElmoHeader {
         r: &mut BitReader<'_>,
         bitmap_width: usize,
         id_bits: usize,
-    ) -> Result<Vec<DownstreamRule>, HeaderError> {
-        // Count the rules on a copy of the cursor first: the list is
-        // allocated once at its exact size, and a truncated section is
-        // refused before anything is built.
+    ) -> Result<Arc<[DownstreamRule]>, HeaderError> {
+        // Count the rules on a copy of the cursor first: the section is
+        // allocated once at its exact size, straight into its `Arc`, and a
+        // truncated section is refused before anything is built. The
+        // probe walked these exact bits, so reading them again cannot fail.
         let mut probe = *r;
         let count = skip_rules(&mut probe, bitmap_width, id_bits)?;
-        let mut rules = Vec::with_capacity(count);
-        for _ in 0..count {
-            let bitmap = PortBitmap::read(r, bitmap_width)?;
-            let mut switches = Vec::new();
-            loop {
-                let (id, more) = read_id(r, id_bits)?;
-                switches.push(id);
-                if !more {
-                    break;
-                }
+        Ok((0..count)
+            .map(|_| Self::read_rule(r, bitmap_width, id_bits).expect("walked by the probe"))
+            .collect())
+    }
+
+    fn read_rule(
+        r: &mut BitReader<'_>,
+        bitmap_width: usize,
+        id_bits: usize,
+    ) -> Result<DownstreamRule, HeaderError> {
+        let bitmap = PortBitmap::read(r, bitmap_width)?;
+        let mut switches = Vec::new();
+        loop {
+            let (id, more) = read_id(r, id_bits)?;
+            switches.push(id);
+            if !more {
+                break;
             }
-            rules.push(DownstreamRule { bitmap, switches });
-            r.skip_bits(1)?; // next-rule flag, already followed by the count
         }
-        Ok(rules)
+        r.skip_bits(1)?; // next-rule flag, already followed by the count
+        Ok(DownstreamRule { bitmap, switches })
     }
 
     // ----- lookups (what the switch parser does) ----------------------------
@@ -501,7 +521,7 @@ impl ElmoHeader {
     /// Pop the downstream spine section (done by a downstream spine before
     /// sending the packet to leaves).
     pub fn pop_d_spine(&mut self) {
-        self.d_spine.clear();
+        self.d_spine = Arc::default();
         self.d_spine_default = None;
     }
 
@@ -540,7 +560,7 @@ mod tests {
             }),
             // Core: forward to pods 2 and 3.
             core: Some(PortBitmap::from_ports(layout.core_ports, [2, 3])),
-            d_spine: vec![
+            d_spine: Arc::from([
                 DownstreamRule {
                     bitmap: PortBitmap::from_ports(layout.spine_down_ports, [0]),
                     switches: vec![0],
@@ -549,10 +569,10 @@ mod tests {
                     bitmap: PortBitmap::from_ports(layout.spine_down_ports, [1]),
                     switches: vec![2],
                 },
-            ],
+            ]),
             // Default: pod 3 forwards to both leaves.
             d_spine_default: Some(PortBitmap::from_ports(layout.spine_down_ports, [0, 1])),
-            d_leaf: vec![
+            d_leaf: Arc::from([
                 DownstreamRule {
                     bitmap: PortBitmap::from_ports(layout.leaf_down_ports, [0, 1]),
                     switches: vec![0, 6],
@@ -561,7 +581,7 @@ mod tests {
                     bitmap: PortBitmap::from_ports(layout.leaf_down_ports, [2]),
                     switches: vec![5],
                 },
-            ],
+            ]),
             d_leaf_default: Some(PortBitmap::from_ports(layout.leaf_down_ports, [1])),
         }
     }

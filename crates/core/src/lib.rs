@@ -44,7 +44,7 @@ pub use header::{pop, DownstreamRule, ElmoHeader, HeaderError, UpstreamRule};
 pub use layout::HeaderLayout;
 pub use min_k_union::{approx_min_k_union, approx_min_k_union_with, MinKUnionScratch};
 pub use plan::{
-    encode_group, encode_group_with, header_for_sender, leaf_layer_cfg, EncodeScratch,
-    EncoderConfig, GroupEncoding,
+    encode_group, encode_group_with, header_for_sender, leaf_layer_cfg, DownstreamSections,
+    EncodeScratch, EncoderConfig, GroupEncoding,
 };
 pub use rng::SplitMix64;

@@ -2,11 +2,15 @@
 //! per-sender packet headers.
 //!
 //! [`encode_group`] runs Algorithm 1 once per downstream layer (spine, leaf)
-//! to produce the *shared* rules of a group. [`header_for_sender`] then
-//! assembles the actual packet header for one sender: the sender-specific
-//! upstream p-rules (leaf, spine, core — D2b/c) prepended to the shared
-//! downstream sections. s-rules returned by the encoding are installed into
-//! switch group tables by the controller; they never appear in the header.
+//! to produce the *shared* rules of a group. [`DownstreamSections`] turns
+//! those into the downstream half of every sender's header, once per
+//! encoding, and [`header_for_sender`] then assembles the actual packet
+//! header for one sender: the sender-specific upstream p-rules (leaf, spine,
+//! core — D2b/c) in front of the shared downstream sections. s-rules
+//! returned by the encoding are installed into switch group tables by the
+//! controller; they never appear in the header.
+
+use std::sync::Arc;
 
 use elmo_topology::{Clos, GroupTree, HostId, LeafId, PodId, UpstreamCover};
 
@@ -287,8 +291,98 @@ pub fn encode_group_with(
     GroupEncoding { d_spine, d_leaf }
 }
 
+/// The sender-independent half of a group's packet headers: the downstream
+/// spine and leaf sections every sender carries (§3.1, §4.2). Built once
+/// per encoding; every header assembled from it by [`header_for_sender`]
+/// shares its two rule allocations, so a header costs its upstream rules
+/// and two reference counts, whatever the size of the group.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct DownstreamSections {
+    /// Downstream spine rules: the encoding's spine p-rules, or, for a
+    /// single-pod receiver tree, one rule for that pod.
+    pub d_spine: Arc<[DownstreamRule]>,
+    pub d_spine_default: Option<PortBitmap>,
+    /// Downstream leaf rules: the encoding's leaf p-rules, or, for a
+    /// single-leaf receiver tree, one rule for that leaf.
+    pub d_leaf: Arc<[DownstreamRule]>,
+    pub d_leaf_default: Option<PortBitmap>,
+}
+
+impl DownstreamSections {
+    /// Build both sections of `tree`'s encoding `enc`.
+    pub fn new(topo: &Clos, layout: &HeaderLayout, tree: &GroupTree, enc: &GroupEncoding) -> Self {
+        let mut sections = DownstreamSections {
+            d_spine: Arc::default(),
+            d_spine_default: None,
+            d_leaf: Arc::default(),
+            d_leaf_default: None,
+        };
+        sections.rebuild_spine(topo, layout, tree, enc);
+        sections.rebuild_leaf(topo, layout, tree, enc);
+        sections
+    }
+
+    /// Rebuild the spine section, leaving the leaf section's allocation in
+    /// place.
+    pub fn rebuild_spine(
+        &mut self,
+        topo: &Clos,
+        layout: &HeaderLayout,
+        tree: &GroupTree,
+        enc: &GroupEncoding,
+    ) {
+        // The encoder skips the spine layer of a single-pod receiver tree:
+        // receiver-to-receiver traffic never crosses the core. A sender
+        // outside that pod still does, so its header carries the one rule
+        // the encoding omitted — the same rule for every such sender.
+        self.d_spine = if enc.d_spine.is_unencoded() {
+            tree.pods()
+                .map(|p| DownstreamRule {
+                    bitmap: PortBitmap::from_ports(
+                        layout.spine_down_ports,
+                        tree.leaf_ports_in_pod(topo, p),
+                    ),
+                    switches: vec![p.0],
+                })
+                .collect()
+        } else {
+            Arc::from(enc.d_spine.p_rules.as_slice())
+        };
+        self.d_spine_default = enc.d_spine.default_rule.clone();
+    }
+
+    /// Rebuild the leaf section, leaving the spine section's allocation in
+    /// place.
+    pub fn rebuild_leaf(
+        &mut self,
+        topo: &Clos,
+        layout: &HeaderLayout,
+        tree: &GroupTree,
+        enc: &GroupEncoding,
+    ) {
+        // Likewise for a single-leaf tree: the sender's upstream leaf rule
+        // covers it when the sender shares that leaf; a remote sender's
+        // copy arrives downstream and needs an explicit rule.
+        self.d_leaf = if enc.d_leaf.is_unencoded() {
+            tree.leaves()
+                .map(|l| DownstreamRule {
+                    bitmap: PortBitmap::from_ports(
+                        layout.leaf_down_ports,
+                        tree.host_ports_on_leaf(topo, l),
+                    ),
+                    switches: vec![l.0],
+                })
+                .collect()
+        } else {
+            Arc::from(enc.d_leaf.p_rules.as_slice())
+        };
+        self.d_leaf_default = enc.d_leaf.default_rule.clone();
+    }
+}
+
 /// Assemble the packet header a given sender's hypervisor pushes for this
-/// group: sender-specific upstream rules plus the shared downstream rules.
+/// group: sender-specific upstream rules plus the group's shared downstream
+/// sections, which the header points at rather than copies.
 ///
 /// `cover` carries the upstream forwarding decision — multipath in the
 /// common case, explicit ports under failures (§3.3).
@@ -296,7 +390,7 @@ pub fn header_for_sender(
     topo: &Clos,
     layout: &HeaderLayout,
     tree: &GroupTree,
-    enc: &GroupEncoding,
+    sections: &DownstreamSections,
     sender: HostId,
     cover: &UpstreamCover,
 ) -> ElmoHeader {
@@ -309,7 +403,8 @@ pub fn header_for_sender(
     // --- upstream leaf rule (always present: it also delivers to co-located
     // receivers) -----------------------------------------------------------
     let mut u_leaf_down = PortBitmap::new(layout.leaf_down_ports);
-    for port in tree.host_ports_on_leaf(topo, sender_leaf) {
+    for &h in tree.hosts_on_leaf(sender_leaf) {
+        let port = topo.host_port_on_leaf(h);
         if port != sender_port {
             u_leaf_down.set(port);
         }
@@ -340,8 +435,11 @@ pub fn header_for_sender(
             u_spine_down.set(topo.leaf_index_in_pod(l));
         }
     }
-    let remote_pods: Vec<PodId> = tree.pods().filter(|&p| p != sender_pod).collect();
-    let spine_goes_up = !remote_pods.is_empty();
+    let mut core = PortBitmap::new(layout.core_ports);
+    for p in tree.pods().filter(|&p| p != sender_pod) {
+        core.set(p.0 as usize);
+    }
+    let spine_goes_up = !core.is_empty();
     let mut u_spine_up = PortBitmap::new(layout.spine_up_ports);
     if spine_goes_up && !multipath {
         for &p in &cover.spine_up_ports {
@@ -354,60 +452,17 @@ pub fn header_for_sender(
         up: u_spine_up,
     });
 
-    // --- core rule -----------------------------------------------------------
+    // --- core rule and the shared downstream spine section (only relevant
+    // when the core is traversed) --------------------------------------------
     if spine_goes_up {
-        let mut core = PortBitmap::new(layout.core_ports);
-        for p in &remote_pods {
-            core.set(p.0 as usize);
-        }
         header.core = Some(core);
-
-        // Shared downstream spine section (only relevant when the core is
-        // traversed).
-        header.d_spine = enc.d_spine.p_rules.clone();
-        header.d_spine_default = enc.d_spine.default_rule.clone();
-        if enc.d_spine.p_rules.is_empty()
-            && enc.d_spine.s_rules.is_empty()
-            && enc.d_spine.default_rule.is_none()
-        {
-            // Single-pod receiver tree: the encoder skips the spine layer
-            // because receiver-to-receiver traffic never crosses the core.
-            // A sender outside that pod still does, so its header must
-            // carry the one rule the shared encoding omitted.
-            for &p in &remote_pods {
-                header.d_spine.push(DownstreamRule {
-                    bitmap: PortBitmap::from_ports(
-                        layout.spine_down_ports,
-                        tree.leaf_ports_in_pod(topo, p),
-                    ),
-                    switches: vec![p.0],
-                });
-            }
-        }
+        header.d_spine = Arc::clone(&sections.d_spine);
+        header.d_spine_default = sections.d_spine_default.clone();
     }
 
     // --- shared downstream leaf section --------------------------------------
-    header.d_leaf = enc.d_leaf.p_rules.clone();
-    header.d_leaf_default = enc.d_leaf.default_rule.clone();
-    if enc.d_leaf.p_rules.is_empty()
-        && enc.d_leaf.s_rules.is_empty()
-        && enc.d_leaf.default_rule.is_none()
-    {
-        // Likewise for a single-leaf tree: covered by the sender's upstream
-        // leaf rule only when the sender shares that leaf. A remote
-        // sender's copy arrives downstream and needs an explicit rule.
-        for l in tree.leaves() {
-            if l != sender_leaf {
-                header.d_leaf.push(DownstreamRule {
-                    bitmap: PortBitmap::from_ports(
-                        layout.leaf_down_ports,
-                        tree.host_ports_on_leaf(topo, l),
-                    ),
-                    switches: vec![l.0],
-                });
-            }
-        }
-    }
+    header.d_leaf = Arc::clone(&sections.d_leaf);
+    header.d_leaf_default = sections.d_leaf_default.clone();
 
     header
 }
@@ -520,7 +575,7 @@ mod tests {
             &topo,
             &layout,
             &tree,
-            &enc,
+            &DownstreamSections::new(&topo, &layout, &tree, &enc),
             HostId(0),
             &UpstreamCover::multipath(),
         );
@@ -558,7 +613,7 @@ mod tests {
             &topo,
             &layout,
             &tree,
-            &enc,
+            &DownstreamSections::new(&topo, &layout, &tree, &enc),
             HostId(42),
             &UpstreamCover::multipath(),
         );
@@ -577,7 +632,7 @@ mod tests {
             &topo,
             &layout,
             &tree,
-            &enc,
+            &DownstreamSections::new(&topo, &layout, &tree, &enc),
             HostId(0),
             &UpstreamCover::multipath(),
         );
@@ -597,7 +652,7 @@ mod tests {
             &topo,
             &layout,
             &tree,
-            &enc,
+            &DownstreamSections::new(&topo, &layout, &tree, &enc),
             HostId(0),
             &UpstreamCover::multipath(),
         );
@@ -620,7 +675,7 @@ mod tests {
             &topo,
             &layout,
             &tree,
-            &enc,
+            &DownstreamSections::new(&topo, &layout, &tree, &enc),
             HostId(0),
             &UpstreamCover::multipath(),
         );
@@ -636,6 +691,47 @@ mod tests {
     }
 
     #[test]
+    fn remote_sender_gets_the_synthesized_sections() {
+        let topo = Clos::paper_example();
+        let layout = HeaderLayout::for_clos(&topo);
+        // Receivers on L0 only (pod 0); the sender, host 42, sits on L5 in
+        // pod 2. Neither downstream layer is encoded, yet the sender's copy
+        // crosses the core and comes down to L0.
+        let tree = GroupTree::new(&topo, [HostId(0), HostId(1)]);
+        let enc = encode(&topo, &tree, 0, false);
+        assert!(enc.d_spine.is_unencoded() && enc.d_leaf.is_unencoded());
+        let sections = DownstreamSections::new(&topo, &layout, &tree, &enc);
+        let cover = UpstreamCover::multipath();
+        let header = header_for_sender(&topo, &layout, &tree, &sections, HostId(42), &cover);
+        assert_eq!(
+            header
+                .core
+                .as_ref()
+                .unwrap()
+                .iter_ones()
+                .collect::<Vec<_>>(),
+            vec![0]
+        );
+        let spine_rule = DownstreamRule {
+            bitmap: PortBitmap::from_ports(layout.spine_down_ports, [0]),
+            switches: vec![0],
+        };
+        let leaf_rule = DownstreamRule {
+            bitmap: PortBitmap::from_ports(layout.leaf_down_ports, [0, 1]),
+            switches: vec![0],
+        };
+        assert_eq!(&header.d_spine[..], &[spine_rule]);
+        assert_eq!(&header.d_leaf[..], &[leaf_rule]);
+        // Every remote sender points at the same synthesized sections; a
+        // member sender needs neither.
+        let other = header_for_sender(&topo, &layout, &tree, &sections, HostId(57), &cover);
+        assert!(Arc::ptr_eq(&header.d_spine, &other.d_spine));
+        assert!(Arc::ptr_eq(&header.d_leaf, &other.d_leaf));
+        let member = header_for_sender(&topo, &layout, &tree, &sections, HostId(0), &cover);
+        assert!(member.d_spine.is_empty() && member.d_leaf.is_empty());
+    }
+
+    #[test]
     fn explicit_cover_disables_multipath() {
         let (topo, layout, tree) = setup();
         let enc = encode(&topo, &tree, 0, false);
@@ -644,7 +740,8 @@ mod tests {
             spine_up_ports: vec![0],
             complete: true,
         };
-        let header = header_for_sender(&topo, &layout, &tree, &enc, HostId(0), &cover);
+        let sections = DownstreamSections::new(&topo, &layout, &tree, &enc);
+        let header = header_for_sender(&topo, &layout, &tree, &sections, HostId(0), &cover);
         let u_leaf = header.u_leaf.as_ref().unwrap();
         assert!(!u_leaf.multipath);
         assert_eq!(u_leaf.up.iter_ones().collect::<Vec<_>>(), vec![1]);
@@ -670,7 +767,7 @@ mod tests {
             &topo,
             &layout,
             &tree,
-            &enc,
+            &DownstreamSections::new(&topo, &layout, &tree, &enc),
             HostId(0),
             &UpstreamCover::multipath(),
         );

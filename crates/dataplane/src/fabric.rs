@@ -534,7 +534,9 @@ impl HopTable {
 mod tests {
     use super::*;
     use crate::hypervisor::{HypervisorSwitch, SenderFlow, VmSlot};
-    use elmo_core::{encode_group, header_for_sender, EncoderConfig, PortBitmap};
+    use elmo_core::{
+        encode_group, header_for_sender, DownstreamSections, EncoderConfig, PortBitmap,
+    };
     use elmo_net::vxlan::Vni;
     use elmo_topology::{GroupTree, UpstreamCover};
     use std::net::Ipv4Addr;
@@ -572,7 +574,7 @@ mod tests {
             &topo,
             &layout,
             &tree,
-            &enc,
+            &DownstreamSections::new(&topo, &layout, &tree, &enc),
             sender,
             &UpstreamCover::multipath(),
         );
@@ -627,7 +629,7 @@ mod tests {
                 &topo,
                 &layout,
                 &tree,
-                &enc,
+                &DownstreamSections::new(&topo, &layout, &tree, &enc),
                 sender,
                 &UpstreamCover::multipath(),
             );
@@ -696,7 +698,7 @@ mod tests {
             &topo,
             &layout,
             &tree,
-            &enc,
+            &DownstreamSections::new(&topo, &layout, &tree, &enc),
             sender,
             &UpstreamCover::multipath(),
         );
@@ -751,7 +753,7 @@ mod tests {
             &topo,
             &layout,
             &tree,
-            &enc,
+            &DownstreamSections::new(&topo, &layout, &tree, &enc),
             sender,
             &UpstreamCover::multipath(),
         );
@@ -804,7 +806,7 @@ mod tests {
             &topo,
             &layout,
             &tree,
-            &enc,
+            &DownstreamSections::new(&topo, &layout, &tree, &enc),
             HostId(0),
             &UpstreamCover::multipath(),
         );

@@ -754,7 +754,8 @@ mod tests {
         header.d_leaf = vec![elmo_core::DownstreamRule {
             bitmap: PortBitmap::from_ports(layout.leaf_down_ports, [2]),
             switches: vec![0],
-        }];
+        }]
+        .into();
         header.d_leaf_default = Some(PortBitmap::from_ports(layout.leaf_down_ports, [5]));
         let repr = base_repr(Some(header));
         let mut leaf = NetworkSwitch::new_leaf(topo, LeafId(0), SwitchConfig::default());
@@ -774,7 +775,8 @@ mod tests {
         header.d_leaf = vec![elmo_core::DownstreamRule {
             bitmap: PortBitmap::from_ports(layout.leaf_down_ports, [2]),
             switches: vec![3], // some other leaf
-        }];
+        }]
+        .into();
         header.d_leaf_default = Some(PortBitmap::from_ports(layout.leaf_down_ports, [5]));
         let repr = base_repr(Some(header.clone()));
         let mut leaf = NetworkSwitch::new_leaf(topo, LeafId(0), SwitchConfig::default());
@@ -814,11 +816,13 @@ mod tests {
         header.d_spine = vec![elmo_core::DownstreamRule {
             bitmap: PortBitmap::from_ports(layout.spine_down_ports, [0]),
             switches: vec![3],
-        }];
+        }]
+        .into();
         header.d_leaf = vec![elmo_core::DownstreamRule {
             bitmap: PortBitmap::from_ports(layout.leaf_down_ports, [0]),
             switches: vec![1],
-        }];
+        }]
+        .into();
         let repr = base_repr(Some(header));
         let mut spine = NetworkSwitch::new_spine(topo, SpineId(0), SwitchConfig::default());
         let out = process(&mut spine, 0, &packet(&repr, &layout), &layout); // from leaf 0
@@ -846,11 +850,13 @@ mod tests {
         header.d_spine = vec![elmo_core::DownstreamRule {
             bitmap: PortBitmap::from_ports(layout.spine_down_ports, [0, 1]),
             switches: vec![1], // pod 1
-        }];
+        }]
+        .into();
         header.d_leaf = vec![elmo_core::DownstreamRule {
             bitmap: PortBitmap::from_ports(layout.leaf_down_ports, [4]),
             switches: vec![2],
-        }];
+        }]
+        .into();
         let repr = base_repr(Some(header));
         // S2 is in pod 1; ingress from a core is port >= 2.
         let mut spine = NetworkSwitch::new_spine(topo, SpineId(2), SwitchConfig::default());
@@ -873,7 +879,8 @@ mod tests {
         header.d_spine = vec![elmo_core::DownstreamRule {
             bitmap: PortBitmap::from_ports(layout.spine_down_ports, [0]),
             switches: vec![1],
-        }];
+        }]
+        .into();
         let repr = base_repr(Some(header));
         let mut core = NetworkSwitch::new_core(topo, CoreId(0), SwitchConfig::default());
         let out = process(&mut core, 0, &packet(&repr, &layout), &layout);

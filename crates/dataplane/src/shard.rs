@@ -570,7 +570,7 @@ impl Fabric {
     }
 
     /// The name and arity `bench/src/sut.rs` binds; deleted when the
-    /// benchmark rebinds to [`replay`](Self::replay) (ROADMAP item 4).
+    /// benchmark rebinds to [`replay`](Self::replay) (ROADMAP item 1).
     #[doc(hidden)]
     pub fn replay_flights_sharded(
         &mut self,

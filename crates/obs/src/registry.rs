@@ -511,15 +511,27 @@ pub fn snapshot() -> Snapshot {
     }
 }
 
+/// Serializes this crate's tests that switch recording off or assert
+/// exact registry values. Unique metric names keep concurrent tests out of
+/// each other's counters, but not out of the one global on/off flag: a
+/// record landing while another test has recording off is dropped.
+#[cfg(test)]
+pub(crate) fn recording_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     // Tests share the process-global registry; each uses unique metric
-    // names so concurrent test threads cannot interfere.
+    // names so concurrent test threads cannot interfere, and those that
+    // toggle recording or read exact values hold `recording_lock`.
 
     #[test]
     fn counter_shards_merge_to_serial_total() {
+        let _recording = recording_lock();
         let c = counter("test.reg.shard_sum");
         let threads: Vec<_> = (0..8)
             .map(|_| {
@@ -539,6 +551,7 @@ mod tests {
 
     #[test]
     fn histogram_parallel_merge_equals_serial_recording() {
+        let _recording = recording_lock();
         let par = histogram("test.reg.hist_par");
         let ser = histogram("test.reg.hist_ser");
         let values: Vec<u64> = (0..4000).map(|i| (i * i) % 7919).collect();
@@ -570,6 +583,7 @@ mod tests {
 
     #[test]
     fn quantiles_on_uniform_values() {
+        let _recording = recording_lock();
         let h = histogram("test.reg.quantiles");
         for v in 1..=1000u64 {
             h.record(v);
@@ -600,6 +614,7 @@ mod tests {
 
     #[test]
     fn gauges_hold_last_write() {
+        let _recording = recording_lock();
         let g = gauge("test.reg.gauge");
         g.set(7);
         g.set(42);
@@ -608,6 +623,7 @@ mod tests {
 
     #[test]
     fn same_name_returns_same_handle() {
+        let _recording = recording_lock();
         let a = counter("test.reg.same");
         let b = counter("test.reg.same");
         a.inc();
@@ -640,6 +656,7 @@ mod tests {
 
     #[test]
     fn disabled_registry_records_nothing() {
+        let _recording = recording_lock();
         let c = counter("test.reg.disabled");
         set_enabled(false);
         c.add(100);

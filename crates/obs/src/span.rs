@@ -60,6 +60,7 @@ mod tests {
 
     #[test]
     fn span_records_on_drop() {
+        let _recording = crate::registry::recording_lock();
         {
             let _span = crate::span!("test_span_unit");
             std::hint::black_box(1 + 1);
@@ -73,6 +74,7 @@ mod tests {
 
     #[test]
     fn explicit_start_records_elapsed() {
+        let _recording = crate::registry::recording_lock();
         let h = histogram("span.test_span_explicit_ns");
         let before = snapshot()
             .histogram("span.test_span_explicit_ns")

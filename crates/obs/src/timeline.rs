@@ -204,6 +204,7 @@ mod tests {
 
     #[test]
     fn windows_capture_counter_deltas_not_totals() {
+        let _recording = crate::registry::recording_lock();
         let c = crate::counter("timeline.test.delta_counter");
         c.add(5);
         let mut tl = Timeline::start(8);
@@ -236,6 +237,7 @@ mod tests {
 
     #[test]
     fn gauges_are_absolute_per_window() {
+        let _recording = crate::registry::recording_lock();
         let g = crate::gauge("timeline.test.gauge");
         let mut tl = Timeline::start(4);
         g.set(11);

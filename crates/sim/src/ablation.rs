@@ -133,7 +133,7 @@ pub fn d3_bits(
         topo,
         layout,
         tree,
-        &enc,
+        &elmo_core::DownstreamSections::new(topo, layout, tree, &enc),
         sender,
         &UpstreamCover::multipath(),
     )

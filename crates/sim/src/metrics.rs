@@ -8,7 +8,7 @@
 //! workspace root) checks these numbers byte-for-byte against real packets
 //! pushed through `elmo_dataplane::Fabric`.
 
-use elmo_core::{header_for_sender, GroupEncoding, HeaderLayout, PortBitmap};
+use elmo_core::{header_for_sender, DownstreamSections, GroupEncoding, HeaderLayout, PortBitmap};
 use elmo_dataplane::ElmoPacketRepr;
 use elmo_topology::{Clos, GroupTree, HostId, LeafId, UpstreamCover};
 
@@ -131,7 +131,15 @@ fn elmo_walk(
     enc: &GroupEncoding,
     sender: HostId,
 ) -> (u64, u64, u64) {
-    let header = header_for_sender(topo, layout, tree, enc, sender, &UpstreamCover::multipath());
+    let sections = DownstreamSections::new(topo, layout, tree, enc);
+    let header = header_for_sender(
+        topo,
+        layout,
+        tree,
+        &sections,
+        sender,
+        &UpstreamCover::multipath(),
+    );
     let header_len = header.byte_len(layout) as u64;
     let sender_leaf = topo.leaf_of_host(sender);
     let sender_pod = topo.pod_of_leaf(sender_leaf);
@@ -205,7 +213,7 @@ fn elmo_walk(
         // `bitmap_for` covers all three rule sources for members. The one
         // exception is a single-pod receiver tree reached by a sender from
         // another pod: the shared encoding skips the spine layer entirely
-        // and `header_for_sender` synthesizes the rule into the header, so
+        // and `DownstreamSections` synthesizes the rule into the header, so
         // mirror that here.
         let leaf_ports: PortBitmap = enc.d_spine.bitmap_for(pod.0).cloned().unwrap_or_else(|| {
             PortBitmap::from_ports(topo.spine_down_ports(), tree.leaf_ports_in_pod(topo, pod))
@@ -314,7 +322,16 @@ pub fn header_bytes(
     enc: &GroupEncoding,
     sender: HostId,
 ) -> usize {
-    header_for_sender(topo, layout, tree, enc, sender, &UpstreamCover::multipath()).byte_len(layout)
+    let sections = DownstreamSections::new(topo, layout, tree, enc);
+    header_for_sender(
+        topo,
+        layout,
+        tree,
+        &sections,
+        sender,
+        &UpstreamCover::multipath(),
+    )
+    .byte_len(layout)
 }
 
 /// Streaming summary over per-group scalar metrics.
@@ -490,7 +507,7 @@ mod tests {
             &topo,
             &layout,
             &tree,
-            &enc,
+            &DownstreamSections::new(&topo, &layout, &tree, &enc),
             HostId(0),
             &UpstreamCover::multipath(),
         );

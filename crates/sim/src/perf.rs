@@ -143,7 +143,7 @@ pub fn controller_latency(topo: Clos, workload_cfg: WorkloadConfig, sample: usiz
             &topo,
             &layout,
             &tree,
-            &enc,
+            &elmo_core::DownstreamSections::new(&topo, &layout, &tree, &enc),
             hosts[0],
             &elmo_topology::UpstreamCover::multipath(),
         );

@@ -7,7 +7,6 @@
 //! of the group have an equal probability of leaving."
 
 use elmo_core::rng::SplitMix64;
-use std::collections::BTreeMap;
 
 use crate::workload::Workload;
 
@@ -56,8 +55,8 @@ pub fn initial_roles(workload: &Workload, seed: u64) -> Vec<Vec<Role>> {
 
 /// Generate `n` join/leave events. Group selection is proportional to group
 /// size; membership is tracked so joins pick non-members and leaves pick
-/// members. Returns the events together with the evolving per-group
-/// membership maps (VM -> role) so callers can replay them consistently.
+/// members. A group's membership is drawn (with a random role per initial
+/// member) the first time the stream touches it.
 pub fn churn_events(workload: &Workload, n: usize, seed: u64) -> Vec<ChurnEvent> {
     let mut rng = SplitMix64::new(seed);
     if workload.groups.is_empty() {
@@ -70,8 +69,10 @@ pub fn churn_events(workload: &Workload, n: usize, seed: u64) -> Vec<ChurnEvent>
         acc += g.members.len() as u64;
         cum.push(acc);
     }
-    // Lazily materialized per-group membership: vm -> role.
-    let mut membership: BTreeMap<u32, BTreeMap<u32, Role>> = BTreeMap::new();
+    // Lazily materialized per-group membership, `(vm, role)` sorted by VM:
+    // a join is a binary search and an insert, a leave the removal of the
+    // picked index.
+    let mut membership: Vec<Option<Vec<(u32, Role)>>> = vec![None; workload.groups.len()];
     let mut role_rng = SplitMix64::new(seed ^ 0x0e11);
 
     let mut events = Vec::with_capacity(n);
@@ -81,11 +82,12 @@ pub fn churn_events(workload: &Workload, n: usize, seed: u64) -> Vec<ChurnEvent>
         let tenant_size = workload.tenants[workload.groups[gi].tenant as usize]
             .vms
             .len() as u32;
-        let members = membership.entry(gi as u32).or_insert_with(|| {
-            workload.groups[gi]
-                .members
+        let members = membership[gi].get_or_insert_with(|| {
+            let initial = &workload.groups[gi].members;
+            debug_assert!(initial.is_sorted_by(|a, b| a < b), "members sorted");
+            initial
                 .iter()
-                .map(|&m| (m, Role::random(&mut role_rng)))
+                .map(|&vm| (vm, Role::random(&mut role_rng)))
                 .collect()
         });
         let join = if members.len() as u32 >= tenant_size {
@@ -97,14 +99,14 @@ pub fn churn_events(workload: &Workload, n: usize, seed: u64) -> Vec<ChurnEvent>
         };
         if join {
             // Rejection-sample a non-member VM of the tenant.
-            let vm = loop {
+            let (vm, at) = loop {
                 let v = rng.below(u64::from(tenant_size)) as u32;
-                if !members.contains_key(&v) {
-                    break v;
+                if let Err(at) = members.binary_search_by_key(&v, |&(m, _)| m) {
+                    break (v, at);
                 }
             };
             let role = Role::random(&mut rng);
-            members.insert(vm, role);
+            members.insert(at, (vm, role));
             events.push(ChurnEvent {
                 group: gi as u32,
                 vm,
@@ -114,8 +116,7 @@ pub fn churn_events(workload: &Workload, n: usize, seed: u64) -> Vec<ChurnEvent>
         } else {
             // Uniform member pick.
             let idx = rng.index(members.len());
-            let (&vm, &role) = members.iter().nth(idx).expect("non-empty");
-            members.remove(&vm);
+            let (vm, role) = members.remove(idx);
             events.push(ChurnEvent {
                 group: gi as u32,
                 vm,
@@ -158,6 +159,7 @@ mod tests {
     use crate::dist::GroupSizeDist;
     use crate::workload::WorkloadConfig;
     use elmo_topology::Clos;
+    use std::collections::BTreeMap;
 
     fn workload() -> Workload {
         let topo = Clos::paper_example();
@@ -173,6 +175,132 @@ mod tests {
                 seed: 3,
             },
         )
+    }
+
+    /// The generator as it was with ordered maps: every leave walked its
+    /// group's map to the picked index. The sorted-vector generator must
+    /// emit exactly its stream.
+    fn churn_events_btree(workload: &Workload, n: usize, seed: u64) -> Vec<ChurnEvent> {
+        let mut rng = SplitMix64::new(seed);
+        if workload.groups.is_empty() {
+            return Vec::new();
+        }
+        let mut cum: Vec<u64> = Vec::with_capacity(workload.groups.len());
+        let mut acc = 0u64;
+        for g in &workload.groups {
+            acc += g.members.len() as u64;
+            cum.push(acc);
+        }
+        let mut membership: BTreeMap<u32, BTreeMap<u32, Role>> = BTreeMap::new();
+        let mut role_rng = SplitMix64::new(seed ^ 0x0e11);
+        let mut events = Vec::with_capacity(n);
+        while events.len() < n {
+            let pick = rng.below(acc);
+            let gi = cum.partition_point(|&c| c <= pick);
+            let tenant_size = workload.tenants[workload.groups[gi].tenant as usize]
+                .vms
+                .len() as u32;
+            let members = membership.entry(gi as u32).or_insert_with(|| {
+                workload.groups[gi]
+                    .members
+                    .iter()
+                    .map(|&m| (m, Role::random(&mut role_rng)))
+                    .collect()
+            });
+            let join = if members.len() as u32 >= tenant_size {
+                false
+            } else if members.len() <= 1 {
+                true
+            } else {
+                rng.chance(0.5)
+            };
+            if join {
+                let vm = loop {
+                    let v = rng.below(u64::from(tenant_size)) as u32;
+                    if !members.contains_key(&v) {
+                        break v;
+                    }
+                };
+                let role = Role::random(&mut rng);
+                members.insert(vm, role);
+                events.push(ChurnEvent {
+                    group: gi as u32,
+                    vm,
+                    join: true,
+                    role,
+                });
+            } else {
+                let idx = rng.index(members.len());
+                let (&vm, &role) = members.iter().nth(idx).expect("non-empty");
+                members.remove(&vm);
+                events.push(ChurnEvent {
+                    group: gi as u32,
+                    vm,
+                    join: false,
+                    role,
+                });
+            }
+        }
+        events
+    }
+
+    #[test]
+    fn sorted_vectors_match_the_ordered_map_generator() {
+        // The module's workload, the bench's dense and sparse shapes at a
+        // small scale, and a saturating one: 40 groups over tenants of at
+        // most a few VMs, so groups often hold every VM and must leave.
+        let configs = [
+            ("module", 10, 40, 1, 5),
+            ("dense", 20, 400, 12, 5),
+            ("sparse", 20, 400, 1, 5),
+            ("saturating", 60, 40, 1, 2),
+        ];
+        let mut saturated_leaves = 0;
+        for (name, tenants, total_groups, placement_p, min_group_size) in configs {
+            for seed in [3u64, 57664] {
+                let w = Workload::generate(
+                    Clos::paper_example(),
+                    WorkloadConfig {
+                        tenants,
+                        total_groups,
+                        host_vm_cap: 20,
+                        placement_p,
+                        min_group_size,
+                        dist: GroupSizeDist::Wve,
+                        seed,
+                    },
+                );
+                for churn_seed in [7u64, 0xc4_02_17] {
+                    let events = churn_events(&w, 4000, churn_seed);
+                    assert_eq!(
+                        events,
+                        churn_events_btree(&w, 4000, churn_seed),
+                        "{name}, workload seed {seed}, churn seed {churn_seed}"
+                    );
+                    if name == "saturating" {
+                        saturated_leaves += count_saturated_leaves(&w, &events);
+                    }
+                }
+            }
+        }
+        assert!(saturated_leaves > 0, "the saturating config saturates");
+    }
+
+    /// Leaves forced by a group holding every VM of its tenant.
+    fn count_saturated_leaves(w: &Workload, events: &[ChurnEvent]) -> usize {
+        let mut sizes: Vec<usize> = w.groups.iter().map(|g| g.members.len()).collect();
+        let mut forced = 0;
+        for e in events {
+            let g = e.group as usize;
+            let tenant_size = w.tenants[w.groups[g].tenant as usize].vms.len();
+            forced += usize::from(!e.join && sizes[g] == tenant_size);
+            if e.join {
+                sizes[g] += 1;
+            } else {
+                sizes[g] -= 1;
+            }
+        }
+        forced
     }
 
     #[test]

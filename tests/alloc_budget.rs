@@ -3,16 +3,19 @@
 //! The objects every layer touches must cost bytes, not mallocs: a port
 //! bitmap of up to 128 ports lives inline, the hypervisor's receive path
 //! borrows instead of building, decoding a header allocates only its
-//! rule lists, an s-rule write moves entries inside a switch's one
-//! group table, and a warm replay call makes one allocation. This binary
-//! installs a counting global allocator (the counter is per thread, so the
-//! harness's own threads do not disturb it) and holds those five budgets.
+//! rule lists, deploying a sender's flow costs the same for a group of
+//! one rule as of nine, an s-rule write moves entries inside a switch's
+//! one group table, and a warm replay call makes one allocation. This
+//! binary installs a counting global allocator (the counter is per
+//! thread, so the harness's own threads do not disturb it) and holds
+//! those six budgets.
 //! One `#[test]` only: a second test in this binary would share the
 //! allocator but not the reasoning about what is warm.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::Arc;
 
 use elmo::controller::{Controller, ControllerConfig, GroupId, MemberRole};
 use elmo::core::bitmap::INLINE_PORTS;
@@ -95,15 +98,15 @@ fn figure3b_header(l: &HeaderLayout) -> ElmoHeader {
             up: PortBitmap::new(l.spine_up_ports),
         }),
         core: Some(PortBitmap::from_ports(l.core_ports, [2, 3])),
-        d_spine: vec![
+        d_spine: Arc::from([
             rule(l.spine_down_ports, &[0], &[0]),
             rule(l.spine_down_ports, &[1], &[2]),
-        ],
+        ]),
         d_spine_default: Some(PortBitmap::from_ports(l.spine_down_ports, [0, 1])),
-        d_leaf: vec![
+        d_leaf: Arc::from([
             rule(l.leaf_down_ports, &[0, 1], &[0, 6]),
             rule(l.leaf_down_ports, &[2], &[5]),
-        ],
+        ]),
         d_leaf_default: Some(PortBitmap::from_ports(l.leaf_down_ports, [1])),
     }
 }
@@ -187,6 +190,52 @@ fn wire_path_stays_within_its_allocation_budget() {
     );
     let (n, _) = allocations(|| ElmoHeader::validate(&bytes, &layout).expect("valid"));
     assert_eq!(n, 0, "validate builds nothing");
+
+    // --- deploying a sender's flow: independent of the group's rule count --
+    // The downstream sections are built once per encoding and shared, so
+    // fetching a header, building its flow and replacing the installed one
+    // moves reference counts, not rule lists: the serialised bytes and the
+    // flow's header `Arc` are the whole cost, for one rule or for nine
+    // (the header's upstream rules are inline bitmaps).
+    let mut ctl = Controller::new(Clos::paper_example(), ControllerConfig::paper_default(0));
+    let mut hv = HypervisorSwitch::new(HostId(0));
+    // Hosts 0 and 8 share host port 0 on L0 and L1: one leaf rule, and no
+    // spine section in the header of a sender in their pod. Leaf i
+    // of the second group holds ports 0..=i: eight distinct leaf rules plus
+    // one spine rule shared by the four identical pods.
+    let one_rule: Vec<u32> = vec![0, 8];
+    let nine_rules: Vec<u32> = (0..8u32)
+        .flat_map(|l| (0..=l).map(move |p| l * 8 + p))
+        .collect();
+    let mut deploy_costs = Vec::new();
+    for (gi, members) in [one_rule, nine_rules].iter().enumerate() {
+        let gid = GroupId(gi as u64 + 10);
+        let tenant = std::net::Ipv4Addr::new(225, 8, 8, gi as u8);
+        let members = members.iter().map(|&h| (HostId(h), MemberRole::Both));
+        ctl.create_group(gid, Vni(3), tenant, members);
+        let state = ctl.group(gid).expect("created group");
+        let header = ctl.header_for(gid, HostId(0)).expect("sender header");
+        let rules = header.d_spine.len() + header.d_leaf.len();
+        let deploy = |hv: &mut HypervisorSwitch| {
+            let header = ctl.header_for(gid, HostId(0)).expect("sender header");
+            let flow = SenderFlow::new(state.outer_addr, Vni(3), &header, ctl.layout(), vec![]);
+            drop(header);
+            hv.install_flow(Vni(3), tenant, flow)
+        };
+        deploy(&mut hv);
+        let (n, replaced) = allocations(|| deploy(&mut hv));
+        assert!(replaced, "the second install replaces the first");
+        deploy_costs.push((rules, n));
+    }
+    assert_eq!(deploy_costs[0].0, 1, "{deploy_costs:?}");
+    assert!(deploy_costs[1].0 >= 8, "{deploy_costs:?}");
+    for (rules, n) in &deploy_costs {
+        assert_eq!(
+            *n, 2,
+            "header_for + SenderFlow::new + install_flow for {rules} rules: the flow's \
+             bytes and its header Arc are the budget ({deploy_costs:?})"
+        );
+    }
 
     // --- s-rule writes: a search and a shift, never a rebuild ---------------
     // Once the table has held this many keys its two columns have the

@@ -8,7 +8,9 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use elmo::controller::srules::SRuleSpace;
-use elmo::core::{encode_group, header_for_sender, EncoderConfig, HeaderLayout, SplitMix64};
+use elmo::core::{
+    encode_group, header_for_sender, DownstreamSections, EncoderConfig, HeaderLayout, SplitMix64,
+};
 use elmo::dataplane::{Fabric, HypervisorSwitch, SenderFlow, SwitchConfig};
 use elmo::net::vxlan::Vni;
 use elmo::sim::metrics;
@@ -37,7 +39,15 @@ fn measure_on_fabric(
             .install_pod_srule(PodId(*pod), GROUP, bm.clone())
             .expect("capacity");
     }
-    let header = header_for_sender(topo, layout, tree, enc, sender, &UpstreamCover::multipath());
+    let sections = DownstreamSections::new(topo, layout, tree, enc);
+    let header = header_for_sender(
+        topo,
+        layout,
+        tree,
+        &sections,
+        sender,
+        &UpstreamCover::multipath(),
+    );
     let mut hv = HypervisorSwitch::new(sender);
     hv.install_flow(
         Vni(5),

@@ -114,20 +114,22 @@ fn worst_case_static_header_is_within_the_parser_limit() {
         up: full(layout.spine_up_ports),
     });
     header.core = Some(full(layout.core_ports));
-    for pod in 0..2u32 {
-        header.d_spine.push(elmo::core::DownstreamRule {
+    header.d_spine = (0..2u32)
+        .map(|pod| elmo::core::DownstreamRule {
             bitmap: full(layout.spine_down_ports),
             switches: (0..8).map(|i| pod * 6 + i % 12).collect(),
-        });
-    }
+        })
+        .collect();
     header.d_spine_default = Some(full(layout.spine_down_ports));
     header.d_leaf_default = Some(full(layout.leaf_down_ports));
+    let mut leaf_rules = Vec::new();
     let mut i = 0u32;
     while header.byte_len(&layout) + layout.d_leaf_rule_bits(8).div_ceil(8) <= 325 {
-        header.d_leaf.push(elmo::core::DownstreamRule {
+        leaf_rules.push(elmo::core::DownstreamRule {
             bitmap: full(layout.leaf_down_ports),
             switches: (0..8).map(|k| (i * 8 + k) % 576).collect(),
         });
+        header.d_leaf = leaf_rules.as_slice().into();
         i += 1;
     }
     let bytes = header.encode(&layout);

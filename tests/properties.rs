@@ -15,8 +15,9 @@ use proptest::prelude::*;
 
 use elmo::controller::srules::{encode_group_admitted, SRuleSpace};
 use elmo::core::{
-    cluster_layer, header_for_sender, ClusterConfig, DownstreamRule, ElmoHeader, EncodeScratch,
-    EncoderConfig, HeaderLayout, PortBitmap, RedundancyMode, UpstreamRule,
+    cluster_layer, header_for_sender, ClusterConfig, DownstreamRule, DownstreamSections,
+    ElmoHeader, EncodeScratch, EncoderConfig, HeaderLayout, PortBitmap, RedundancyMode,
+    UpstreamRule,
 };
 use elmo::topology::{Clos, GroupTree, HostId, UpstreamCover};
 
@@ -190,9 +191,10 @@ proptest! {
         let mut space = SRuleSpace::unlimited(&topo);
         let enc =
             encode_group_admitted(&topo, &tree, &encoder, &mut space, &mut EncodeScratch::new());
+        let sections = DownstreamSections::new(&topo, &layout, &tree, &enc);
         for &sender in &members {
             let header = header_for_sender(
-                &topo, &layout, &tree, &enc, sender, &UpstreamCover::multipath(),
+                &topo, &layout, &tree, &sections, sender, &UpstreamCover::multipath(),
             );
             let bytes = header.encode(&layout);
             prop_assert!(

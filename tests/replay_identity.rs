@@ -16,7 +16,9 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use elmo::controller::{Controller, ControllerConfig, GroupId, MemberRole};
-use elmo::core::{encode_group, header_for_sender, EncoderConfig, HeaderLayout};
+use elmo::core::{
+    encode_group, header_for_sender, DownstreamSections, EncoderConfig, HeaderLayout,
+};
 use elmo::dataplane::{
     DeliveryBatch, Fabric, FlightPacket, HypervisorSwitch, SenderFlow, SwitchConfig, SwitchStats,
 };
@@ -124,7 +126,7 @@ fn sender_hv(s: &Scenario, sender: HostId) -> HypervisorSwitch {
         &s.topo,
         &s.layout,
         &s.tree,
-        &s.enc,
+        &DownstreamSections::new(&s.topo, &s.layout, &s.tree, &s.enc),
         sender,
         &UpstreamCover::multipath(),
     );
