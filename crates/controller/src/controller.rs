@@ -28,6 +28,7 @@ struct CtlMetrics {
     groups_deleted: elmo_obs::Counter,
     batch_groups: elmo_obs::Counter,
     membership_changes: elmo_obs::Counter,
+    full_reencode: elmo_obs::Counter,
 }
 
 fn metrics() -> &'static CtlMetrics {
@@ -37,7 +38,29 @@ fn metrics() -> &'static CtlMetrics {
         groups_deleted: elmo_obs::counter("controller.groups_deleted"),
         batch_groups: elmo_obs::counter("controller.batch.groups"),
         membership_changes: elmo_obs::counter("controller.membership_changes"),
+        full_reencode: elmo_obs::counter("churn.full_reencode"),
     })
+}
+
+/// Per-controller churn counters; `full_reencodes` is mirrored into the
+/// global `churn.full_reencode` obs counter. Local copies let a harness
+/// read one controller's counts without snapshot arithmetic.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct ChurnStats {
+    /// Always zero: there is no patch path. Kept only because the pipeline
+    /// benchmark binds this field.
+    pub delta_hits: u64,
+    /// Receiver-tree changes, each of which re-ran Algorithm 1.
+    pub full_reencodes: u64,
+    /// Always zero, kept for the same reason as `delta_hits`.
+    pub structural_escalations: u64,
+}
+
+impl ChurnStats {
+    /// Total receiver-tree changes processed.
+    pub fn tree_changes(&self) -> u64 {
+        self.delta_hits + self.full_reencodes
+    }
 }
 
 /// A fabric-wide multicast group identifier.
@@ -103,20 +126,10 @@ pub struct GroupState {
     /// Monotonic encoding version, bumped on every membership change that
     /// touches the tree or encoding. Deployment agents stamp installed
     /// headers with it; because headers are source-routed (self-contained
-    /// p-rules) and the delta path never frees live s-rules, packets
-    /// encoded against epoch `n` remain deliverable while epoch `n+1`
-    /// rolls out — the epoch only tells agents *which* hypervisors still
-    /// carry stale flows.
+    /// p-rules), packets encoded against epoch `n` remain deliverable on
+    /// their p-rules while epoch `n+1` rolls out — the epoch only tells
+    /// agents *which* hypervisors still carry stale flows.
     pub epoch: u64,
-    /// Certificate that `enc.d_leaf` is the canonical parsimonious
-    /// fast-path encoding of the current tree (see
-    /// [`elmo_core::layer_is_parsimonious`]). Established once after each
-    /// full encode (only when the delta path is enabled) and preserved by
-    /// every accepted patch, it lets the churn engine patch without
-    /// re-probing member inputs on each event. `false` means "not
-    /// certified", not "not parsimonious" — the delta path then escalates
-    /// to a full re-encode, which re-certifies.
-    pub leaf_parsimonious: bool,
 }
 
 impl GroupState {
@@ -244,13 +257,8 @@ pub struct Controller {
     by_addr: DetHashMap<(Vni, Ipv4Addr), GroupId>,
     next_group_id: u64,
     failures: FailureState,
-    /// Whether membership changes may take the delta re-encode path (see
-    /// [`crate::delta`]). On by default; the full path is kept reachable
-    /// for baselines and as the escalation target.
-    delta_enabled: bool,
-    /// Deterministic churn counters (mirrored to global obs counters).
-    churn: crate::delta::ChurnStats,
-    delta_scratch: crate::delta::DeltaScratch,
+    /// Deterministic churn counters.
+    churn: ChurnStats,
 }
 
 impl Controller {
@@ -268,27 +276,12 @@ impl Controller {
             by_addr: DetHashMap::default(),
             next_group_id: 0,
             failures: FailureState::none(),
-            delta_enabled: true,
-            churn: crate::delta::ChurnStats::default(),
-            delta_scratch: crate::delta::DeltaScratch::default(),
+            churn: ChurnStats::default(),
         }
     }
 
-    /// Enable or disable the delta re-encode path for membership changes.
-    /// Disabling it sends every receiver-tree change through the full
-    /// re-encoder — the churn bench's baseline mode. Final state is
-    /// bit-identical either way; only the work done per event differs.
-    pub fn set_delta_enabled(&mut self, on: bool) {
-        self.delta_enabled = on;
-    }
-
-    /// Whether the delta re-encode path is active.
-    pub fn delta_enabled(&self) -> bool {
-        self.delta_enabled
-    }
-
-    /// Churn-engine counters accumulated by this controller.
-    pub fn churn_stats(&self) -> crate::delta::ChurnStats {
+    /// Churn counters accumulated by this controller.
+    pub fn churn_stats(&self) -> ChurnStats {
         self.churn
     }
 
@@ -399,8 +392,8 @@ impl Controller {
 
     /// The insert path shared by [`Self::create_group`] and
     /// [`Self::create_groups_batch`]: count members, build the receiver
-    /// tree, run Algorithm 1 against the live s-rule space, certify the
-    /// leaf layer for the delta path, and index the group.
+    /// tree, run Algorithm 1 against the live s-rule space, and index the
+    /// group.
     fn insert_group(
         &mut self,
         id: GroupId,
@@ -422,15 +415,6 @@ impl Controller {
         let tree = Self::receiver_tree(&self.topo, &counts);
         let enc =
             encode_group_admitted(&self.topo, &tree, &self.encoder, &mut self.srules, scratch);
-        let leaf_parsimonious = self.delta_enabled
-            && crate::delta::certify_leaf_parsimony(
-                &self.topo,
-                &self.layout,
-                &self.encoder,
-                &tree,
-                &enc,
-                &mut self.delta_scratch,
-            );
         let state = GroupState {
             id,
             vni,
@@ -443,7 +427,6 @@ impl Controller {
             covers: BTreeMap::new(),
             unicast_fallback: false,
             epoch: 0,
-            leaf_parsimonious,
         };
         self.by_addr.insert((vni, tenant_addr), id);
         self.next_group_id = self.next_group_id.max(id.0 + 1);
@@ -518,9 +501,7 @@ impl Controller {
             encoder,
             srules,
             groups,
-            delta_enabled,
             churn,
-            delta_scratch,
             ..
         } = self;
         let mut updates = UpdateSet::default();
@@ -567,44 +548,12 @@ impl Controller {
             return updates;
         }
 
-        // The receiver tree changed. Try the delta path first: if the
-        // placement structure is preserved, patch the leaf layer in place
-        // and skip re-encoding entirely.
+        // The receiver tree changed: rebuild it, re-run Algorithm 1, and
+        // diff against what is installed.
         state.epoch += 1;
         updates.epoch = state.epoch;
-        if *delta_enabled {
-            match crate::delta::try_apply(
-                topo,
-                layout,
-                encoder,
-                state,
-                host,
-                after_receiving,
-                delta_scratch,
-            ) {
-                crate::delta::DeltaOutcome::Patched => {
-                    churn.delta_hits += 1;
-                    crate::delta::metrics().delta_hit.inc();
-                    // A patch edits the shared downstream leaf section (or,
-                    // for single-leaf groups, the synthesized leaf rule),
-                    // so every sender re-encapsulates; the leaf set, and so
-                    // the spine section, is unchanged. s-rules are
-                    // untouched by construction, so no switch updates.
-                    state.refresh_downstream(topo, layout, false, true);
-                    updates.all_senders = true;
-                    return updates;
-                }
-                crate::delta::DeltaOutcome::Structural => {
-                    churn.structural_escalations += 1;
-                    crate::delta::metrics().structural_escalation.inc();
-                }
-                crate::delta::DeltaOutcome::Refused(_) => {}
-            }
-        }
         churn.full_reencodes += 1;
-        crate::delta::metrics().full_reencode.inc();
-
-        // Full path: rebuild the tree, re-encode, and diff.
+        metrics().full_reencode.inc();
         let old_tree =
             std::mem::replace(&mut state.tree, Self::receiver_tree(topo, &state.members));
         Self::free_srules(srules, &state.enc);
@@ -616,15 +565,6 @@ impl Controller {
             &mut EncodeScratch::new(),
         );
         let old_enc = std::mem::replace(&mut state.enc, new_enc);
-        state.leaf_parsimonious = *delta_enabled
-            && crate::delta::certify_leaf_parsimony(
-                topo,
-                layout,
-                encoder,
-                &state.tree,
-                &state.enc,
-                delta_scratch,
-            );
         Self::diff_srules_into(&old_enc, &state.enc, &mut updates);
         let (spine, leaf) = Self::sections_changed(&old_tree, &state.tree, &old_enc, &state.enc);
         state.refresh_downstream(topo, layout, spine, leaf);

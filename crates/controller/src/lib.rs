@@ -18,15 +18,13 @@
 
 pub mod attribution;
 pub mod controller;
-pub mod delta;
 pub mod failures;
 pub mod srules;
 
 pub use attribution::RuleAttribution;
 pub use controller::{
-    Controller, ControllerConfig, GroupId, GroupSpec, GroupState, MemberCounts, MemberRole,
-    UpdateSet,
+    ChurnStats, Controller, ControllerConfig, GroupId, GroupSpec, GroupState, MemberCounts,
+    MemberRole, UpdateSet,
 };
-pub use delta::ChurnStats;
 pub use failures::FailureImpact;
 pub use srules::{encode_group_admitted, SRuleSpace, UsageStats};

@@ -53,10 +53,8 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Wire cost of one rule carrying `k` identifiers. Note this depends on
-    /// the bitmap width and `k` only — never on which ports are set — which
-    /// is what lets the delta patcher reason about feasibility without
-    /// re-clustering (see `crate::delta`).
+    /// Wire cost of one rule carrying `k` identifiers. It depends on the
+    /// bitmap width and `k` only, never on which ports are set.
     pub fn rule_bits(&self, width: usize, k: usize) -> usize {
         width + k * (self.id_bits + 1) + 1
     }

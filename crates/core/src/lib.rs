@@ -25,7 +25,6 @@
 pub mod bitmap;
 pub mod bits;
 pub mod cluster;
-pub mod delta;
 pub mod det;
 pub mod header;
 pub mod layout;
@@ -38,13 +37,12 @@ pub use bitmap::PortBitmap;
 pub use cluster::{
     cluster_layer, cluster_layer_with, ClusterConfig, ClusterScratch, LayerEncoding, RedundancyMode,
 };
-pub use delta::{layer_is_parsimonious, try_patch_layer, PatchRefusal, PatchScratch, Trust};
 pub use det::{DetHashMap, DetHashSet, DetHasher};
 pub use header::{pop, DownstreamRule, ElmoHeader, HeaderError, UpstreamRule};
 pub use layout::HeaderLayout;
 pub use min_k_union::{approx_min_k_union, approx_min_k_union_with, MinKUnionScratch};
 pub use plan::{
-    encode_group, encode_group_with, header_for_sender, leaf_layer_cfg, DownstreamSections,
-    EncodeScratch, EncoderConfig, GroupEncoding,
+    encode_group, encode_group_with, header_for_sender, DownstreamSections, EncodeScratch,
+    EncoderConfig, GroupEncoding,
 };
 pub use rng::SplitMix64;

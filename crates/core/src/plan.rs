@@ -221,21 +221,6 @@ fn leaf_cluster_cfg(layout: &HeaderLayout, cfg: &EncoderConfig, leaf_bits: usize
     }
 }
 
-/// The clustering constants a from-scratch encode would use for the
-/// downstream *leaf* layer of a group whose spine section is `d_spine` —
-/// including the bit budget left over after the fixed sections and the
-/// actual spine rules. This is what the controller's delta patcher hands to
-/// [`crate::delta::try_patch_layer`]: as long as the spine section is
-/// unchanged (a membership edit inside an existing leaf never touches the
-/// spine inputs), the leaf layer's budget is unchanged too.
-pub fn leaf_layer_cfg(
-    layout: &HeaderLayout,
-    cfg: &EncoderConfig,
-    d_spine: &LayerEncoding,
-) -> ClusterConfig {
-    leaf_cluster_cfg(layout, cfg, leaf_bit_budget(layout, cfg, d_spine))
-}
-
 /// [`encode_group`] with caller-provided scratch buffers.
 pub fn encode_group_with(
     topo: &Clos,

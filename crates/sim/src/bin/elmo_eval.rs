@@ -21,9 +21,9 @@
 //!   ablation        §3.1 design-decision ablation (D1 -> D2 -> D3)
 //!   two-tier        §5.1.1: two-tier (CONGA-style) leaf-spine sanity check
 //!   verify          static rule-state verification of the fig4/fig5 state
-//!   churn           §5.1.3a delta vs full re-encode under a seeded join/leave
-//!                   stream, with per-burst verification (--events, --burst,
-//!                   --delta on|off, --expect-hit-rate PCT)
+//!   churn           §5.1.3a membership-change throughput under a seeded
+//!                   join/leave stream, with per-burst verification
+//!                   (--events, --burst, --min-group)
 //!   trace           causal copy-tree trace of one packet (--group, --sender)
 //!   timeline        windowed failure replay emitting per-window metrics
 //!   all             run everything
@@ -100,8 +100,6 @@ struct Opts {
     tick: usize,
     timeline_out: Option<String>,
     burst: usize,
-    delta: bool,
-    expect_hit_rate: Option<u64>,
     min_group: Option<usize>,
     temporal_events: usize,
     temporal_senders: usize,
@@ -132,8 +130,6 @@ fn parse_args() -> Opts {
         tick: 8,
         timeline_out: None,
         burst: 5_000,
-        delta: true,
-        expect_hit_rate: None,
         min_group: None,
         temporal_events: 10_000,
         temporal_senders: 2,
@@ -182,16 +178,6 @@ fn parse_args() -> Opts {
                 opts.expect_nodes = Some(expect_num(&mut args, "--expect-nodes") as usize);
             }
             "--burst" => opts.burst = expect_num(&mut args, "--burst") as usize,
-            "--delta" => {
-                opts.delta = match args.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => usage("--delta needs on|off"),
-                }
-            }
-            "--expect-hit-rate" => {
-                opts.expect_hit_rate = Some(expect_num(&mut args, "--expect-hit-rate"));
-            }
             "--min-group" => opts.min_group = Some(expect_num(&mut args, "--min-group") as usize),
             "--temporal-events" => {
                 opts.temporal_events = expect_num(&mut args, "--temporal-events") as usize;
@@ -252,7 +238,7 @@ fn usage(msg: &str) -> ! {
          [--samples N] [--report-out PATH] [--metrics-out PATH] \
          [--trace-pcap PATH] \
          [--group N] [--sender H] [--trace-out PATH] [--expect-nodes N] \
-         [--burst N] [--delta on|off] [--expect-hit-rate PCT] \
+         [--burst N] [--min-group N] \
          [--temporal-events N] [--temporal-senders N] \
          [--windows N] [--tick N] [--timeline-out PATH] \
          [-v|-vv|--quiet] [--log-json]\n\
@@ -635,7 +621,7 @@ fn run_verify(opts: &Opts) {
         reports.insert(name.to_string(), rep.to_json());
     }
     // Temporal update-safety: replay a seeded churn stream on the P=12
-    // workload and prove every intermediate patch state leaves in-flight
+    // workload and prove every intermediate state leaves in-flight
     // (pre-event) headers either byte-exact or attributably versioned
     // out. `--temporal-events 0` skips the sweep.
     if opts.temporal_events > 0 {
@@ -650,7 +636,6 @@ fn run_verify(opts: &Opts) {
             events: opts.temporal_events,
             burst: opts.burst,
             seed: opts.seed ^ 0x7e,
-            delta: true,
             max_senders: opts.temporal_senders,
         };
         let trun = temporal_exp::run(topo, wl, &tcfg);
@@ -698,16 +683,13 @@ fn run_verify(opts: &Opts) {
     println!();
 }
 
-/// `elmo-eval churn` — replay a seeded join/leave stream through two
-/// controllers, delta re-encode on and off, on the Figure-4 (P=12)
-/// workload. Both runs see the identical events in identical bursts; the
-/// full installed state is re-verified after every delta-path burst, and
-/// the two controllers are held to bit-identical final state. Exit 1 on
-/// any violation, divergence, or (with --expect-hit-rate) a delta hit
-/// rate below the pinned floor.
+/// `elmo-eval churn` — replay a seeded join/leave stream through the
+/// controller on the Figure-4 (P=12) workload, re-verifying the full
+/// installed state after every burst. Every receiver-tree change re-runs
+/// Algorithm 1 for its group; the tree-change count is deterministic per
+/// seed. Exit 1 on any violation.
 fn run_churn(opts: &Opts) {
     use elmo_sim::churn_exp::{self, ChurnExpConfig};
-    use elmo_workloads::{initial_roles, Workload};
     let topo = fabric(opts);
     let layout = elmo_core::HeaderLayout::for_clos(&topo);
     let budget = layout
@@ -724,94 +706,37 @@ fn run_churn(opts: &Opts) {
     if let Some(m) = opts.min_group {
         wl.min_group_size = m;
     }
-    let cfg_on = ChurnExpConfig {
+    let cfg = ChurnExpConfig {
         r,
         header_budget: budget,
         events: opts.events,
         burst: opts.burst,
         seed: opts.seed ^ 0xc4,
-        delta: opts.delta,
         verify_each_burst: true,
     };
-    let workload = Workload::generate(topo, wl);
-    let roles = initial_roles(&workload, wl.seed);
-    let mut on = churn_exp::build_controller(topo, &workload, &roles, &cfg_on);
-    let run_on = churn_exp::replay(&workload, &roles, &cfg_on, &mut on);
-
-    // The baseline: same stream, same bursts, delta path disabled, no
-    // per-burst verification (final-state identity is the check).
-    let cfg_off = ChurnExpConfig {
-        delta: false,
-        verify_each_burst: false,
-        ..cfg_on
-    };
-    let mut off = churn_exp::build_controller(topo, &workload, &roles, &cfg_off);
-    let run_off = churn_exp::replay(&workload, &roles, &cfg_off, &mut off);
-
-    let mut failed = false;
-    let mode = if opts.delta {
-        "delta"
-    } else {
-        "full (--delta off)"
-    };
+    let run = churn_exp::run(topo, wl, &cfg);
     println!(
-        "churn: {} groups, {} events in bursts of {}, R={r}, {mode} path timed",
-        count(run_on.groups as u64),
-        count(run_on.events as u64),
+        "churn: {} groups, {} events in bursts of {}, R={r}",
+        count(run.groups as u64),
+        count(run.events as u64),
         opts.burst.max(1),
     );
     println!(
-        "  {mode}: {:.0} ops/s, p95 event {:.1} us; baseline full: {:.0} ops/s, p95 {:.1} us; speedup {:.1}x",
-        run_on.events_per_sec(),
-        run_on.p95_event_ns() as f64 / 1e3,
-        run_off.events_per_sec(),
-        run_off.p95_event_ns() as f64 / 1e3,
-        run_on.events_per_sec() / run_off.events_per_sec(),
+        "  {:.0} ops/s, p95 event {:.1} us",
+        run.events_per_sec(),
+        run.p95_event_ns() as f64 / 1e3,
     );
     println!(
-        "  per event: hit {:.1} us (n={}), full {:.1} us (n={}); baseline full {:.1} us -> per-hit speedup {:.1}x",
-        run_on.hit_ns.mean_ns() / 1e3,
-        count(run_on.hit_ns.count),
-        run_on.full_ns.mean_ns() / 1e3,
-        count(run_on.full_ns.count),
-        run_off.full_ns.mean_ns() / 1e3,
-        run_off.full_ns.mean_ns() / run_on.hit_ns.mean_ns(),
-    );
-    let s = &run_on.stats;
-    println!(
-        "  delta hits {} / full re-encodes {} (structural {}) -> hit rate {}; \
-         verified {} bursts -> {}",
-        count(s.delta_hits),
-        count(s.full_reencodes),
-        count(s.structural_escalations),
-        pct(run_on.delta_hit_rate()),
-        run_on.verified_bursts,
-        if run_on.verify_violations == 0 {
+        "  tree changes {} (each re-runs Algorithm 1); verified {} bursts -> {}",
+        count(run.stats.tree_changes()),
+        run.verified_bursts,
+        if run.verify_violations == 0 {
             "clean".to_string()
         } else {
-            failed = true;
-            format!("{} VIOLATIONS", run_on.verify_violations)
+            format!("{} VIOLATIONS", run.verify_violations)
         },
     );
-    match churn_exp::states_identical(&on, &off) {
-        Ok(()) => println!("  final state bit-identical to the full re-encode baseline"),
-        Err(e) => {
-            failed = true;
-            println!("  DIVERGED from the full re-encode baseline: {e}");
-        }
-    }
-    if let Some(floor) = opts.expect_hit_rate {
-        let got = run_on.delta_hit_rate() * 100.0;
-        // NaN (no events) must also fail the floor, hence not `got < floor`.
-        if !matches!(
-            got.partial_cmp(&(floor as f64)),
-            Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
-        ) {
-            failed = true;
-            println!("  delta hit rate {got:.1}% below pinned floor {floor}%");
-        }
-    }
-    if failed {
+    if run.verify_violations > 0 {
         std::process::exit(1);
     }
     println!();

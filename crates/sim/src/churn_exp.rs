@@ -2,13 +2,12 @@
 //! controller burst by burst, timing the membership path and optionally
 //! re-verifying the full installed state at every burst boundary.
 //!
-//! This is what `elmo-eval churn` (and the CI churn smoke runs) drive. The stream comes from
-//! [`elmo_workloads::churn_bursts`], so every consumer sees the identical
-//! events and the identical checkpoints for a given (workload, seed, burst
-//! size); only what is measured differs. The delta re-encode engine
-//! (`elmo_controller::delta`) is toggled per run, and
-//! [`states_identical`] lets callers hold a delta-on and a delta-off
-//! controller to bit-identical state after every burst.
+//! This is what `elmo-eval churn` (and the CI churn smoke runs) drive. The
+//! stream comes from [`elmo_workloads::churn_bursts`], so every consumer
+//! sees the identical events and the identical checkpoints for a given
+//! (workload, seed, burst size); only what is measured differs.
+//! [`states_identical`] lets callers hold two controllers that walked the
+//! same stream to bit-identical state.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -36,8 +35,6 @@ pub struct ChurnExpConfig {
     pub burst: usize,
     /// Seed for the churn stream (the workload has its own seed).
     pub seed: u64,
-    /// Whether the controller's delta re-encode path is enabled.
-    pub delta: bool,
     /// Re-install the full state into a fresh fabric and run the
     /// `elmo-verify` static checker after every burst (never on the
     /// clock).
@@ -55,31 +52,6 @@ pub struct BurstRow {
     pub p95_event_ns: u64,
 }
 
-/// Latency accumulator for one class of membership events.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct OutcomeNs {
-    /// Events of this class.
-    pub count: u64,
-    /// Summed single-event wall nanoseconds.
-    pub total_ns: u64,
-}
-
-impl OutcomeNs {
-    fn add(&mut self, ns: u64) {
-        self.count += 1;
-        self.total_ns += ns;
-    }
-
-    /// Mean nanoseconds per event (NaN when none occurred).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
-    }
-}
-
 /// Everything one churn run produced.
 #[derive(Clone, Debug)]
 pub struct ChurnRun {
@@ -91,13 +63,6 @@ pub struct ChurnRun {
     pub bursts: Vec<BurstRow>,
     /// The controller's own churn counters after the run.
     pub stats: ChurnStats,
-    /// Latency of events the delta path absorbed.
-    pub hit_ns: OutcomeNs,
-    /// Latency of events that ran the full re-encoder.
-    pub full_ns: OutcomeNs,
-    /// Latency of events that never reached the re-encode dispatch
-    /// (sender-side changes, membership count changes that keep the tree).
-    pub other_ns: OutcomeNs,
     /// Bursts that were followed by a full-state verification.
     pub verified_bursts: usize,
     /// Total violations across all per-burst verifications (0 on a
@@ -130,16 +95,6 @@ impl ChurnRun {
             .max()
             .unwrap_or(0)
     }
-
-    /// Share of receiver-tree changes absorbed by the delta path.
-    pub fn delta_hit_rate(&self) -> f64 {
-        let total = self.stats.tree_changes();
-        if total == 0 {
-            f64::NAN
-        } else {
-            self.stats.delta_hits as f64 / total as f64
-        }
-    }
 }
 
 /// Map a workload role to a controller role (shared with the temporal
@@ -153,7 +108,7 @@ pub(crate) fn to_role(r: Role) -> MemberRole {
 }
 
 /// Build the pre-churn controller: every workload group created in order
-/// through [`Controller::create_groups_batch`], with the delta path toggled per `cfg`.
+/// through [`Controller::create_groups_batch`].
 pub fn build_controller(
     topo: Clos,
     workload: &Workload,
@@ -183,10 +138,6 @@ pub fn build_controller(
             )
         })
         .collect();
-    // Toggle before creation: group creation establishes the parsimony
-    // certificates the delta path patches under, and the delta-off
-    // baseline should not pay for certification it will never use.
-    ctl.set_delta_enabled(cfg.delta);
     ctl.create_groups_batch(&specs, 1);
     ctl
 }
@@ -222,9 +173,6 @@ pub fn replay(
     let mut total_events = 0usize;
     let mut verified_bursts = 0usize;
     let mut verify_violations = 0usize;
-    let mut hit_ns = OutcomeNs::default();
-    let mut full_ns = OutcomeNs::default();
-    let mut other_ns = OutcomeNs::default();
     for burst in churn_bursts(workload, cfg.events, cfg.seed, cfg.burst) {
         event_ns.clear();
         let start = Instant::now();
@@ -232,7 +180,6 @@ pub fn replay(
             let g = &workload.groups[e.group as usize];
             let tenant = &workload.tenants[g.tenant as usize];
             let host = tenant.vms[e.vm as usize];
-            let before = ctl.churn_stats();
             let t0 = Instant::now();
             if e.join {
                 ctl.join(GroupId(e.group as u64), host, to_role(e.role));
@@ -243,16 +190,7 @@ pub fn replay(
                     .expect("generator only emits leaves for members");
                 ctl.leave(GroupId(e.group as u64), host, to_role(old_role));
             }
-            let ns = t0.elapsed().as_nanos() as u64;
-            let after = ctl.churn_stats();
-            if after.delta_hits > before.delta_hits {
-                hit_ns.add(ns);
-            } else if after.full_reencodes > before.full_reencodes {
-                full_ns.add(ns);
-            } else {
-                other_ns.add(ns);
-            }
-            event_ns.push(ns);
+            event_ns.push(t0.elapsed().as_nanos() as u64);
             if e.join {
                 truth[e.group as usize].insert(e.vm, e.role);
             } else {
@@ -281,9 +219,6 @@ pub fn replay(
         events: total_events,
         bursts,
         stats: ctl.churn_stats(),
-        hit_ns,
-        full_ns,
-        other_ns,
         verified_bursts,
         verify_violations,
     }
@@ -310,8 +245,8 @@ pub fn verify_now(ctl: &Controller) -> usize {
 
 /// Whether two controllers hold bit-identical group state: same group
 /// ids, and per group the same receiver tree, encoding (p-rules, s-rules,
-/// default rules), membership counts, and fallback flag. Epochs are
-/// compared too — the delta and full paths bump them identically.
+/// default rules), shared downstream sections, membership counts,
+/// fallback flag and epoch.
 pub fn states_identical(a: &Controller, b: &Controller) -> Result<(), String> {
     let mut ga: Vec<_> = a.groups().collect();
     let mut gb: Vec<_> = b.groups().collect();
@@ -332,6 +267,9 @@ pub fn states_identical(a: &Controller, b: &Controller) -> Result<(), String> {
         }
         if x.enc != y.enc {
             return Err(format!("group {:?}: encoding differs", x.id));
+        }
+        if x.downstream != y.downstream {
+            return Err(format!("group {:?}: downstream sections differ", x.id));
         }
         if x.unicast_fallback != y.unicast_fallback {
             return Err(format!("group {:?}: fallback flag differs", x.id));
@@ -361,7 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_run_verifies_clean_and_hits() {
+    fn run_verifies_clean_and_reencodes_every_tree_change() {
         let (topo, wl) = small();
         let cfg = ChurnExpConfig {
             r: 12,
@@ -369,49 +307,47 @@ mod tests {
             events: 600,
             burst: 200,
             seed: 7,
-            delta: true,
             verify_each_burst: true,
         };
         let run = run(topo, wl, &cfg);
         assert_eq!(run.events, 600);
+        assert_eq!(run.bursts.len(), 3);
         assert_eq!(run.verified_bursts, 3);
         assert_eq!(run.verify_violations, 0, "state must verify clean");
-        assert!(run.stats.delta_hits > 0, "stream produced no delta hits");
-        // Sender-only and same-host events never reach the re-encode
-        // dispatch, so tree changes can undercount events but the split
-        // must be exact.
-        assert!(run.stats.tree_changes() <= run.events as u64);
+        // Sender-only and same-host events change no tree, so tree changes
+        // can undercount events; every one of them re-ran Algorithm 1.
+        let s = run.stats;
+        assert!(s.tree_changes() > 0, "stream changed no receiver tree");
+        assert!(s.tree_changes() <= run.events as u64);
+        assert_eq!(s.full_reencodes, s.tree_changes());
+        assert_eq!((s.delta_hits, s.structural_escalations), (0, 0));
     }
 
     #[test]
-    fn delta_and_full_paths_converge_identically() {
+    fn replays_of_one_stream_converge_identically() {
         let (topo, wl) = small();
-        let base = ChurnExpConfig {
+        let cfg = ChurnExpConfig {
             r: 12,
             header_budget: 325,
             events: 500,
-            burst: 500,
+            burst: 100,
             seed: 9,
-            delta: true,
             verify_each_burst: false,
         };
         let workload = Workload::generate(topo, wl);
         let roles = initial_roles(&workload, wl.seed);
-        let mut on = build_controller(topo, &workload, &roles, &base);
-        let off_cfg = ChurnExpConfig {
-            delta: false,
-            ..base
-        };
-        let mut off = build_controller(topo, &workload, &roles, &off_cfg);
-        let run_on = replay(&workload, &roles, &base, &mut on);
-        let run_off = replay(&workload, &roles, &off_cfg, &mut off);
-        states_identical(&on, &off).expect("delta path diverged from full path");
-        assert!(run_on.stats.delta_hits > 0);
-        assert_eq!(run_off.stats.delta_hits, 0);
-        assert_eq!(
-            run_on.stats.tree_changes(),
-            run_off.stats.tree_changes(),
-            "both modes must see the same tree-change stream"
-        );
+        let mut a = build_controller(topo, &workload, &roles, &cfg);
+        let mut b = build_controller(topo, &workload, &roles, &cfg);
+        states_identical(&a, &b).expect("builds of one workload diverged");
+        let before = a.clone();
+        let run_a = replay(&workload, &roles, &cfg, &mut a);
+        let run_b = replay(&workload, &roles, &cfg, &mut b);
+        states_identical(&a, &b).expect("replays of one stream diverged");
+        assert_eq!(run_a.stats, run_b.stats);
+        // The check is not vacuous: the stream moved the state, and the
+        // tree changes bumped epochs.
+        assert!(states_identical(&a, &before).is_err());
+        let epochs: u64 = a.groups().map(|g| g.epoch).sum();
+        assert_eq!(epochs, run_a.stats.tree_changes());
     }
 }

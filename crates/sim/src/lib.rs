@@ -6,7 +6,7 @@
 //! |---|---|
 //! | [`sweep`] | Figures 4 & 5 (coverage, s-rules, traffic vs `R`), plus the §5.1.2 variants (Uniform sizes, limited `Fmax`, reduced headers) |
 //! | [`table2`] | Table 2 — control-plane update load under churn |
-//! | [`churn_exp`] | §5.1.3a churn replay: delta vs full re-encode, per-burst verification |
+//! | [`churn_exp`] | §5.1.3a churn replay: membership-change throughput, per-burst verification |
 //! | [`failure_exp`] | §5.1.3b — spine/core failure blast radius |
 //! | [`perf`] | Figure 7 (hypervisor encap throughput) and §5.1.3 controller latency |
 //! | [`xpander_exp`] | §5.1.2 non-Clos (Xpander) feasibility |

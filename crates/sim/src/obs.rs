@@ -22,10 +22,8 @@ pub const REQUIRED_METRICS: &[&str] = &[
     "controller.groups_deleted",
     "controller.batch.groups",
     "controller.membership_changes",
-    // Incremental churn engine (§5.1.3a: membership update handling).
-    "churn.delta_hit",
+    // Membership changes that re-ran Algorithm 1 (§5.1.3a).
     "churn.full_reencode",
-    "churn.structural_escalations",
     // s-rule admission (§3.2/§5.1.2: group-table occupancy and spill).
     "controller.srules.leaf_allocs",
     "controller.srules.leaf_refused",

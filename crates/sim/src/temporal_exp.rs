@@ -8,7 +8,7 @@
 //! *pre-event* headers are re-walked. Every step must leave old headers
 //! byte-exact, converged (header unchanged, delivery exactly the new
 //! receiver set), or attributably versioned out — anything else is an
-//! update-safety violation in the controller's patch path.
+//! update-safety violation in the controller's membership path.
 //!
 //! The fabric is kept live across the whole stream and synced
 //! *incrementally* (only the touched group's s-rules change per event),
@@ -38,8 +38,6 @@ pub struct TemporalExpConfig {
     pub burst: usize,
     /// Seed for the churn stream.
     pub seed: u64,
-    /// Whether the controller's delta re-encode path is enabled.
-    pub delta: bool,
     /// Sender headers sampled per event (0 = every sender of the group).
     pub max_senders: usize,
 }
@@ -102,7 +100,6 @@ pub fn run(topo: Clos, workload_cfg: WorkloadConfig, cfg: &TemporalExpConfig) ->
         events: cfg.events,
         burst: cfg.burst,
         seed: cfg.seed,
-        delta: cfg.delta,
         verify_each_burst: false,
     };
     let mut ctl = churn_exp::build_controller(topo, &workload, &roles, &churn_cfg);
@@ -184,7 +181,6 @@ mod tests {
             events: 400,
             burst: 50,
             seed: 0xe1_40,
-            delta: true,
             max_senders: 2,
         };
         let run = run(topo, wl, &cfg);
@@ -203,9 +199,10 @@ mod tests {
 
     #[test]
     fn full_reencode_stream_is_temporally_safe_too() {
-        // With the delta path off every event is a full re-encode that
-        // frees and reinstalls s-rules; divergence is expected but must
-        // always be versioned out, never silent.
+        // A second workload and stream under the same tight budget: every
+        // tree change is a full re-encode that frees and reinstalls the
+        // group's s-rules; divergence is expected but must always be
+        // versioned out, never silent.
         let topo = Clos::paper_example();
         let wl = WorkloadConfig {
             tenants: 3,
@@ -222,7 +219,6 @@ mod tests {
             events: 200,
             burst: 25,
             seed: 0xe1_41,
-            delta: false,
             max_senders: 2,
         };
         let run = run(topo, wl, &cfg);

@@ -28,4 +28,4 @@ pub mod xpander;
 pub use clos::{Clos, ClosParams};
 pub use failure::{FailureState, UpstreamCover};
 pub use ids::{CoreId, HostId, Layer, LeafId, PodId, SpineId, SwitchRef};
-pub use tree::{GroupTree, TreeEdit};
+pub use tree::GroupTree;

@@ -5,39 +5,13 @@
 //! the receiver leaf ports at each participating pod's logical spine, and the
 //! participating pods at the logical core (paper §3.1). [`GroupTree`]
 //! materializes that projection once so the encoder and the baselines can
-//! query it cheaply.
+//! query it cheaply; a membership change builds a new one from the new
+//! member set.
 
 use std::collections::BTreeMap;
 
 use crate::clos::Clos;
 use crate::ids::{HostId, LeafId, PodId};
-
-/// What an in-place membership edit did to a tree's structure. A leaf or
-/// pod appearing or vanishing is exactly the "structural change" that
-/// forces the controller off its delta re-encode path: the set of layer
-/// inputs changes, not just one input's bits.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct TreeEdit {
-    /// The edited host's leaf.
-    pub leaf: LeafId,
-    /// The edited host's pod.
-    pub pod: PodId,
-    /// The leaf joined the tree (first member under it).
-    pub leaf_added: bool,
-    /// The leaf left the tree (last member under it).
-    pub leaf_removed: bool,
-    /// The pod joined the tree.
-    pub pod_added: bool,
-    /// The pod left the tree.
-    pub pod_removed: bool,
-}
-
-impl TreeEdit {
-    /// Whether the edit changed the set of participating leaves or pods.
-    pub fn structural(&self) -> bool {
-        self.leaf_added || self.leaf_removed || self.pod_added || self.pod_removed
-    }
-}
 
 /// The logical multicast tree of a group: per-leaf member hosts and per-pod
 /// member leaves, keyed in sorted order so iteration is deterministic.
@@ -145,77 +119,6 @@ impl GroupTree {
     /// Per-pod member leaf lists, in ascending pod order.
     pub fn pod_leaves(&self) -> impl Iterator<Item = (PodId, &[LeafId])> + '_ {
         self.leaves_by_pod.iter().map(|(&p, ls)| (p, ls.as_slice()))
-    }
-
-    /// Add one member host in place. Returns `None` if `h` was already a
-    /// member (the tree is unchanged), otherwise which structures the edit
-    /// touched. The result is exactly [`GroupTree::new`] over the enlarged
-    /// member set: every invariant (sorted members, sorted per-leaf and
-    /// per-pod lists, no empty entries) is preserved, so `==` against a
-    /// from-scratch build holds bit for bit.
-    pub fn add_host(&mut self, topo: &Clos, h: HostId) -> Option<TreeEdit> {
-        let Err(pos) = self.members.binary_search(&h) else {
-            return None;
-        };
-        debug_assert!((h.0 as usize) < topo.num_hosts(), "host out of range");
-        self.members.insert(pos, h);
-        let leaf = topo.leaf_of_host(h);
-        let pod = topo.pod_of_leaf(leaf);
-        let hosts = self.hosts_by_leaf.entry(leaf).or_default();
-        let leaf_added = hosts.is_empty();
-        let hp = hosts.binary_search(&h).unwrap_err();
-        hosts.insert(hp, h);
-        let mut pod_added = false;
-        if leaf_added {
-            let leaves = self.leaves_by_pod.entry(pod).or_default();
-            pod_added = leaves.is_empty();
-            let lp = leaves.binary_search(&leaf).unwrap_err();
-            leaves.insert(lp, leaf);
-        }
-        Some(TreeEdit {
-            leaf,
-            pod,
-            leaf_added,
-            leaf_removed: false,
-            pod_added,
-            pod_removed: false,
-        })
-    }
-
-    /// Remove one member host in place. Returns `None` if `h` was not a
-    /// member. Same exact-equality guarantee as [`GroupTree::add_host`]:
-    /// emptied leaf and pod entries are dropped so the result matches a
-    /// from-scratch [`GroupTree::new`] over the shrunken member set.
-    pub fn remove_host(&mut self, topo: &Clos, h: HostId) -> Option<TreeEdit> {
-        let Ok(pos) = self.members.binary_search(&h) else {
-            return None;
-        };
-        self.members.remove(pos);
-        let leaf = topo.leaf_of_host(h);
-        let pod = topo.pod_of_leaf(leaf);
-        let hosts = self.hosts_by_leaf.get_mut(&leaf).expect("member's leaf");
-        let hp = hosts.binary_search(&h).expect("member on its leaf");
-        hosts.remove(hp);
-        let leaf_removed = hosts.is_empty();
-        let mut pod_removed = false;
-        if leaf_removed {
-            self.hosts_by_leaf.remove(&leaf);
-            let leaves = self.leaves_by_pod.get_mut(&pod).expect("leaf's pod");
-            let lp = leaves.binary_search(&leaf).expect("leaf in its pod");
-            leaves.remove(lp);
-            pod_removed = leaves.is_empty();
-            if pod_removed {
-                self.leaves_by_pod.remove(&pod);
-            }
-        }
-        Some(TreeEdit {
-            leaf,
-            pod,
-            leaf_added: false,
-            leaf_removed,
-            pod_added: false,
-            pod_removed,
-        })
     }
 
     /// Downstream host port indices a leaf must forward to (one per member
@@ -342,64 +245,6 @@ mod tests {
         assert_eq!(tree.num_leaves(), 0);
         assert_eq!(tree.num_pods(), 0);
         assert_eq!(tree.hosts_on_leaf(LeafId(0)), &[] as &[HostId]);
-    }
-
-    #[test]
-    fn incremental_edits_match_from_scratch_builds() {
-        // Randomized add/remove stream: after every edit the incrementally
-        // maintained tree must equal a fresh projection of the same member
-        // set, and the reported TreeEdit must describe the structural delta.
-        let topo = Clos::paper_example();
-        let mut rng = 0x5eedu64;
-        let mut step = move || {
-            // SplitMix64 step, inlined to keep the topology crate dep-free.
-            rng = rng.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = rng;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        };
-        let mut members: Vec<HostId> = Vec::new();
-        let mut tree = GroupTree::new(&topo, []);
-        for _ in 0..400 {
-            let h = HostId((step() % topo.num_hosts() as u64) as u32);
-            let present = members.contains(&h);
-            if present {
-                let before_leaves = tree.num_leaves();
-                let before_pods = tree.num_pods();
-                let edit = tree.remove_host(&topo, h).expect("present member");
-                members.retain(|&m| m != h);
-                assert_eq!(edit.leaf, topo.leaf_of_host(h));
-                assert_eq!(edit.leaf_removed, tree.num_leaves() < before_leaves);
-                assert_eq!(edit.pod_removed, tree.num_pods() < before_pods);
-                assert!(!edit.leaf_added && !edit.pod_added);
-            } else {
-                let before_leaves = tree.num_leaves();
-                let before_pods = tree.num_pods();
-                let edit = tree.add_host(&topo, h).expect("absent member");
-                members.push(h);
-                assert_eq!(edit.pod, topo.pod_of_leaf(topo.leaf_of_host(h)));
-                assert_eq!(edit.leaf_added, tree.num_leaves() > before_leaves);
-                assert_eq!(edit.pod_added, tree.num_pods() > before_pods);
-                assert!(!edit.leaf_removed && !edit.pod_removed);
-            }
-            assert_eq!(tree, GroupTree::new(&topo, members.iter().copied()));
-        }
-    }
-
-    #[test]
-    fn duplicate_add_and_missing_remove_are_noops() {
-        let topo = Clos::paper_example();
-        let mut tree = GroupTree::new(&topo, [HostId(3)]);
-        let before = tree.clone();
-        assert!(tree.add_host(&topo, HostId(3)).is_none());
-        assert!(tree.remove_host(&topo, HostId(40)).is_none());
-        assert_eq!(tree, before);
-        // Removing the only member empties the tree structurally.
-        let edit = tree.remove_host(&topo, HostId(3)).unwrap();
-        assert!(edit.leaf_removed && edit.pod_removed && edit.structural());
-        assert!(tree.is_empty());
-        assert_eq!(tree, GroupTree::new(&topo, []));
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Temporal update-safety: prove every intermediate state of a churn
-//! delta sequence is safe for in-flight traffic.
+//! sequence is safe for in-flight traffic.
 //!
 //! The static checker ([`crate::check_state_with`]) proves exact delivery
 //! for the *current* fabric state. Under churn there is a second, sneakier
 //! correctness surface: a packet encoded under epoch `N` may still be in
-//! flight while the controller patches the fabric to epoch `N+1`. Elmo's
-//! delta path is designed so this is safe — headers are source-routed and
-//! the patch path never frees live s-rules — but "designed so" is exactly
-//! the kind of claim that rots. This module checks it mechanically.
+//! flight while the controller moves the fabric to epoch `N+1`. Elmo is
+//! designed so this is safe — headers are source-routed, and every event
+//! that changes what a live header delivers bumps the epoch and names the
+//! senders to reprogram — but "designed so" is exactly the kind of claim
+//! that rots. This module checks it mechanically.
 //!
 //! The model: immediately before each churn event, snapshot the touched
 //! group's epoch, receiver set, and one encoded header per sender (a proxy
@@ -17,8 +18,7 @@
 //! *new* fabric. Each (sender, header) must land in one of two buckets:
 //!
 //! * **Exact** — the old header still delivers the exact pre-event
-//!   receiver multiset. In-flight traffic is untouched (the delta-patch
-//!   guarantee).
+//!   receiver multiset. In-flight traffic is untouched.
 //! * **Converged** — delivery diverged, but the event left this sender's
 //!   installed header bitwise unchanged *and* the old header now delivers
 //!   exactly one copy to every current receiver. In-flight packets are
@@ -192,7 +192,7 @@ pub fn check_update(
     for (i, (sender, header)) in snap.headers.iter().enumerate() {
         out.senders_walked += 1;
         // Pre-event state: the walk only reads the group's invariant id
-        // and outer_addr, so the clone stays valid after the patch.
+        // and outer_addr, so the clone stays valid after the event.
         let walked = walk::walk_sender(
             &snap.topo,
             &snap.layout,
@@ -444,7 +444,7 @@ mod tests {
         let (mut ctl, mut fabric, gid) = setup();
         let mut report = TemporalReport::default();
         // A receiver join on a fresh host, then its leave: both exercise
-        // the controller's real patch path.
+        // the controller's real membership path.
         for (i, (host, join)) in [(HostId(1), true), (HostId(1), false)].iter().enumerate() {
             let snap = EpochSnapshot::capture(&ctl, &fabric, gid, 0).expect("snapshot");
             let old = snap.state.clone();

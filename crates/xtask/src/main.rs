@@ -7,8 +7,7 @@
 //!    bit-reproducibility guarantee. Use `elmo_core::DetHashMap`/
 //!    `DetHashSet` (or spell out a fixed third hasher parameter).
 //! 2. **Pure encode paths**: `elmo_core`'s encoding hot path
-//!    (`cluster.rs`, `min_k_union.rs`, `par.rs`) and the two delta
-//!    patchers (`core/delta.rs`, `controller/delta.rs`) must stay free of
+//!    (`cluster.rs`, `min_k_union.rs`, `par.rs`) must stay free of
 //!    wall-clock reads (`Instant::now`, `SystemTime`) and float
 //!    arithmetic — encodings must be exactly reproducible across runs,
 //!    thread counts, and architectures.
@@ -230,11 +229,6 @@ fn is_encode_path(rel: &str) -> bool {
         "crates/core/src/cluster.rs",
         "crates/core/src/min_k_union.rs",
         "crates/core/src/par.rs",
-        // The churn delta patcher sits on the membership hot path and its
-        // patches must be bit-identical to from-scratch encodes, so it
-        // inherits the encode path's clock and float bans.
-        "crates/core/src/delta.rs",
-        "crates/controller/src/delta.rs",
     ]
     .contains(&rel)
 }

@@ -1,16 +1,18 @@
-//! Delta re-encode properties: the incremental churn engine must be
-//! *observationally invisible*. Whatever prefix of a churn stream the
-//! controller absorbs through in-place patches, its state must be bit for
-//! bit what a from-scratch controller would hold — and a join undone by a
-//! leave must restore the exact prior encoding while the group's header
-//! epoch keeps moving forward.
+//! Membership-change properties: whatever prefix of a churn stream the
+//! controller has absorbed, its state must be bit for bit what a
+//! from-scratch controller would hold, it must verify clean, and each
+//! group's header epoch must count exactly the events that changed its
+//! receiver tree — so a join undone by a leave restores the exact prior
+//! encoding while the epoch keeps moving forward.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use elmo::controller::{Controller, ControllerConfig, GroupId, GroupSpec, MemberRole};
 use elmo::net::vxlan::Vni;
-use elmo::sim::churn_exp::{build_controller, replay, states_identical, ChurnExpConfig};
+use elmo::sim::churn_exp::{
+    build_controller, replay, states_identical, verify_now, ChurnExpConfig,
+};
 use elmo::topology::{Clos, HostId};
 use elmo::workloads::{churn_bursts, initial_roles, GroupSizeDist, Role, Workload, WorkloadConfig};
 
@@ -35,7 +37,8 @@ fn small_workload(seed: u64) -> (Clos, Workload, Vec<Vec<Role>>) {
 
 /// Compare the churned controller's per-group state against a fresh
 /// controller, ignoring epochs (the fresh build never churned, so its
-/// epochs are all zero by construction).
+/// epochs are all zero by construction). The shared downstream sections
+/// are compared too: every header and flow is built from them.
 fn assert_groups_match(churned: &Controller, fresh: &Controller, at: &str) {
     let mut a: Vec<_> = churned.groups().collect();
     let mut b: Vec<_> = fresh.groups().collect();
@@ -47,6 +50,11 @@ fn assert_groups_match(churned: &Controller, fresh: &Controller, at: &str) {
         assert_eq!(x.tree, y.tree, "group {:?} tree at {at}", x.id);
         assert_eq!(x.enc, y.enc, "group {:?} encoding at {at}", x.id);
         assert_eq!(
+            x.downstream, y.downstream,
+            "group {:?} downstream sections at {at}",
+            x.id
+        );
+        assert_eq!(
             x.unicast_fallback, y.unicast_fallback,
             "group {:?} fallback flag at {at}",
             x.id
@@ -54,11 +62,11 @@ fn assert_groups_match(churned: &Controller, fresh: &Controller, at: &str) {
     }
 }
 
-/// At every burst boundary of a churn stream, the delta-path controller's
+/// At every burst boundary of a churn stream, the churned controller's
 /// state is bit-identical to a fresh controller that `create_group`s the
 /// current membership from scratch. An unconstrained header budget keeps
-/// every layer spill-free, so the comparison covers exactly the rules the
-/// patcher rewrites.
+/// every layer spill-free, so s-rule admission order cannot make the two
+/// differ.
 #[test]
 fn every_prefix_matches_a_fresh_build() {
     let (topo, workload, roles) = small_workload(0xde1a);
@@ -68,7 +76,6 @@ fn every_prefix_matches_a_fresh_build() {
         events: 900,
         burst: 300,
         seed: 0x51,
-        delta: true,
         verify_each_burst: false,
     };
     let mut ctl = build_controller(topo, &workload, &roles, &cfg);
@@ -128,34 +135,32 @@ fn every_prefix_matches_a_fresh_build() {
         assert_groups_match(&ctl, &fresh, &format!("checkpoint {checkpoints}"));
     }
     assert_eq!(checkpoints, 3);
-    assert!(
-        ctl.churn_stats().delta_hits > 0,
-        "stream exercised no delta patches"
+    let stats = ctl.churn_stats();
+    assert!(stats.tree_changes() > 0, "stream changed no receiver tree");
+    assert_eq!(
+        stats.full_reencodes,
+        stats.tree_changes(),
+        "every tree change re-runs Algorithm 1"
     );
 }
 
-/// Under the paper's constrained 325-byte budget (where escalations and
-/// refusals actually happen), a delta-on and a delta-off controller walk
-/// the same stream in lockstep: bit-identical state at every burst
-/// boundary, not just at the end.
+/// Under the paper's constrained 325-byte budget (where layers spill to
+/// s-rules and default rules), the installed state verifies clean at every
+/// burst boundary, and every group's epoch equals the number of events
+/// that changed its receiver tree: a VM join or leave that flips whether
+/// its host receives.
 #[test]
 fn delta_on_and_off_agree_at_every_burst() {
     let (topo, workload, roles) = small_workload(0xde1b);
-    let cfg_on = ChurnExpConfig {
+    let cfg = ChurnExpConfig {
         r: 12,
         header_budget: 325,
         events: 800,
         burst: 200,
         seed: 0x52,
-        delta: true,
         verify_each_burst: false,
     };
-    let cfg_off = ChurnExpConfig {
-        delta: false,
-        ..cfg_on
-    };
-    let mut on = build_controller(topo, &workload, &roles, &cfg_on);
-    let mut off = build_controller(topo, &workload, &roles, &cfg_off);
+    let mut ctl = build_controller(topo, &workload, &roles, &cfg);
 
     let mut truth: Vec<BTreeMap<u32, Role>> = workload
         .groups
@@ -169,35 +174,52 @@ fn delta_on_and_off_agree_at_every_burst() {
                 .collect()
         })
         .collect();
+    // Whether any of a group's member VMs on `host` receives.
+    let receives = |truth: &BTreeMap<u32, Role>, gi: usize, host: HostId| {
+        let tenant = &workload.tenants[workload.groups[gi].tenant as usize];
+        truth
+            .iter()
+            .any(|(&vm, &r)| tenant.vms[vm as usize] == host && to_role(r).receives())
+    };
+    let mut tree_changes = vec![0u64; workload.groups.len()];
 
-    for (bi, burst) in churn_bursts(&workload, cfg_on.events, cfg_on.seed, cfg_on.burst).enumerate()
-    {
+    let mut bursts = 0;
+    for (bi, burst) in churn_bursts(&workload, cfg.events, cfg.seed, cfg.burst).enumerate() {
         for e in &burst {
-            let g = &workload.groups[e.group as usize];
+            let gi = e.group as usize;
+            let g = &workload.groups[gi];
             let tenant = &workload.tenants[g.tenant as usize];
             let host = tenant.vms[e.vm as usize];
+            let before = receives(&truth[gi], gi, host);
             if e.join {
-                on.join(GroupId(e.group as u64), host, to_role(e.role));
-                off.join(GroupId(e.group as u64), host, to_role(e.role));
-                truth[e.group as usize].insert(e.vm, e.role);
+                ctl.join(GroupId(e.group as u64), host, to_role(e.role));
+                truth[gi].insert(e.vm, e.role);
             } else {
-                let old_role = truth[e.group as usize]
+                let old_role = truth[gi]
                     .remove(&e.vm)
                     .expect("generator only emits leaves for members");
-                on.leave(GroupId(e.group as u64), host, to_role(old_role));
-                off.leave(GroupId(e.group as u64), host, to_role(old_role));
+                ctl.leave(GroupId(e.group as u64), host, to_role(old_role));
+            }
+            if receives(&truth[gi], gi, host) != before {
+                tree_changes[gi] += 1;
             }
         }
-        states_identical(&on, &off)
-            .unwrap_or_else(|e| panic!("burst {bi}: delta path diverged: {e}"));
+        bursts += 1;
+        assert_eq!(verify_now(&ctl), 0, "burst {bi}: state must verify clean");
+        for (gi, &n) in tree_changes.iter().enumerate() {
+            let epoch = ctl.group(GroupId(gi as u64)).expect("group").epoch;
+            assert_eq!(epoch, n, "burst {bi}: group {gi} epoch");
+        }
     }
-    assert!(on.churn_stats().delta_hits > 0);
-    assert_eq!(off.churn_stats().delta_hits, 0);
+    assert_eq!(bursts, 4);
+    let total: u64 = tree_changes.iter().sum();
+    assert!(total > 0, "stream changed no receiver tree");
+    assert_eq!(ctl.churn_stats().full_reencodes, total);
 }
 
-/// A receiver join undone by its leave is a perfect round trip: the tree
-/// and encoding return to their exact prior value, both legs ride the
-/// delta path, and the epoch advances monotonically through both.
+/// A receiver join undone by its leave is a perfect round trip: the tree,
+/// the encoding and the shared downstream sections return to their exact
+/// prior value, and the epoch advances once per leg.
 #[test]
 fn join_then_leave_round_trips_exactly() {
     let topo = Clos::scaled_fabric(4, 6, 8); // 8 hosts per leaf
@@ -213,32 +235,34 @@ fn join_then_leave_round_trips_exactly() {
         members.iter().map(|&h| (HostId(h), MemberRole::Both)),
     );
     let state = ctl.group(gid).expect("created");
-    let (tree0, enc0, epoch0) = (state.tree.clone(), state.enc.clone(), state.epoch);
-    let hits0 = ctl.churn_stats().delta_hits;
+    let (tree0, enc0, down0, epoch0) = (
+        state.tree.clone(),
+        state.enc.clone(),
+        state.downstream.clone(),
+        state.epoch,
+    );
 
     ctl.join(gid, HostId(10), MemberRole::Receiver);
     let state = ctl.group(gid).expect("exists");
-    assert!(state.epoch > epoch0, "join must bump the epoch");
+    assert_eq!(state.epoch, epoch0 + 1, "join must bump the epoch");
     assert_ne!(state.enc, enc0, "join must change the leaf section");
-    let epoch1 = state.epoch;
+    assert_ne!(state.downstream, down0, "join must change the headers");
 
     ctl.leave(gid, HostId(10), MemberRole::Receiver);
     let state = ctl.group(gid).expect("exists");
-    assert!(state.epoch > epoch1, "leave must bump the epoch again");
+    assert_eq!(state.epoch, epoch0 + 2, "leave must bump the epoch again");
     assert_eq!(state.tree, tree0, "tree must round-trip exactly");
     assert_eq!(state.enc, enc0, "encoding must round-trip exactly");
     assert_eq!(
-        ctl.churn_stats().delta_hits,
-        hits0 + 2,
-        "both legs must ride the delta path"
+        state.downstream, down0,
+        "downstream sections must round-trip exactly"
     );
 }
 
 /// `create_groups_batch` is one `create_group` per spec, in order: a
 /// controller built through it and one built group by group hold
-/// identical state before the stream, leaf-parsimony certificates
-/// included, and stay identical (same states, same churn counters) after
-/// replaying it.
+/// identical state before the stream, and stay identical (same states,
+/// same churn counters) after replaying it.
 #[test]
 fn thread_counts_do_not_change_the_outcome() {
     let (topo, workload, roles) = small_workload(0xde1c);
@@ -248,7 +272,6 @@ fn thread_counts_do_not_change_the_outcome() {
         events: 600,
         burst: 600,
         seed: 0x53,
-        delta: true,
         verify_each_burst: false,
     };
     let mut batch = build_controller(topo, &workload, &roles, &cfg);
@@ -267,29 +290,14 @@ fn thread_counts_do_not_change_the_outcome() {
                 .map(|(&vm, &r)| (tenant.vms[vm as usize], to_role(r))),
         );
     }
-    assert_same_certificates(&batch, &serial);
     states_identical(&batch, &serial).expect("batch build diverged from serial creates");
 
     let run_batch = replay(&workload, &roles, &cfg, &mut batch);
     let run_serial = replay(&workload, &roles, &cfg, &mut serial);
-    assert_same_certificates(&batch, &serial);
     states_identical(&batch, &serial).expect("replayed states diverged");
     assert_eq!(run_batch.stats, run_serial.stats, "churn counters diverged");
     assert!(
-        run_batch.stats.delta_hits > 0,
-        "stream exercised no delta patches"
+        run_batch.stats.full_reencodes > 0,
+        "stream changed no receiver tree"
     );
-}
-
-/// Both controllers certified exactly the same groups' leaf layers as
-/// parsimonious (the certificate decides which churn events may patch).
-fn assert_same_certificates(a: &Controller, b: &Controller) {
-    for g in a.groups() {
-        let other = b.group(g.id).expect("same group ids");
-        assert_eq!(
-            g.leaf_parsimonious, other.leaf_parsimonious,
-            "group {:?} certificate",
-            g.id
-        );
-    }
 }
