@@ -136,8 +136,8 @@ impl SRuleSpace {
 /// tracker: each s-rule the encoder asks for is reserved on the spot, and a
 /// refusal sends that switch to a wider p-rule or the default rule. Partial
 /// allocations stick even when later ones are refused. This is the one
-/// serial encode: the controller's create and full re-encode run it, and
-/// so does the sweep when a group's optimistic reservations are refused.
+/// encode-and-admit path: the controller's create and full re-encode run
+/// it, and so does every group of every Figure 4/5 sweep row.
 pub fn encode_group_admitted(
     topo: &Clos,
     tree: &GroupTree,

@@ -29,7 +29,6 @@ pub mod det;
 pub mod header;
 pub mod layout;
 pub mod min_k_union;
-pub mod par;
 pub mod plan;
 pub mod rng;
 

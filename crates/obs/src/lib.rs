@@ -6,8 +6,8 @@
 //! * **Metrics** ([`registry`]) — a global registry of named counters,
 //!   gauges, and log-linear [`histogram`]s. Recording is sharded per
 //!   thread: each thread owns a private slab of relaxed atomics, so the
-//!   sweep's workers in `elmo_core::par` record without taking any lock, and
-//!   [`snapshot`] merges the shards on read. Because counters and
+//!   sweep's per-R jobs record without taking any lock, and [`snapshot`]
+//!   merges the shards on read. Because counters and
 //!   histogram buckets are commutative sums — and because nothing in the
 //!   instrumented code ever *reads* the registry — enabling metrics can
 //!   never change encoding output (asserted by

@@ -9,6 +9,8 @@
 //!   changes update every tree switch. This is the dashed line in the
 //!   Figures 4/5 center panels and the comparison columns of Table 2.
 
+use std::borrow::Borrow;
+
 use elmo_topology::{Clos, GroupTree, PodId};
 
 /// Per-switch group-table occupancy under the Li et al. scheme.
@@ -67,15 +69,19 @@ fn plane_hash(salt: u64, pod: PodId, planes: usize) -> usize {
     (h % planes as u64) as usize
 }
 
-/// Accumulate Li et al. group-table usage over a set of group trees.
-pub fn li_usage<'a>(topo: &Clos, trees: impl Iterator<Item = (u64, &'a GroupTree)>) -> LiUsage {
+/// Accumulate Li et al. group-table usage over a set of `(salt, tree)`
+/// pairs, owned or borrowed.
+pub fn li_usage<T: Borrow<GroupTree>>(
+    topo: &Clos,
+    trees: impl Iterator<Item = (u64, T)>,
+) -> LiUsage {
     let mut usage = LiUsage {
         leaf: vec![0; topo.num_leaves()],
         spine: vec![0; topo.num_spines()],
         core: vec![0; topo.num_cores()],
     };
     for (salt, tree) in trees {
-        let lt = li_tree(topo, tree, salt);
+        let lt = li_tree(topo, tree.borrow(), salt);
         for l in lt.leaves {
             usage.leaf[l as usize] += 1;
         }

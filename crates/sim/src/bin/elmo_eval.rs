@@ -36,11 +36,6 @@
 //!   --pkt N         extra payload size for the traffic columns
 //!   --r LIST        comma-separated redundancy limits (default 0,2,4,6,8,10,12)
 //!   --seed N        workload seed
-//!   --threads N     sweep encode threads for fig4, fig5, uniform,
-//!                   limited-srules, small-header, table1 and two-tier (0 =
-//!                   all cores; results are identical at any thread count,
-//!                   only wall-clock changes). Other experiments ignore it:
-//!                   the controller encodes sequentially
 //!   --samples N     groups replayed in verify's differential mode (default 120)
 //!   --report-out P  write verify's JSON report to P
 //!   --group N       fixture group id for `trace` (1..=3, default 3)
@@ -66,6 +61,11 @@
 //! `elmo-verify` static checker plus its differential replay mode; exit 1
 //! if any violation is found. See `elmo_sim::verify_exp`.
 //!
+//! The sweep experiments (fig4, fig5, uniform, limited-srules,
+//! small-header, table1, two-tier) run each `--r` value as one serial job
+//! on its own thread, so their output never depends on the core count;
+//! every other experiment runs on one thread.
+//!
 //! Without `--full` a proportionally scaled fabric is used so every
 //! experiment completes in seconds; shapes (who wins, where the knees are)
 //! are preserved. EXPERIMENTS.md records paper-vs-measured numbers.
@@ -86,7 +86,6 @@ struct Opts {
     extra_payload: Option<u64>,
     r_values: Vec<usize>,
     seed: u64,
-    threads: usize,
     metrics_out: Option<String>,
     trace_pcap: Option<String>,
     check_file: Option<String>,
@@ -116,7 +115,6 @@ fn parse_args() -> Opts {
         extra_payload: None,
         r_values: vec![0, 2, 4, 6, 8, 10, 12],
         seed: 0xe1_40,
-        threads: 0,
         metrics_out: None,
         trace_pcap: None,
         check_file: None,
@@ -158,7 +156,6 @@ fn parse_args() -> Opts {
             "--events" => opts.events = expect_num(&mut args, "--events") as usize,
             "--pkt" => opts.extra_payload = Some(expect_num(&mut args, "--pkt")),
             "--seed" => opts.seed = expect_num(&mut args, "--seed"),
-            "--threads" => opts.threads = expect_num(&mut args, "--threads") as usize,
             "--samples" => opts.samples = expect_num(&mut args, "--samples") as usize,
             "--report-out" => {
                 opts.report_out = Some(
@@ -234,7 +231,7 @@ fn usage(msg: &str) -> ! {
         "usage: elmo-eval <fig4|fig5|uniform|limited-srules|small-header|table1|table2|table3|\
          fig6|fig7|telemetry|failures|latency|xpander|verify|churn|trace|timeline|all> [--full] \
          [--groups N] \
-         [--tenants N] [--events N] [--pkt N] [--r 0,6,12] [--seed N] [--threads N] \
+         [--tenants N] [--events N] [--pkt N] [--r 0,6,12] [--seed N] \
          [--samples N] [--report-out PATH] [--metrics-out PATH] \
          [--trace-pcap PATH] \
          [--group N] [--sender H] [--trace-out PATH] [--expect-nodes N] \
@@ -778,7 +775,6 @@ fn run_sweep(
     cfg.leaf_fmax = fmax;
     cfg.spine_fmax = fmax;
     cfg.header_budget = budget;
-    cfg.threads = opts.threads;
     if let Some(extra) = opts.extra_payload {
         if !cfg.payloads.contains(&extra) {
             cfg.payloads.push(extra);
@@ -1154,7 +1150,6 @@ fn run_two_tier(opts: &Opts) {
     let mut cfg = SweepConfig::paper(topo, wl);
     cfg.r_values = opts.r_values.clone();
     cfg.header_budget = budget;
-    cfg.threads = opts.threads;
     let result = sweep::run(&cfg);
     println!(
         "Two-tier leaf-spine ({} leaves x {} hosts): coverage and traffic vs R",
@@ -1244,7 +1239,6 @@ fn run_table1(opts: &Opts) {
     let wl = workload_cfg(opts, &topo, 12, GroupSizeDist::Wve);
     let mut cfg = SweepConfig::paper(topo, wl);
     cfg.r_values = vec![0, 12];
-    cfg.threads = opts.threads;
     let result = sweep::run(&cfg);
     let r0 = &result.rows[0];
     let r12 = result.rows.last().expect("rows");

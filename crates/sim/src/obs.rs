@@ -70,7 +70,6 @@ pub const REQUIRED_METRICS: &[&str] = &[
     "timeline.windows_evicted",
     // Sweep / workload (§5.1.1-2).
     "sim.sweep.groups_encoded",
-    "sim.sweep.reencoded",
     "sim.table2.events",
     "sim.table2.device_updates",
     "workloads.groups_generated",

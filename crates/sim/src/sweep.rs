@@ -12,46 +12,33 @@
 //! * **traffic overhead** — total bytes over ideal multicast, with unicast
 //!   and overlay baselines (right panels), for each payload size.
 //!
-//! Group encoding is the one place in the workspace that runs on several
-//! threads, in two phases per chunk of groups. The fabric-wide s-rule
-//! budget (per-switch `Fmax`) is the only state groups share, so:
-//!
-//! * **Phase 1 (parallel)** encodes every group *optimistically*, as if
-//!   every s-rule allocation succeeds, and records the exact sequence of
-//!   capacity requests Algorithm 1 issued (`encode_group_optimistic`).
-//! * **Phase 2 (sequential, group order)** replays each group's requests
-//!   into the real [`SRuleSpace`] (`try_admit`). If every request is
-//!   granted — always true with unlimited `Fmax`, the paper's main setting —
-//!   the optimistic encoding *is* the serial encoding, because Algorithm 1's
-//!   control flow only observes allocation results. On any refusal the
-//!   group's reservations are rolled back and it is re-encoded serially
-//!   against the live tracker ([`encode_group_admitted`]), which reproduces
-//!   the serial path exactly, including a refused *spine* allocation
-//!   growing the spine default rule and thereby shrinking the leaf layer's
-//!   bit budget.
-//!
-//! Rows are therefore bit-identical at any thread count;
-//! `tests/parallel_determinism.rs` checks them against a serial
-//! [`elmo_controller::Controller`].
-
-use std::cell::RefCell;
+//! Each R is one independent run, as in the paper (§5.1): a serial job
+//! that walks the workload in group order against its own fresh s-rule
+//! budget (`SRuleSpace`, per-switch `Fmax`) — tree →
+//! [`encode_group_admitted`] → traffic model → fold. That is the same
+//! encode-and-admit path the controller runs, so a refused allocation
+//! sends the switch to a wider p-rule or the default rule exactly as a
+//! serial [`elmo_controller::Controller`] would. The workload is generated
+//! once and shared read-only; the R jobs and the Li et al. baseline run on
+//! one scoped thread each. Every job is serial, so each row is
+//! bit-identical however the jobs are scheduled;
+//! `tests/parallel_determinism.rs` checks rows against single-R runs and
+//! against a serial controller.
 
 use elmo_controller::srules::{encode_group_admitted, SRuleSpace, UsageStats};
-use elmo_core::par::{map_with, resolve_threads};
-use elmo_core::{encode_group_with, EncodeScratch, EncoderConfig, GroupEncoding, HeaderLayout};
-use elmo_topology::{Clos, GroupTree, HostId, LeafId, PodId};
+use elmo_core::{EncodeScratch, EncoderConfig, HeaderLayout};
+use elmo_topology::{Clos, GroupTree, HostId};
 use elmo_workloads::{Workload, WorkloadConfig};
 
 use crate::baselines;
-use crate::metrics::{self, GroupTraffic, Summary};
+use crate::metrics::{self, Summary};
 
-/// Sweep metrics. `groups_encoded` is recorded inside parallel workers
-/// (commutative); everything else from the sequential fold. The
-/// `header_bytes` histogram is the per-sender header-size distribution of
-/// Figures 4/5 (left panels) as a live metric.
+/// Sweep metrics. Every R job records into them; all are commutative
+/// increments, so a snapshot does not depend on how the jobs interleave.
+/// The `header_bytes` histogram is the per-sender header-size distribution
+/// of Figures 4/5 (left panels) as a live metric.
 struct SweepMetrics {
     groups_encoded: elmo_obs::Counter,
-    reencoded: elmo_obs::Counter,
     header_bytes: elmo_obs::Histogram,
 }
 
@@ -59,69 +46,8 @@ fn ometrics() -> &'static SweepMetrics {
     static M: std::sync::OnceLock<SweepMetrics> = std::sync::OnceLock::new();
     M.get_or_init(|| SweepMetrics {
         groups_encoded: elmo_obs::counter("sim.sweep.groups_encoded"),
-        reencoded: elmo_obs::counter("sim.sweep.reencoded"),
         header_bytes: elmo_obs::histogram("sim.sweep.header_bytes"),
     })
-}
-
-/// Groups evaluated per two-phase round. Bounds how many trees, encodings,
-/// and recorded s-rule requests are resident at once, so million-group
-/// workloads stream through the parallel pipeline in constant memory.
-const CHUNK: usize = 4096;
-
-/// One s-rule capacity request recorded during an optimistic encode, in the
-/// order Algorithm 1 issues it against a live tracker.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum SRuleReq {
-    /// One group-table entry on every spine of the pod.
-    Pod(PodId),
-    /// One group-table entry on the leaf.
-    Leaf(LeafId),
-}
-
-/// Phase 1: encode one group assuming unlimited s-rule capacity, recording
-/// every allocation Algorithm 1 would have made into `reqs` (cleared first).
-fn encode_group_optimistic(
-    topo: &Clos,
-    tree: &GroupTree,
-    cfg: &EncoderConfig,
-    scratch: &mut EncodeScratch,
-    reqs: &mut Vec<SRuleReq>,
-) -> GroupEncoding {
-    reqs.clear();
-    let cell = RefCell::new(reqs);
-    let mut spine_alloc = |p: PodId| {
-        cell.borrow_mut().push(SRuleReq::Pod(p));
-        true
-    };
-    let mut leaf_alloc = |l: LeafId| {
-        cell.borrow_mut().push(SRuleReq::Leaf(l));
-        true
-    };
-    encode_group_with(topo, tree, cfg, &mut spine_alloc, &mut leaf_alloc, scratch)
-}
-
-/// Phase 2 admission: try to reserve every recorded request, in order.
-/// All-or-nothing — on the first refusal every reservation made for this
-/// group is rolled back and `false` is returned, leaving `srules` exactly
-/// as it was so the caller can re-encode against the pre-group state.
-fn try_admit(srules: &mut SRuleSpace, reqs: &[SRuleReq]) -> bool {
-    for (i, req) in reqs.iter().enumerate() {
-        let granted = match *req {
-            SRuleReq::Pod(p) => srules.alloc_pod(p),
-            SRuleReq::Leaf(l) => srules.alloc_leaf(l),
-        };
-        if !granted {
-            for r in &reqs[..i] {
-                match *r {
-                    SRuleReq::Pod(p) => srules.free_pod(p),
-                    SRuleReq::Leaf(l) => srules.free_leaf(l),
-                }
-            }
-            return false;
-        }
-    }
-    true
 }
 
 /// Sweep parameters.
@@ -139,9 +65,6 @@ pub struct SweepConfig {
     pub header_budget: usize,
     /// Payload sizes to report traffic overhead for.
     pub payloads: Vec<u64>,
-    /// Worker threads for the optimistic encode phase (0 = all available
-    /// cores). Results are identical at any thread count.
-    pub threads: usize,
 }
 
 impl SweepConfig {
@@ -156,7 +79,6 @@ impl SweepConfig {
             spine_fmax: usize::MAX,
             header_budget: 325,
             payloads: vec![1500, 64],
-            threads: 1,
         }
     }
 }
@@ -199,82 +121,9 @@ pub struct SweepResult {
     pub li_core: UsageStats,
 }
 
-/// Phase-1 output for one group: everything the sequential fold needs,
-/// computed on a worker thread under the optimistic-capacity assumption.
-struct GroupEval {
-    tree: GroupTree,
-    sender: HostId,
-    enc: GroupEncoding,
-    reqs: Vec<SRuleReq>,
-    header_bytes: f64,
-    /// One entry per configured payload size.
-    traffic: Vec<GroupTraffic>,
-}
-
-/// Per-worker scratch: encode scratch and recorded s-rule requests.
-type WorkerState = (EncodeScratch, Vec<SRuleReq>);
-
-/// Measure one encoding: per-sender header bytes plus one traffic row per
-/// payload size. One fabric walk total — [`metrics::traffic_model`] captures
-/// the payload-independent constants and each payload row is derived
-/// arithmetically. Shared by the optimistic phase-1 path and the
-/// capacity-constrained re-encode in [`RowAccum::fold`].
-fn measure(
-    topo: &Clos,
-    layout: &HeaderLayout,
-    payloads: &[u64],
-    tree: &GroupTree,
-    enc: &GroupEncoding,
-    sender: HostId,
-) -> (f64, Vec<GroupTraffic>) {
-    let model = metrics::traffic_model(topo, layout, tree, enc, sender);
-    let traffic = payloads.iter().map(|&p| model.eval(p)).collect();
-    (model.header_len as f64, traffic)
-}
-
-fn eval_group(
-    topo: &Clos,
-    layout: &HeaderLayout,
-    encoder: &EncoderConfig,
-    payloads: &[u64],
-    tree: GroupTree,
-    sender: HostId,
-    (scratch, reqs): &mut WorkerState,
-) -> GroupEval {
-    let enc = encode_group_optimistic(topo, &tree, encoder, scratch, reqs);
-    let (header_bytes, traffic) = measure(topo, layout, payloads, &tree, &enc, sender);
-    GroupEval {
-        tree,
-        sender,
-        enc,
-        reqs: std::mem::take(reqs),
-        header_bytes,
-        traffic,
-    }
-}
-
-/// Phase 2 admission for one group: reserve its recorded requests, or, on
-/// a refusal, re-encode it serially against the live tracker (serial
-/// semantics: allocations that succeed before a refusal stick). Returns
-/// `true` when `enc` was replaced by the re-encode.
-fn admit_or_reencode(
-    topo: &Clos,
-    encoder: &EncoderConfig,
-    srules: &mut SRuleSpace,
-    scratch: &mut EncodeScratch,
-    tree: &GroupTree,
-    reqs: &[SRuleReq],
-    enc: &mut GroupEncoding,
-) -> bool {
-    if try_admit(srules, reqs) {
-        return false;
-    }
-    *enc = encode_group_admitted(topo, tree, encoder, srules, scratch);
-    true
-}
-
-/// Per-R accumulators folded strictly in group order, so float summaries are
-/// bit-identical at every thread count.
+/// One R job's state: its own s-rule budget and encode scratch, and the
+/// row's accumulators, folded strictly in group order so float summaries
+/// are bit-identical run to run.
 struct RowAccum {
     srules: SRuleSpace,
     covered: usize,
@@ -302,39 +151,31 @@ impl RowAccum {
         }
     }
 
-    /// Phase 2 for one group: admit it, re-measuring it if it had to be
-    /// re-encoded, then fold its metrics into the row.
+    /// Encode one group against this row's s-rule budget, then fold its
+    /// coverage, header size and traffic into the row. One fabric walk per
+    /// group: [`metrics::traffic_model`] captures the payload-independent
+    /// constants and each payload's traffic is derived arithmetically.
     fn fold(
         &mut self,
         topo: &Clos,
         layout: &HeaderLayout,
         encoder: &EncoderConfig,
         payloads: &[u64],
-        mut ev: GroupEval,
+        tree: &GroupTree,
+        sender: HostId,
     ) {
-        if admit_or_reencode(
-            topo,
-            encoder,
-            &mut self.srules,
-            &mut self.scratch,
-            &ev.tree,
-            &ev.reqs,
-            &mut ev.enc,
-        ) {
-            ometrics().reencoded.inc();
-            let (hb, traffic) = measure(topo, layout, payloads, &ev.tree, &ev.enc, ev.sender);
-            ev.header_bytes = hb;
-            ev.traffic = traffic;
-        }
-        if ev.enc.leaf_covered_by_p_rules() {
+        let enc = encode_group_admitted(topo, tree, encoder, &mut self.srules, &mut self.scratch);
+        if enc.leaf_covered_by_p_rules() {
             self.covered += 1;
         }
-        if ev.enc.d_leaf.default_rule.is_some() || ev.enc.d_spine.default_rule.is_some() {
+        if enc.d_leaf.default_rule.is_some() || enc.d_spine.default_rule.is_some() {
             self.defaulted += 1;
         }
-        self.header_bytes.push(ev.header_bytes);
-        ometrics().header_bytes.record(ev.header_bytes as u64);
-        for (pi, t) in ev.traffic.iter().enumerate() {
+        let model = metrics::traffic_model(topo, layout, tree, &enc, sender);
+        self.header_bytes.push(model.header_len as f64);
+        ometrics().header_bytes.record(model.header_len);
+        for (pi, &payload) in payloads.iter().enumerate() {
+            let t = model.eval(payload);
             self.elmo_sum[pi] += t.elmo;
             self.ideal_sum[pi] += t.ideal;
             self.unicast_sum[pi] += t.unicast;
@@ -373,94 +214,62 @@ impl RowAccum {
     }
 }
 
-/// Run the sweep. Group encoding fans out over `cfg.threads` workers in
-/// the two phases described in the module docs; every result — s-rule
-/// occupancy, coverage counts, float traffic summaries — is bit-identical
-/// to the single-threaded run because admission and metric folding happen
-/// sequentially in group order.
+/// One R value's row: every group of the workload, serially and in group
+/// order, against a fresh s-rule budget.
+fn run_row(
+    topo: &Clos,
+    layout: &HeaderLayout,
+    workload: &Workload,
+    cfg: &SweepConfig,
+    r: usize,
+) -> SweepRow {
+    let _row_span = elmo_obs::span!("sweep_row");
+    let mut encoder = EncoderConfig::with_budget(layout, cfg.header_budget, r);
+    encoder.mode = elmo_core::RedundancyMode::Sum;
+    let mut acc = RowAccum::new(topo, cfg);
+    for g in &workload.groups {
+        let hosts = workload.member_hosts(g);
+        let tree = GroupTree::new(topo, hosts.iter().copied());
+        if tree.is_empty() {
+            continue;
+        }
+        ometrics().groups_encoded.inc();
+        acc.fold(topo, layout, &encoder, &cfg.payloads, &tree, hosts[0]);
+    }
+    acc.into_row(topo, cfg, r, workload.groups.len())
+}
+
+/// Run the sweep: generate the workload once, then one scoped thread per R
+/// value plus one for the Li et al. baseline. Each job is serial, so the
+/// rows do not depend on how the jobs are scheduled; they are returned in
+/// `cfg.r_values` order.
 pub fn run(cfg: &SweepConfig) -> SweepResult {
     let topo = cfg.topo;
     let layout = HeaderLayout::for_clos(&topo);
-    let threads = resolve_threads(cfg.threads);
     let workload = Workload::generate(topo, cfg.workload);
 
-    // Li et al. baseline over the same workload (independent of R). Tree
-    // construction and tree hashing parallelize per chunk; the usage counts
-    // are folded in group order (they are integer counters, so order does
-    // not matter for the result, only for reproducible iteration).
-    let mut li_usage = baselines::LiUsage {
-        leaf: vec![0; topo.num_leaves()],
-        spine: vec![0; topo.num_spines()],
-        core: vec![0; topo.num_cores()],
-    };
-    for (chunk_idx, chunk) in workload.groups.chunks(CHUNK).enumerate() {
-        let base = chunk_idx * CHUNK;
-        let trees = map_with(
-            chunk.len(),
-            threads,
-            || (),
-            |(), i| {
-                let tree = GroupTree::new(&topo, workload.member_hosts(&chunk[i]));
-                baselines::li_tree(&topo, &tree, (base + i) as u64)
-            },
-        );
-        for lt in trees {
-            for l in lt.leaves {
-                li_usage.leaf[l as usize] += 1;
-            }
-            for s in lt.spines {
-                li_usage.spine[s as usize] += 1;
-            }
-            if let Some(c) = lt.core {
-                li_usage.core[c as usize] += 1;
-            }
-        }
-    }
-
-    let mut rows = Vec::with_capacity(cfg.r_values.len());
-    for &r in &cfg.r_values {
-        let _row_span = elmo_obs::span!("sweep_row");
-        let encoder = {
-            let mut e = EncoderConfig::with_budget(&layout, cfg.header_budget, r);
-            e.mode = elmo_core::RedundancyMode::Sum;
-            e
-        };
-        let mut acc = RowAccum::new(&topo, cfg);
-        for chunk in workload.groups.chunks(CHUNK) {
-            // Phase 1 (parallel): tree + optimistic encode + metrics.
-            let evals = {
-                let _span = elmo_obs::span!("sweep_phase1");
-                map_with(
-                    chunk.len(),
-                    threads,
-                    || (EncodeScratch::new(), Vec::new()),
-                    |ws, i| {
-                        let hosts = workload.member_hosts(&chunk[i]);
-                        let tree = GroupTree::new(&topo, hosts.iter().copied());
-                        if tree.is_empty() {
-                            return None;
-                        }
-                        ometrics().groups_encoded.inc();
-                        let sender = hosts[0];
-                        Some(eval_group(
-                            &topo,
-                            &layout,
-                            &encoder,
-                            &cfg.payloads,
-                            tree,
-                            sender,
-                            ws,
-                        ))
-                    },
-                )
-            };
-            // Phase 2 (sequential, group order): admission + metric fold.
-            let _span = elmo_obs::span!("sweep_fold");
-            for ev in evals.into_iter().flatten() {
-                acc.fold(&topo, &layout, &encoder, &cfg.payloads, ev);
-            }
-        }
-        let row = acc.into_row(&topo, cfg, r, workload.groups.len());
+    let (rows, li) = std::thread::scope(|scope| {
+        let (topo, layout, workload) = (&topo, &layout, &workload);
+        let jobs: Vec<_> = cfg
+            .r_values
+            .iter()
+            .map(|&r| scope.spawn(move || run_row(topo, layout, workload, cfg, r)))
+            .collect();
+        let li = scope.spawn(move || {
+            let trees = workload
+                .groups
+                .iter()
+                .enumerate()
+                .map(|(gi, g)| (gi as u64, GroupTree::new(topo, workload.member_hosts(g))));
+            baselines::li_usage(topo, trees)
+        });
+        let rows: Vec<SweepRow> = jobs
+            .into_iter()
+            .map(|j| j.join().expect("sweep row job panicked"))
+            .collect();
+        (rows, li.join().expect("Li et al. baseline job panicked"))
+    });
+    for row in &rows {
         elmo_obs::debug!(
             "sweep.row",
             r = row.r,
@@ -468,14 +277,13 @@ pub fn run(cfg: &SweepConfig) -> SweepResult {
             defaulted = row.defaulted,
             groups = row.total_groups,
         );
-        rows.push(row);
     }
 
     SweepResult {
         rows,
-        li_leaf: UsageStats::of(&li_usage.leaf),
-        li_spine: UsageStats::of(&li_usage.spine),
-        li_core: UsageStats::of(&li_usage.core),
+        li_leaf: UsageStats::of(&li.leaf),
+        li_spine: UsageStats::of(&li.spine),
+        li_core: UsageStats::of(&li.core),
     }
 }
 
@@ -573,131 +381,5 @@ mod tests {
             );
             assert!(row.header_bytes.min >= 1.0);
         }
-    }
-
-    fn random_trees(topo: &Clos, n: usize, seed: u64) -> Vec<GroupTree> {
-        let mut rng = elmo_core::SplitMix64::new(seed);
-        (0..n)
-            .map(|_| {
-                let size = rng.range_inclusive(2, 24);
-                let members: Vec<HostId> = (0..size)
-                    .map(|_| HostId(rng.below(topo.num_hosts() as u64) as u32))
-                    .collect();
-                GroupTree::new(topo, members)
-            })
-            .collect()
-    }
-
-    /// Both phases over a list of trees, with the sweep's own pieces:
-    /// parallel optimistic encodes, then admission in slice order.
-    struct TwoPhase {
-        encodings: Vec<GroupEncoding>,
-        reencoded: usize,
-    }
-
-    fn two_phase(
-        topo: &Clos,
-        cfg: &EncoderConfig,
-        srules: &mut SRuleSpace,
-        trees: &[GroupTree],
-        threads: usize,
-    ) -> TwoPhase {
-        let phase1 = map_with(
-            trees.len(),
-            threads,
-            || (EncodeScratch::new(), Vec::new()),
-            |(scratch, reqs), i| {
-                let enc = encode_group_optimistic(topo, &trees[i], cfg, scratch, reqs);
-                (enc, std::mem::take(reqs))
-            },
-        );
-        let mut scratch = EncodeScratch::new();
-        let mut reencoded = 0;
-        let encodings = phase1
-            .into_iter()
-            .zip(trees)
-            .map(|((mut enc, reqs), tree)| {
-                if admit_or_reencode(topo, cfg, srules, &mut scratch, tree, &reqs, &mut enc) {
-                    reencoded += 1;
-                }
-                enc
-            })
-            .collect();
-        TwoPhase {
-            encodings,
-            reencoded,
-        }
-    }
-
-    fn serial_reference(
-        topo: &Clos,
-        cfg: &EncoderConfig,
-        srules: &mut SRuleSpace,
-        trees: &[GroupTree],
-    ) -> Vec<GroupEncoding> {
-        let mut scratch = EncodeScratch::new();
-        trees
-            .iter()
-            .map(|t| encode_group_admitted(topo, t, cfg, srules, &mut scratch))
-            .collect()
-    }
-
-    #[test]
-    fn optimistic_matches_serial_when_capacity_is_unlimited() {
-        let topo = Clos::paper_example();
-        let layout = HeaderLayout::for_clos(&topo);
-        let cfg = EncoderConfig::with_budget(&layout, 48, 0);
-        let trees = random_trees(&topo, 60, 0xA11C);
-        for threads in [1, 2, 8] {
-            let mut srules = SRuleSpace::unlimited(&topo);
-            let out = two_phase(&topo, &cfg, &mut srules, &trees, threads);
-            assert_eq!(out.reencoded, 0, "unlimited capacity never re-encodes");
-            let mut ref_srules = SRuleSpace::unlimited(&topo);
-            let reference = serial_reference(&topo, &cfg, &mut ref_srules, &trees);
-            assert_eq!(out.encodings, reference);
-            assert_eq!(srules.leaf_usages(), ref_srules.leaf_usages());
-            assert_eq!(srules.pod_usages(), ref_srules.pod_usages());
-        }
-    }
-
-    #[test]
-    fn capacity_pressure_reencodes_but_stays_identical_to_serial() {
-        let topo = Clos::paper_example();
-        let layout = HeaderLayout::for_clos(&topo);
-        // Tiny header budget spills aggressively into s-rules; tiny Fmax
-        // then forces admission failures and the re-encode path.
-        let cfg = EncoderConfig::with_budget(&layout, 16, 0);
-        let trees = random_trees(&topo, 80, 0xBEE);
-        let mut any_reencoded = false;
-        for threads in [1, 2, 8] {
-            let mut srules = SRuleSpace::new(&topo, 3, 2);
-            let out = two_phase(&topo, &cfg, &mut srules, &trees, threads);
-            any_reencoded |= out.reencoded > 0;
-            let mut ref_srules = SRuleSpace::new(&topo, 3, 2);
-            let reference = serial_reference(&topo, &cfg, &mut ref_srules, &trees);
-            assert_eq!(out.encodings, reference, "threads={threads}");
-            assert_eq!(srules.leaf_usages(), ref_srules.leaf_usages());
-            assert_eq!(srules.pod_usages(), ref_srules.pod_usages());
-        }
-        assert!(
-            any_reencoded,
-            "test must actually exercise the re-encode path"
-        );
-    }
-
-    #[test]
-    fn try_admit_rolls_back_on_refusal() {
-        let topo = Clos::paper_example();
-        let mut srules = SRuleSpace::new(&topo, 1, 1);
-        assert!(srules.alloc_leaf(LeafId(0))); // pre-fill leaf 0
-        let reqs = [
-            SRuleReq::Leaf(LeafId(1)),
-            SRuleReq::Pod(PodId(0)),
-            SRuleReq::Leaf(LeafId(0)), // refused: at capacity
-        ];
-        assert!(!try_admit(&mut srules, &reqs));
-        assert_eq!(srules.leaf_usage(LeafId(1)), 0, "rolled back");
-        assert_eq!(srules.pod_usage(PodId(0)), 0, "rolled back");
-        assert_eq!(srules.leaf_usage(LeafId(0)), 1, "pre-existing kept");
     }
 }

@@ -11,7 +11,7 @@
 
 use elmo_controller::{Controller, ControllerConfig, GroupId, MemberRole};
 use elmo_net::vxlan::Vni;
-use elmo_topology::{Clos, GroupTree, HostId};
+use elmo_topology::{Clos, HostId};
 use elmo_workloads::{churn_events, initial_roles, Role, Workload, WorkloadConfig};
 
 /// Update rates for one switch tier: `avg (max)` updates per second, where
@@ -178,12 +178,6 @@ pub fn run(topo: Clos, workload_cfg: WorkloadConfig, events: usize, events_per_s
         li_spine: TierLoad::from_counts(li_spine.into_iter(), duration),
         li_core: TierLoad::from_counts(li_core.into_iter(), duration),
     }
-}
-
-/// Sanity helper used by tests and the CLI: a tree rebuilt from controller
-/// state must match the workload's current membership.
-pub fn tree_of(topo: &Clos, hosts: &[HostId]) -> GroupTree {
-    GroupTree::new(topo, hosts.iter().copied())
 }
 
 #[cfg(test)]

@@ -7,10 +7,10 @@
 //!    bit-reproducibility guarantee. Use `elmo_core::DetHashMap`/
 //!    `DetHashSet` (or spell out a fixed third hasher parameter).
 //! 2. **Pure encode paths**: `elmo_core`'s encoding hot path
-//!    (`cluster.rs`, `min_k_union.rs`, `par.rs`) must stay free of
-//!    wall-clock reads (`Instant::now`, `SystemTime`) and float
-//!    arithmetic — encodings must be exactly reproducible across runs,
-//!    thread counts, and architectures.
+//!    (`cluster.rs`, `min_k_union.rs`) must stay free of wall-clock
+//!    reads (`Instant::now`, `SystemTime`) and float arithmetic —
+//!    encodings must be exactly reproducible across runs and
+//!    architectures.
 //! 3. **Declared-metric contract**: every literal metric name passed to
 //!    `elmo_obs::counter(..)` / `elmo_obs::histogram(..)` in non-test code
 //!    must be declared in `elmo_sim::obs::REQUIRED_METRICS` /
@@ -228,7 +228,6 @@ fn is_encode_path(rel: &str) -> bool {
     [
         "crates/core/src/cluster.rs",
         "crates/core/src/min_k_union.rs",
-        "crates/core/src/par.rs",
     ]
     .contains(&rel)
 }
@@ -337,14 +336,10 @@ fn string_array(text: &str, name: &str) -> Vec<String> {
     names
 }
 
-/// Modules allowed to touch atomic memory orderings directly: the sweep's
-/// fork/join cursor and the metrics registry. The replay engine is
+/// Modules allowed to touch atomic memory orderings directly: the metrics
+/// registry and the log level/format switches. The replay engine is
 /// single-threaded and has none.
-const ORDERING_ALLOWLIST: &[&str] = &[
-    "crates/core/src/par.rs",
-    "crates/obs/src/log.rs",
-    "crates/obs/src/registry.rs",
-];
+const ORDERING_ALLOWLIST: &[&str] = &["crates/obs/src/log.rs", "crates/obs/src/registry.rs"];
 
 /// The atomic `Ordering` variants. `std::cmp::Ordering`'s variants
 /// (`Less`/`Equal`/`Greater`) never match, so comparator code is free to

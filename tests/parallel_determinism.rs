@@ -1,10 +1,10 @@
-//! The sweep's parallel encode must be invisible in the results: a sweep
-//! (Figures 4/5) run at any thread count produces bit-identical rows —
-//! including float summaries, whose accumulation order is pinned by the
-//! sequential phase-2 fold — and identical s-rule occupancy, even when
-//! limited group-table capacity forces the admission-failure re-encode
-//! path. Under that pressure its rows must also match a serial
-//! controller that creates the same groups one at a time.
+//! The Figures 4/5 sweep runs each R as its own serial job, on its own
+//! thread, against its own s-rule budget. Running the R values together
+//! must therefore be invisible in the results: a multi-R sweep produces
+//! rows bit-identical — float summaries included — to one single-R run per
+//! value, even when limited group-table capacity refuses allocations.
+//! Under that pressure its rows must also match a serial controller that
+//! creates the same groups one at a time.
 
 use std::net::Ipv4Addr;
 use std::sync::Mutex;
@@ -12,7 +12,7 @@ use std::sync::Mutex;
 use elmo::controller::{Controller, ControllerConfig, GroupId, MemberRole, UsageStats};
 use elmo::core::RedundancyMode;
 use elmo::net::vxlan::Vni;
-use elmo::sim::{sweep, SweepConfig};
+use elmo::sim::{sweep, SweepConfig, SweepResult};
 use elmo::topology::Clos;
 use elmo::workloads::{GroupSizeDist, Workload, WorkloadConfig};
 
@@ -36,43 +36,50 @@ fn base_config() -> SweepConfig {
     cfg
 }
 
+/// Run `cfg` once over all its R values, then once per R value alone, and
+/// require the same rows and the same Li et al. baseline. Returns the
+/// multi-R result.
+fn assert_matches_single_r_runs(cfg: &SweepConfig) -> SweepResult {
+    let all = sweep::run(cfg);
+    assert_eq!(all.rows.len(), cfg.r_values.len());
+    for (row, &r) in all.rows.iter().zip(&cfg.r_values) {
+        let single = sweep::run(&SweepConfig {
+            r_values: vec![r],
+            ..cfg.clone()
+        });
+        assert_eq!(single.rows, std::slice::from_ref(row), "R={r}");
+        assert_eq!(single.li_leaf, all.li_leaf);
+        assert_eq!(single.li_spine, all.li_spine);
+        assert_eq!(single.li_core, all.li_core);
+    }
+    all
+}
+
 #[test]
 fn sweep_is_identical_at_any_thread_count() {
     let _guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    let mut cfg = base_config();
-    cfg.threads = 1;
-    let reference = sweep::run(&cfg);
-    for threads in [2, 8] {
-        cfg.threads = threads;
-        let result = sweep::run(&cfg);
-        assert_eq!(result.rows, reference.rows, "threads={threads}");
-        assert_eq!(result.li_leaf, reference.li_leaf);
-        assert_eq!(result.li_spine, reference.li_spine);
-        assert_eq!(result.li_core, reference.li_core);
-    }
+    let cfg = SweepConfig {
+        r_values: vec![0, 2, 4, 6, 8, 10, 12],
+        ..base_config()
+    };
+    assert_matches_single_r_runs(&cfg);
 }
 
 #[test]
 fn sweep_with_limited_srule_capacity_is_identical() {
-    // Tight header budget + tiny Fmax: many groups lose the optimistic
-    // admission race and take the phase-2 re-encode path, which must still
-    // reproduce the serial order exactly.
+    // Tight header budget + tiny Fmax: many groups are refused s-rules and
+    // fall back to default p-rules, and each R job must still see only its
+    // own budget.
     let _guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     let mut cfg = base_config();
     cfg.header_budget = 24;
     cfg.leaf_fmax = 8;
     cfg.spine_fmax = 8;
-    cfg.threads = 1;
-    let reference = sweep::run(&cfg);
+    let result = assert_matches_single_r_runs(&cfg);
     assert!(
-        reference.rows.iter().any(|r| r.defaulted > 0),
+        result.rows.iter().any(|r| r.defaulted > 0),
         "config must actually exhaust s-rule capacity"
     );
-    for threads in [2, 8] {
-        cfg.threads = threads;
-        let result = sweep::run(&cfg);
-        assert_eq!(result.rows, reference.rows, "threads={threads}");
-    }
 }
 
 /// A header-pressed configuration: dispersed placement (`P = 2`) on a wide
@@ -146,13 +153,12 @@ fn serial_row(cfg: &SweepConfig, r: usize) -> SerialRow {
     }
 }
 
-/// The optimistic two-phase sweep against an independent serial oracle:
-/// a `Controller` that creates the same groups one `create_group` at a
-/// time (every member `Both`, so its receiver tree is the sweep's tree)
-/// with the same budget, `R` and `Fmax`. Group tables are small enough
-/// that admission refuses groups and the sweep's re-encode path runs; at
-/// every thread count each row's coverage, defaults and s-rule occupancy
-/// must match the serial controller's.
+/// The sweep against an independent serial oracle: a `Controller` that
+/// creates the same groups one `create_group` at a time (every member
+/// `Both`, so its receiver tree is the sweep's tree) with the same budget,
+/// `R` and `Fmax`. Group tables are small enough that admission refuses
+/// s-rules; each row's coverage, defaults and s-rule occupancy must match
+/// the serial controller's.
 #[test]
 fn cached_sweep_is_bit_identical_to_uncached_at_any_thread_count() {
     let _guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
@@ -162,43 +168,40 @@ fn cached_sweep_is_bit_identical_to_uncached_at_any_thread_count() {
     cfg.spine_fmax = FMAX;
 
     let serial: Vec<SerialRow> = cfg.r_values.iter().map(|&r| serial_row(&cfg, r)).collect();
-    for threads in [1, 2, 8] {
-        cfg.threads = threads;
-        elmo::obs::reset();
-        let result = sweep::run(&cfg);
-        let reencoded = elmo::obs::snapshot()
-            .counter("sim.sweep.reencoded")
-            .unwrap_or(0);
-        assert!(
-            reencoded > 0,
-            "threads={threads}: Fmax must force the re-encode path"
-        );
-        for (row, want) in result.rows.iter().zip(&serial) {
-            let got = SerialRow {
-                covered: row.covered,
-                defaulted: row.defaulted,
-                leaf_srules: row.leaf_srules,
-                spine_srules: row.spine_srules,
-            };
-            assert_eq!(&got, want, "threads={threads}, R={}", row.r);
-        }
+    elmo::obs::reset();
+    let result = sweep::run(&cfg);
+    let snap = elmo::obs::snapshot();
+    let refused = snap.counter("controller.srules.leaf_refused").unwrap_or(0)
+        + snap.counter("controller.srules.pod_refused").unwrap_or(0);
+    assert!(refused > 0, "Fmax must refuse s-rule allocations");
+    assert_eq!(result.rows.len(), serial.len());
+    for (row, want) in result.rows.iter().zip(&serial) {
+        let got = SerialRow {
+            covered: row.covered,
+            defaulted: row.defaulted,
+            leaf_srules: row.leaf_srules,
+            spine_srules: row.spine_srules,
+        };
+        assert_eq!(&got, want, "R={}", row.r);
     }
 }
 
 #[test]
 fn metrics_neither_perturb_results_nor_depend_on_thread_count() {
     // Two guarantees at once: (1) running with the metrics registry enabled
-    // produces the same sweep rows as ever, and (2) the deterministic view
-    // of the metrics themselves — everything except the wall-clock `span.*`
-    // timings — is bit-identical at any thread count, because counters only
-    // ever accumulate commutative increments from the parallel phase.
+    // produces the same sweep rows as running with it off, and (2) the
+    // deterministic view of the metrics themselves — everything except the
+    // wall-clock `span.*` timings — is identical run to run, however the R
+    // jobs interleave, because every job records only commutative
+    // increments.
     let _guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    let mut cfg = base_config();
+    let cfg = base_config();
+    elmo::obs::set_enabled(false);
+    let unmetered = sweep::run(&cfg);
     elmo::obs::set_enabled(true);
-    let mut reference: Option<(Vec<elmo::sim::SweepRow>, elmo::obs::Snapshot)> = None;
-    for threads in [1, 2, 8] {
+    let mut metered = Vec::new();
+    for _ in 0..2 {
         elmo::obs::reset();
-        cfg.threads = threads;
         let result = sweep::run(&cfg);
         let snap = elmo::obs::snapshot().deterministic();
         assert!(
@@ -209,16 +212,8 @@ fn metrics_neither_perturb_results_nor_depend_on_thread_count() {
             snap.histograms.keys().all(|k| !k.starts_with("span.")),
             "deterministic view must exclude wall-clock spans"
         );
-        match &reference {
-            None => reference = Some((result.rows, snap)),
-            Some((rows, ref_snap)) => {
-                assert_eq!(&result.rows, rows, "rows diverged at threads={threads}");
-                assert_eq!(
-                    ref_snap.to_json(),
-                    snap.to_json(),
-                    "metrics diverged at threads={threads}"
-                );
-            }
-        }
+        assert_eq!(result.rows, unmetered.rows, "metrics changed the rows");
+        metered.push(snap.to_json());
     }
+    assert_eq!(metered[0], metered[1], "metrics diverged between runs");
 }
