@@ -10,8 +10,8 @@
 
 use std::net::Ipv4Addr;
 
-use elmo_controller::{Controller, ControllerConfig, GroupId, MemberRole};
-use elmo_dataplane::{Fabric, HypervisorSwitch, SenderFlow, SwitchConfig, VmSlot};
+use elmo_controller::{deploy, Controller, ControllerConfig, Deployment, GroupId, MemberRole};
+use elmo_dataplane::{Fabric, SwitchConfig};
 use elmo_net::vxlan::Vni;
 use elmo_topology::{Clos, HostId};
 
@@ -69,38 +69,13 @@ pub fn run(
         .chain(subs.iter().map(|&h| (h, MemberRole::Receiver)));
     ctl.create_group(gid, vni, tenant_addr, members);
 
-    // Data plane: install the state and push one verification message.
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
-    let state = ctl.group(gid).expect("group exists");
-    for (leaf, bm) in &state.enc.d_leaf.s_rules {
-        fabric
-            .leaf_mut(elmo_topology::LeafId(*leaf))
-            .install_srule(state.outer_addr, bm.clone())
-            .expect("leaf capacity");
-    }
-    for (pod, bm) in &state.enc.d_spine.s_rules {
-        fabric
-            .install_pod_srule(elmo_topology::PodId(*pod), state.outer_addr, bm.clone())
-            .expect("spine capacity");
-    }
-    let outer = state.outer_addr;
-    let mut pub_hv = HypervisorSwitch::new(publisher);
-    let header = ctl.header_for(gid, publisher).expect("sender header");
-    pub_hv.install_flow(
-        vni,
-        tenant_addr,
-        SenderFlow::new(outer, vni, &header, ctl.layout(), subs.clone()),
-    );
-    let mut rx: Vec<HypervisorSwitch> = subs
-        .iter()
-        .map(|&h| {
-            let mut hv = HypervisorSwitch::new(h);
-            hv.subscribe(outer, VmSlot(0));
-            hv
-        })
-        .collect();
+    // Data plane: deploy the group and push one verification message.
+    let mut dep = Deployment::new(Fabric::new(topo, SwitchConfig::default()));
+    dep.apply(&ctl, &deploy::deploy_group(&ctl, gid))
+        .expect("one group fits the default group tables");
 
     let message = vec![0xabu8; msg_bytes];
+    let pub_hv = dep.hypervisor_mut(publisher);
     let packets = match transport {
         Transport::Elmo => pub_hv.send(vni, tenant_addr, &message, ctl.layout()),
         Transport::Unicast => pub_hv.send_unicast_to(&subs, vni, &message, ctl.layout()),
@@ -108,10 +83,10 @@ pub fn run(
     let packets_per_message = packets.len();
     let mut received = vec![0usize; subscribers];
     let batch = packets.into_iter().map(|p| (publisher, p));
-    for (host, bytes) in fabric.inject_batch(batch) {
+    for (host, bytes) in dep.fabric.inject_batch(batch) {
         // Locate the subscriber hypervisor for this host.
         if let Some(i) = subs.iter().position(|&h| h == host) {
-            for (_, inner) in rx[i].receive(&bytes, ctl.layout()) {
+            for (_, inner) in dep.hypervisor_mut(host).receive(&bytes, ctl.layout()) {
                 assert_eq!(inner, &message[..]);
                 received[i] += 1;
             }

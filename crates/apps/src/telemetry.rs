@@ -10,8 +10,8 @@
 
 use std::net::Ipv4Addr;
 
-use elmo_controller::{Controller, ControllerConfig, GroupId, MemberRole};
-use elmo_dataplane::{Fabric, HypervisorSwitch, SenderFlow, SwitchConfig, VmSlot};
+use elmo_controller::{deploy, Controller, ControllerConfig, Deployment, GroupId, MemberRole};
+use elmo_dataplane::{Fabric, SwitchConfig};
 use elmo_net::vxlan::Vni;
 use elmo_topology::{Clos, HostId};
 
@@ -76,40 +76,15 @@ pub fn run(
             .chain(collector_hosts.iter().map(|&h| (h, MemberRole::Receiver))),
     );
 
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
-    let state = ctl.group(gid).expect("group");
-    for (leaf, bm) in &state.enc.d_leaf.s_rules {
-        fabric
-            .leaf_mut(elmo_topology::LeafId(*leaf))
-            .install_srule(state.outer_addr, bm.clone())
-            .expect("leaf capacity");
-    }
-    for (pod, bm) in &state.enc.d_spine.s_rules {
-        fabric
-            .install_pod_srule(elmo_topology::PodId(*pod), state.outer_addr, bm.clone())
-            .expect("spine capacity");
-    }
-    let outer = state.outer_addr;
-    let mut agent_hv = HypervisorSwitch::new(agent);
-    let header = ctl.header_for(gid, agent).expect("sender header");
-    agent_hv.install_flow(
-        vni,
-        tenant_addr,
-        SenderFlow::new(outer, vni, &header, ctl.layout(), collector_hosts.clone()),
-    );
-    let mut rx: Vec<HypervisorSwitch> = collector_hosts
-        .iter()
-        .map(|&h| {
-            let mut hv = HypervisorSwitch::new(h);
-            hv.subscribe(outer, VmSlot(0));
-            hv
-        })
-        .collect();
+    let mut dep = Deployment::new(Fabric::new(topo, SwitchConfig::default()));
+    dep.apply(&ctl, &deploy::deploy_group(&ctl, gid))
+        .expect("one group fits the default group tables");
 
     let datagram = vec![0x5au8; cfg.datagram_bytes];
     let total_datagrams = cfg.datagrams_per_sec * cfg.interval_secs;
     let mut received_total = 0usize;
     for _ in 0..total_datagrams {
+        let agent_hv = dep.hypervisor_mut(agent);
         let packets = match transport {
             Transport::Elmo => agent_hv.send(vni, tenant_addr, &datagram, ctl.layout()),
             Transport::Unicast => {
@@ -117,14 +92,14 @@ pub fn run(
             }
         };
         let batch = packets.into_iter().map(|p| (agent, p));
-        for (host, bytes) in fabric.inject_batch(batch) {
-            if let Some(i) = collector_hosts.iter().position(|&h| h == host) {
-                received_total += rx[i].receive(&bytes, ctl.layout()).len();
+        for (host, bytes) in dep.fabric.inject_batch(batch) {
+            if collector_hosts.contains(&host) {
+                received_total += dep.hypervisor_mut(host).receive(&bytes, ctl.layout()).len();
             }
         }
     }
     // Egress = everything the agent's host pushed onto its access link.
-    let egress_bits = fabric.stats.host_to_leaf_bytes as f64 * 8.0;
+    let egress_bits = dep.fabric.stats.host_to_leaf_bytes as f64 * 8.0;
     TelemetryResult {
         egress_kbps: egress_bits / cfg.interval_secs as f64 / 1000.0,
         received_total,

@@ -13,11 +13,14 @@
 //!   explicit upstream ports, with unicast fallback when set cover cannot
 //!   reach every member (§3.3, §5.1.3b);
 //! * [`Controller::header_for`] — the per-sender packet header hypervisors
-//!   encapsulate with.
+//!   encapsulate with;
+//! * [`deploy`] — the one path from controller state to device state: an
+//!   event's ordered [`DeviceOp`]s and the [`Deployment`] that applies them.
 #![forbid(unsafe_code)]
 
 pub mod attribution;
 pub mod controller;
+pub mod deploy;
 pub mod failures;
 pub mod srules;
 
@@ -26,5 +29,6 @@ pub use controller::{
     ChurnStats, Controller, ControllerConfig, GroupId, GroupSpec, GroupState, MemberCounts,
     MemberRole, UpdateSet,
 };
+pub use deploy::{DeployError, Deployment, DeviceOp};
 pub use failures::FailureImpact;
 pub use srules::{encode_group_admitted, SRuleSpace, UsageStats};

@@ -322,11 +322,6 @@ impl Fabric {
         self.switch(SwitchRef::Spine(s))
     }
 
-    /// Mutable access to a core switch.
-    pub fn core_mut(&mut self, c: CoreId) -> &mut NetworkSwitch {
-        self.switch_mut(SwitchRef::Core(c))
-    }
-
     /// Immutable access to a core switch.
     pub fn core(&self, c: CoreId) -> &NetworkSwitch {
         self.switch(SwitchRef::Core(c))

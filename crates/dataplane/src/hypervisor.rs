@@ -339,16 +339,6 @@ impl HypervisorSwitch {
         vec![pkt]
     }
 
-    /// [`send_unicast_to`](Self::send_unicast_to) in flight form.
-    pub fn send_unicast_flight(
-        &mut self,
-        targets: &[HostId],
-        vni: Vni,
-        inner_frame: &Arc<[u8]>,
-    ) -> Vec<FlightPacket> {
-        self.split().1.unicast_flights(targets, vni, inner_frame)
-    }
-
     /// Send an inner frame as plain VXLAN unicast to each target host (used
     /// by the unicast baseline and the failure fallback).
     pub fn send_unicast_to(

@@ -141,11 +141,6 @@ impl IgmpRepr {
         })
     }
 
-    /// The encoded length.
-    pub fn message_len(&self) -> usize {
-        MESSAGE_LEN
-    }
-
     /// Emit into a packet view (checksum included).
     pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, packet: &mut IgmpPacket<T>) {
         packet.fill(self.kind, self.max_resp_time, self.group);

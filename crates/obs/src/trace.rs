@@ -50,23 +50,6 @@ pub struct TraceEvent {
     pub state: u8,
 }
 
-impl TraceEvent {
-    /// Deterministic node id for this event's child: derived from
-    /// (packet index, switch id) only, per the tracing determinism rule.
-    pub fn child_id(&self) -> u64 {
-        ((self.pkt as u64) << 32) | self.child as u64
-    }
-
-    /// Deterministic node id for this event's parent (`None` at the root).
-    pub fn parent_id(&self) -> Option<u64> {
-        if self.parent == TRACE_ROOT {
-            None
-        } else {
-            Some(((self.pkt as u64) << 32) | self.parent as u64)
-        }
-    }
-}
-
 /// Sort an event multiset into the canonical order: by (packet, parent,
 /// child, state). After this, traces of the same packets compare with
 /// `==` however the replay was batched.

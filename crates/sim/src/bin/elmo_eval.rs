@@ -999,8 +999,13 @@ fn run_fig6(opts: &Opts) {
 }
 
 fn run_fig7() {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "Figure 7: hypervisor (PISCES-model) encap throughput, 128-byte inner frames, 20 Gbps NIC"
+    );
+    println!(
+        "sw encap Mpps: median [q1-q3] of {} timed bursts on this host ({cpus} CPUs)",
+        elmo_sim::perf::FIG7_BURSTS
     );
     let points = elmo_sim::perf::fig7(
         Clos::facebook_fabric(),
@@ -1016,7 +1021,7 @@ fn run_fig7() {
                 p.packet_bytes.to_string(),
                 format!("{:.2}", p.mpps),
                 format!("{:.2}", p.gbps),
-                format!("{:.1}", p.sw_mpps),
+                format!("{:.1} [{:.1}-{:.1}]", p.sw_mpps, p.sw_mpps_q1, p.sw_mpps_q3),
             ]
         })
         .collect();

@@ -13,13 +13,15 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::time::Instant;
 
-use elmo_controller::{ChurnStats, Controller, ControllerConfig, GroupId, GroupSpec, MemberRole};
+use elmo_controller::{
+    ChurnStats, Controller, ControllerConfig, Deployment, GroupId, GroupSpec, MemberRole,
+};
 use elmo_net::vxlan::Vni;
 use elmo_topology::Clos;
 use elmo_verify::{check_state_with, VerifyOptions};
 use elmo_workloads::{churn_bursts, initial_roles, Role, Workload, WorkloadConfig};
 
-use crate::verify_exp::install_state;
+use crate::verify_exp::uncapped;
 
 /// Knobs for one churn run.
 #[derive(Clone, Copy, Debug)]
@@ -237,9 +239,13 @@ pub fn run(topo: Clos, workload_cfg: WorkloadConfig, cfg: &ChurnExpConfig) -> Ch
 /// Install `ctl`'s full state into a fresh fabric + hypervisor tier and
 /// run the static checker; returns the violation count (0 = clean).
 pub fn verify_now(ctl: &Controller) -> usize {
-    let (fabric, hvs) = install_state(ctl);
-    let hv_refs: Vec<_> = hvs.values().collect();
-    let report = check_state_with(ctl, &fabric, &hv_refs, &VerifyOptions::default());
+    let dep = Deployment::of(ctl, uncapped()).expect("uncapped group tables");
+    let report = check_state_with(
+        ctl,
+        &dep.fabric,
+        &dep.hypervisors.values().collect::<Vec<_>>(),
+        &VerifyOptions::default(),
+    );
     report.violations.len()
 }
 

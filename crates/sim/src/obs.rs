@@ -10,8 +10,8 @@
 
 use std::net::Ipv4Addr;
 
-use elmo_controller::{Controller, ControllerConfig, GroupId, MemberRole};
-use elmo_dataplane::{Fabric, HypervisorSwitch, PcapWriter, SenderFlow, SwitchConfig, VmSlot};
+use elmo_controller::{deploy, Controller, ControllerConfig, Deployment, GroupId, MemberRole};
+use elmo_dataplane::{Fabric, PcapWriter, SwitchConfig};
 use elmo_topology::{Clos, HostId};
 
 /// Every metric name an exported snapshot must contain, with its paper-§5
@@ -35,6 +35,8 @@ pub const REQUIRED_METRICS: &[&str] = &[
     "controller.failures.groups_rerouted",
     "controller.failures.degraded_to_unicast",
     "controller.failures.hypervisor_updates",
+    // Device ops a switch or hypervisor refused (§4: full group table).
+    "deploy.refused",
     // Data plane (§4.1: match source per forwarded packet).
     "dataplane.prule_hits",
     "dataplane.srule_hits",
@@ -130,8 +132,8 @@ pub fn write_trace_pcap(path: &str, limit: usize) -> std::io::Result<usize> {
     let vni = elmo_net::vxlan::Vni(7);
     // Three groups of different shapes: same-leaf, same-pod, cross-pod.
     let shapes: [&[u32]; 3] = [&[0, 1], &[0, 8, 13], &[0, 1, 42, 48, 57]];
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
-    fabric.start_capture(limit);
+    let mut dep = Deployment::new(Fabric::new(topo, SwitchConfig::default()));
+    dep.fabric.start_capture(limit);
     for (gi, members) in shapes.iter().enumerate() {
         let gid = GroupId(gi as u64 + 1);
         let tenant_addr = Ipv4Addr::new(225, 9, 9, gi as u8 + 1);
@@ -141,38 +143,25 @@ pub fn write_trace_pcap(path: &str, limit: usize) -> std::io::Result<usize> {
             tenant_addr,
             members.iter().map(|&h| (HostId(h), MemberRole::Both)),
         );
-        let state = ctl.group(gid).expect("created group");
-        for (leaf, bm) in &state.enc.d_leaf.s_rules {
-            fabric
-                .leaf_mut(elmo_topology::LeafId(*leaf))
-                .install_srule(state.outer_addr, bm.clone())
-                .expect("leaf group table");
-        }
-        for (pod, bm) in &state.enc.d_spine.s_rules {
-            fabric
-                .install_pod_srule(elmo_topology::PodId(*pod), state.outer_addr, bm.clone())
-                .expect("spine group table");
-        }
+        // Fresh hypervisors per group: a group's flow entropy (the outer UDP
+        // source port) does not depend on the groups captured before it.
+        dep.hypervisors.clear();
+        dep.apply(&ctl, &deploy::deploy_group(&ctl, gid))
+            .map_err(std::io::Error::other)?;
         let sender = HostId(members[0]);
-        let header = ctl.header_for(gid, sender).expect("sender header");
-        let mut hv = HypervisorSwitch::new(sender);
-        hv.install_flow(
-            vni,
-            tenant_addr,
-            SenderFlow::new(state.outer_addr, vni, &header, ctl.layout(), vec![]),
-        );
-        let mut hv_rx = HypervisorSwitch::new(HostId(members[1]));
-        hv_rx.subscribe(state.outer_addr, VmSlot(0));
         let payload = format!("elmo trace group {gi}");
-        for pkt in hv.send(vni, tenant_addr, payload.as_bytes(), ctl.layout()) {
-            for (_host, bytes) in fabric.inject(sender, pkt) {
+        let pkts =
+            dep.hypervisor_mut(sender)
+                .send(vni, tenant_addr, payload.as_bytes(), ctl.layout());
+        for pkt in pkts {
+            for (host, bytes) in dep.fabric.inject(sender, pkt) {
                 // Deliveries also land in the capture via the fabric tap;
-                // decap one to exercise the receive path.
-                let _ = hv_rx.receive(&bytes, ctl.layout());
+                // decap each to exercise the receive path.
+                let _ = dep.hypervisor_mut(host).receive(&bytes, ctl.layout());
             }
         }
     }
-    let captured = fabric.take_capture();
+    let captured = dep.fabric.take_capture();
     let file = std::fs::File::create(path)?;
     let mut writer = PcapWriter::new(std::io::BufWriter::new(file))?;
     for pkt in &captured {

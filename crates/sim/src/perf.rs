@@ -28,13 +28,23 @@ pub struct Fig7Point {
     pub p_rules: usize,
     /// Total wire packet size in bytes.
     pub packet_bytes: usize,
-    /// Measured software encap rate, millions of packets per second.
+    /// Measured software encap rate, millions of packets per second: the
+    /// median over [`FIG7_BURSTS`] timed bursts.
     pub sw_mpps: f64,
-    /// Throughput on a 20 Gbps link: min(software rate, line rate), Mpps.
+    /// First and third quartile of the per-burst software rates.
+    pub sw_mpps_q1: f64,
+    pub sw_mpps_q3: f64,
+    /// The line-rate model, `nic_gbps·1e3 / (8·packet_bytes)` Mpps: a
+    /// function of packet size alone.
+    pub line_mpps: f64,
+    /// Throughput on the link: min(software rate, line rate), Mpps.
     pub mpps: f64,
     /// The same, in Gbps.
     pub gbps: f64,
 }
+
+/// Timed bursts per Figure 7 point; the software rate is their median.
+pub const FIG7_BURSTS: usize = 5;
 
 /// A header with `n` downstream-leaf p-rules (plus the usual upstream
 /// sections), mimicking the Figure 7 sweep.
@@ -95,21 +105,35 @@ pub fn fig7(
         for _ in 0..1_000 {
             packet_bytes = hv.send(Vni(1), group, &inner, &layout)[0].len();
         }
-        let iters = 200_000u64;
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(hv.send(Vni(1), group, std::hint::black_box(&inner), &layout));
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        let sw_pps = iters as f64 / elapsed;
-        let line_pps = nic_gbps * 1e9 / 8.0 / packet_bytes as f64;
-        let pps = sw_pps.min(line_pps);
+        let iters = 40_000u64;
+        let mut rates: Vec<f64> = (0..FIG7_BURSTS)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..iters {
+                    std::hint::black_box(hv.send(
+                        Vni(1),
+                        group,
+                        std::hint::black_box(&inner),
+                        &layout,
+                    ));
+                }
+                iters as f64 / start.elapsed().as_secs_f64() / 1e6
+            })
+            .collect();
+        rates.sort_by(|a, b| a.total_cmp(b));
+        let quartile = |q: usize| rates[q * (FIG7_BURSTS - 1) / 4];
+        let sw_mpps = quartile(2);
+        let line_mpps = nic_gbps * 1e3 / (8.0 * packet_bytes as f64);
+        let mpps = sw_mpps.min(line_mpps);
         points.push(Fig7Point {
             p_rules: n,
             packet_bytes,
-            sw_mpps: sw_pps / 1e6,
-            mpps: pps / 1e6,
-            gbps: pps * packet_bytes as f64 * 8.0 / 1e9,
+            sw_mpps,
+            sw_mpps_q1: quartile(1),
+            sw_mpps_q3: quartile(3),
+            line_mpps,
+            mpps,
+            gbps: mpps * packet_bytes as f64 * 8.0 / 1e3,
         });
     }
     points
@@ -170,13 +194,15 @@ mod tests {
     fn fig7_packets_grow_with_rules_and_stay_at_line_rate() {
         let points = fig7(Clos::facebook_fabric(), &[0, 10, 30], 128, 20.0);
         assert_eq!(points.len(), 3);
-        assert!(points[0].packet_bytes < points[1].packet_bytes);
-        assert!(points[1].packet_bytes < points[2].packet_bytes);
-        // pps falls as packets grow; Gbps stays within the NIC rate.
-        assert!(points[2].mpps < points[0].mpps);
+        // Only the packet-size shape is asserted: the software rate is
+        // host-timed and is reported, never compared.
+        for w in points.windows(2) {
+            assert!(w[0].packet_bytes < w[1].packet_bytes);
+            assert!(w[1].line_mpps < w[0].line_mpps, "line-rate Mpps falls");
+        }
         for p in &points {
-            assert!(p.gbps <= 20.0 + 1e-9);
-            assert!(p.gbps > 0.0);
+            assert!(p.gbps > 0.0 && p.gbps <= 20.0 + 1e-9, "{p:?}");
+            assert!(p.sw_mpps_q1 <= p.sw_mpps && p.sw_mpps <= p.sw_mpps_q3);
         }
     }
 

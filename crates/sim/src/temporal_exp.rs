@@ -4,21 +4,23 @@
 //! Drives [`elmo_verify::temporal`] over the same seeded join/leave
 //! stream as [`crate::churn_exp`]: before each event the touched group's
 //! epoch, senders, and exact delivery are snapshotted; after the
-//! controller applies the event and the fabric's s-rules are synced, the
-//! *pre-event* headers are re-walked. Every step must leave old headers
-//! byte-exact, converged (header unchanged, delivery exactly the new
-//! receiver set), or attributably versioned out — anything else is an
-//! update-safety violation in the controller's membership path.
+//! controller applies the event and the fabric applies the event's
+//! s-rule ops, the *pre-event* headers are re-walked. Every step must
+//! leave old headers byte-exact, converged (header unchanged, delivery
+//! exactly the new receiver set), or attributably versioned out —
+//! anything else is an update-safety violation in the controller's
+//! membership path.
 //!
-//! The fabric is kept live across the whole stream and synced
-//! *incrementally* (only the touched group's s-rules change per event),
-//! both because that is what a deployment agent would do and because
-//! rebuilding the full fabric per event would make a 10k-event sweep
-//! quadratic.
+//! The fabric is kept live across the whole stream and updated
+//! *incrementally* through [`elmo_controller::deploy::ops`] (only the
+//! switches the event's update set names change), both because that is
+//! what a deployment agent would do and because rebuilding the full fabric
+//! per event would make a 10k-event sweep quadratic. Only the switch half
+//! of each op list is applied: the checker walks pre-event headers it
+//! snapshotted from the controller, so no hypervisor is read.
 
-use elmo_controller::{Controller, GroupId, GroupState};
-use elmo_dataplane::Fabric;
-use elmo_topology::{Clos, LeafId, PodId};
+use elmo_controller::{deploy, Deployment, GroupId};
+use elmo_topology::Clos;
 use elmo_verify::temporal::{check_update, EpochSnapshot, TemporalReport};
 use elmo_workloads::{churn_bursts, initial_roles, Workload, WorkloadConfig};
 
@@ -51,43 +53,6 @@ pub struct TemporalRun {
     pub report: TemporalReport,
 }
 
-/// Remove `old`'s installed s-rules for one group and install the
-/// controller's current ones: the incremental per-event fabric sync a
-/// deployment agent performs. A fallback or deleted group simply has its
-/// old rules removed.
-pub fn sync_group_rules(
-    ctl: &Controller,
-    fabric: &mut Fabric,
-    gid: GroupId,
-    old: Option<&GroupState>,
-) {
-    if let Some(old) = old {
-        for (leaf, _) in &old.enc.d_leaf.s_rules {
-            fabric.leaf_mut(LeafId(*leaf)).remove_srule(&old.outer_addr);
-        }
-        for (pod, _) in &old.enc.d_spine.s_rules {
-            for s in ctl.topo().spines_in_pod(PodId(*pod)) {
-                fabric.spine_mut(s).remove_srule(&old.outer_addr);
-            }
-        }
-    }
-    let state = match ctl.group(gid) {
-        Some(s) if !s.unicast_fallback => s,
-        _ => return,
-    };
-    for (leaf, bm) in &state.enc.d_leaf.s_rules {
-        fabric
-            .leaf_mut(LeafId(*leaf))
-            .install_srule(state.outer_addr, bm.clone())
-            .expect("uncapped leaf table");
-    }
-    for (pod, bm) in &state.enc.d_spine.s_rules {
-        fabric
-            .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
-            .expect("uncapped spine table");
-    }
-}
-
 /// Generate the workload, build the controller, install the state, and
 /// check every event of the seeded churn stream.
 pub fn run(topo: Clos, workload_cfg: WorkloadConfig, cfg: &TemporalExpConfig) -> TemporalRun {
@@ -103,7 +68,9 @@ pub fn run(topo: Clos, workload_cfg: WorkloadConfig, cfg: &TemporalExpConfig) ->
         verify_each_burst: false,
     };
     let mut ctl = churn_exp::build_controller(topo, &workload, &roles, &churn_cfg);
-    let (mut fabric, _hvs) = crate::verify_exp::install_state(&ctl);
+    let mut fabric = Deployment::of(&ctl, crate::verify_exp::uncapped())
+        .expect("uncapped group tables")
+        .fabric;
 
     // Ground truth roles per (group, vm), exactly as the churn replay
     // tracks them: leaves must replay the role the member holds.
@@ -129,7 +96,6 @@ pub fn run(topo: Clos, workload_cfg: WorkloadConfig, cfg: &TemporalExpConfig) ->
             let tenant = &workload.tenants[g.tenant as usize];
             let host = tenant.vms[e.vm as usize];
             let snap = EpochSnapshot::capture(&ctl, &fabric, gid, cfg.max_senders);
-            let old = ctl.group(gid).cloned();
             let updates = if e.join {
                 ctl.join(gid, host, churn_exp::to_role(e.role))
             } else {
@@ -139,7 +105,8 @@ pub fn run(topo: Clos, workload_cfg: WorkloadConfig, cfg: &TemporalExpConfig) ->
                     .expect("generator only emits leaves for members");
                 ctl.leave(gid, host, churn_exp::to_role(old_role))
             };
-            sync_group_rules(&ctl, &mut fabric, gid, old.as_ref());
+            deploy::apply_switch_ops(&mut fabric, deploy::ops(&ctl, gid, &updates))
+                .expect("uncapped group tables");
             report.events += 1;
             if let Some(snap) = snap {
                 report.absorb(check_update(&snap, &ctl, &fabric, &updates, idx));

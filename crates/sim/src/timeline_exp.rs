@@ -20,12 +20,10 @@
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use elmo_controller::{Controller, ControllerConfig, GroupId, MemberRole};
-use elmo_dataplane::{
-    dense_switch_ref, DeliveryBatch, Fabric, HypervisorSwitch, SenderFlow, SwitchConfig,
-};
+use elmo_controller::{deploy, Controller, ControllerConfig, Deployment, GroupId, MemberRole};
+use elmo_dataplane::{dense_switch_ref, DeliveryBatch, Fabric, SwitchConfig};
 use elmo_obs::Timeline;
-use elmo_topology::{Clos, HostId, LeafId, PodId, SwitchRef};
+use elmo_topology::{Clos, HostId, LeafId, SwitchRef};
 
 /// The failure scenario's member set: sender 0 plus receivers spread over
 /// three pods so the copy tree crosses the core layer.
@@ -79,7 +77,7 @@ pub fn run(windows: usize, tick: usize) -> Result<TimelineRun, String> {
     let topo = Clos::paper_example();
     let mut ctl = Controller::new(topo, ControllerConfig::paper_default(12));
     let vni = elmo_net::vxlan::Vni(7);
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
+    let mut dep = Deployment::new(Fabric::new(topo, SwitchConfig::default()));
     let gid = GroupId(1);
     ctl.create_group(
         gid,
@@ -87,31 +85,15 @@ pub fn run(windows: usize, tick: usize) -> Result<TimelineRun, String> {
         Ipv4Addr::new(225, 11, 0, 1),
         MEMBERS.iter().map(|&h| (HostId(h), MemberRole::Both)),
     );
+    dep.apply(&ctl, &deploy::deploy_group(&ctl, gid))
+        .map_err(|e| format!("deploy: {e}"))?;
     let state = ctl.group(gid).expect("created group");
-    for (leaf, bm) in &state.enc.d_leaf.s_rules {
-        fabric
-            .leaf_mut(LeafId(*leaf))
-            .install_srule(state.outer_addr, bm.clone())
-            .map_err(|e| format!("leaf s-rule install: {e}"))?;
-    }
-    for (pod, bm) in &state.enc.d_spine.s_rules {
-        fabric
-            .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
-            .map_err(|e| format!("spine s-rule install: {e}"))?;
-    }
-
     let sender = HostId(MEMBERS[0]);
-    let header = ctl
-        .header_for(gid, sender)
-        .ok_or_else(|| format!("no header for sender {}", sender.0))?;
-    let mut hv = HypervisorSwitch::new(sender);
-    hv.install_flow(
-        vni,
-        state.tenant_addr,
-        SenderFlow::new(state.outer_addr, vni, &header, ctl.layout(), vec![]),
-    );
     let payload: Arc<[u8]> = b"elmo timeline".to_vec().into();
-    let mut pkts = hv.send_flight(vni, state.tenant_addr, &payload);
+    let mut pkts = dep
+        .hypervisor_mut(sender)
+        .send_flight(vni, state.tenant_addr, &payload);
+    let mut fabric = dep.fabric;
     if pkts.len() != 1 {
         return Err(format!(
             "sender flow produced {} packets, expected 1",

@@ -12,13 +12,10 @@
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use elmo_controller::{Controller, ControllerConfig, GroupId, MemberRole};
-use elmo_dataplane::{
-    dense_switch_ref, trace_node_label, DeliveryBatch, Fabric, HypervisorSwitch, SenderFlow,
-    SwitchConfig,
-};
+use elmo_controller::{deploy, Controller, ControllerConfig, Deployment, GroupId, MemberRole};
+use elmo_dataplane::{dense_switch_ref, trace_node_label, DeliveryBatch, Fabric, SwitchConfig};
 use elmo_obs::{CopyTree, HOST_NODE_BIT};
-use elmo_topology::{Clos, HostId, LeafId, PodId, SwitchRef};
+use elmo_topology::{Clos, HostId, SwitchRef};
 
 /// The fixture's group shapes, indexed by `GroupId - 1` (identical to
 /// the `--trace-pcap` fixture in [`crate::obs::write_trace_pcap`]).
@@ -55,7 +52,7 @@ pub fn run(group: u64, sender: Option<u32>) -> Result<TraceRun, String> {
     let topo = Clos::paper_example();
     let mut ctl = Controller::new(topo, ControllerConfig::paper_default(12));
     let vni = elmo_net::vxlan::Vni(7);
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
+    let mut dep = Deployment::new(Fabric::new(topo, SwitchConfig::default()));
     for (gi, members) in FIXTURE_SHAPES.iter().enumerate() {
         let gid = GroupId(gi as u64 + 1);
         ctl.create_group(
@@ -64,18 +61,8 @@ pub fn run(group: u64, sender: Option<u32>) -> Result<TraceRun, String> {
             Ipv4Addr::new(225, 9, 9, gi as u8 + 1),
             members.iter().map(|&h| (HostId(h), MemberRole::Both)),
         );
-        let state = ctl.group(gid).expect("created group");
-        for (leaf, bm) in &state.enc.d_leaf.s_rules {
-            fabric
-                .leaf_mut(LeafId(*leaf))
-                .install_srule(state.outer_addr, bm.clone())
-                .map_err(|e| format!("leaf s-rule install: {e}"))?;
-        }
-        for (pod, bm) in &state.enc.d_spine.s_rules {
-            fabric
-                .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
-                .map_err(|e| format!("spine s-rule install: {e}"))?;
-        }
+        dep.apply(&ctl, &deploy::deploy_group(&ctl, gid))
+            .map_err(|e| format!("deploy: {e}"))?;
     }
 
     let gid = GroupId(group);
@@ -95,20 +82,11 @@ pub fn run(group: u64, sender: Option<u32>) -> Result<TraceRun, String> {
         ));
     }
     let state = ctl.group(gid).expect("fixture group exists");
-    let header = ctl
-        .header_for(gid, sender)
-        .ok_or_else(|| format!("no header for sender {}", sender.0))?;
-    let outer = state.outer_addr;
-    let tenant_addr = state.tenant_addr;
-
-    let mut hv = HypervisorSwitch::new(sender);
-    hv.install_flow(
-        vni,
-        tenant_addr,
-        SenderFlow::new(outer, vni, &header, ctl.layout(), vec![]),
-    );
     let payload: Arc<[u8]> = format!("elmo trace g{group}").into_bytes().into();
-    let mut pkts = hv.send_flight(vni, tenant_addr, &payload);
+    let mut pkts = dep
+        .hypervisor_mut(sender)
+        .send_flight(vni, state.tenant_addr, &payload);
+    let mut fabric = dep.fabric;
     if pkts.len() != 1 {
         return Err(format!(
             "sender flow produced {} packets, expected 1",

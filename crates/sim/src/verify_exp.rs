@@ -13,12 +13,10 @@
 //! by the Figure-4/5 sweeps, and reports any disagreement as a
 //! `redundancy_mismatch` violation.
 
-use std::collections::BTreeMap;
-
-use elmo_controller::{Controller, ControllerConfig, GroupId, GroupSpec, MemberRole};
-use elmo_dataplane::{Fabric, HypervisorSwitch, SenderFlow, SwitchConfig, VmSlot};
+use elmo_controller::{Controller, ControllerConfig, Deployment, GroupId, GroupSpec, MemberRole};
+use elmo_dataplane::SwitchConfig;
 use elmo_net::vxlan::Vni;
-use elmo_topology::{Clos, HostId, LeafId, PodId};
+use elmo_topology::{Clos, HostId};
 use elmo_verify::{
     check_state_with, differential_check, Report, VerifyOptions, Violation, ViolationKind, Witness,
 };
@@ -82,15 +80,19 @@ pub fn run(topo: Clos, workload_cfg: WorkloadConfig, cfg: &VerifyExpConfig) -> V
         .collect();
     ctl.create_groups_batch(&specs, 1);
 
-    let (mut fabric, hvs) = install_state(&ctl);
+    let mut dep = Deployment::of(&ctl, uncapped()).expect("uncapped group tables");
     let layout = *ctl.layout();
 
-    let hv_refs: Vec<&HypervisorSwitch> = hvs.values().collect();
     let opts = VerifyOptions {
         collect_traffic: true,
         ..VerifyOptions::default()
     };
-    let mut report = check_state_with(&ctl, &fabric, &hv_refs, &opts);
+    let mut report = check_state_with(
+        &ctl,
+        &dep.fabric,
+        &dep.hypervisors.values().collect::<Vec<_>>(),
+        &opts,
+    );
 
     // Cross-check the walk's redundancy accounting against the traffic
     // model the sweeps report. The model always assumes multipath
@@ -130,7 +132,7 @@ pub fn run(topo: Clos, workload_cfg: WorkloadConfig, cfg: &VerifyExpConfig) -> V
     }
     report.violations.extend(extra);
 
-    let diff = differential_check(&ctl, &mut fabric, cfg.samples, cfg.seed);
+    let diff = differential_check(&ctl, &mut dep.fabric, cfg.samples, cfg.seed);
     report.violations.extend(diff.violations);
 
     VerifyRun {
@@ -140,59 +142,15 @@ pub fn run(topo: Clos, workload_cfg: WorkloadConfig, cfg: &VerifyExpConfig) -> V
     }
 }
 
-/// Install a controller's full compiled state into a fresh simulated
-/// fabric and hypervisor tier, exactly as a deployment agent would. The
-/// switch group tables are left uncapped because the paper-default
-/// controller admits unlimited s-rules to observe natural demand; the
-/// verifier still reports occupancy against the controller's own Fmax.
-/// Shared with [`crate::churn_exp`], which re-installs at every burst
-/// checkpoint.
-pub fn install_state(ctl: &Controller) -> (Fabric, BTreeMap<HostId, HypervisorSwitch>) {
-    let mut fabric = Fabric::new(
-        *ctl.topo(),
-        SwitchConfig {
-            group_table_capacity: usize::MAX,
-            ..SwitchConfig::default()
-        },
-    );
-    let layout = *ctl.layout();
-    let mut hvs: BTreeMap<HostId, HypervisorSwitch> = BTreeMap::new();
-    let mut states: Vec<_> = ctl.groups().collect();
-    states.sort_unstable_by_key(|g| g.id.0);
-    for state in states {
-        if state.unicast_fallback {
-            continue;
-        }
-        for (leaf, bm) in &state.enc.d_leaf.s_rules {
-            fabric
-                .leaf_mut(LeafId(*leaf))
-                .install_srule(state.outer_addr, bm.clone())
-                .expect("uncapped leaf table");
-        }
-        for (pod, bm) in &state.enc.d_spine.s_rules {
-            fabric
-                .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
-                .expect("uncapped spine table");
-        }
-        for h in state.receiver_hosts() {
-            hvs.entry(h)
-                .or_insert_with(|| HypervisorSwitch::new(h))
-                .subscribe(state.outer_addr, VmSlot(0));
-        }
-        for h in state.sender_hosts() {
-            let header = ctl
-                .header_for(state.id, h)
-                .expect("non-fallback group has a header for every sender");
-            hvs.entry(h)
-                .or_insert_with(|| HypervisorSwitch::new(h))
-                .install_flow(
-                    state.vni,
-                    state.tenant_addr,
-                    SenderFlow::new(state.outer_addr, state.vni, &header, &layout, vec![]),
-                );
-        }
+/// Switch limits for a harness deployment: group tables uncapped, because
+/// the paper-default controller admits unlimited s-rules to observe natural
+/// demand; the verifier still reports occupancy against the controller's
+/// own Fmax.
+pub fn uncapped() -> SwitchConfig {
+    SwitchConfig {
+        group_table_capacity: usize::MAX,
+        ..SwitchConfig::default()
     }
-    (fabric, hvs)
 }
 
 fn to_role(r: Role) -> MemberRole {

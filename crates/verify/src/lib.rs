@@ -350,7 +350,7 @@ pub fn check_state_with(
 mod tests {
     use std::net::Ipv4Addr;
 
-    use elmo_controller::{Controller, ControllerConfig, GroupId, MemberRole};
+    use elmo_controller::{deploy, Controller, ControllerConfig, GroupId, MemberRole};
     use elmo_core::PortBitmap;
     use elmo_dataplane::{Fabric, SwitchConfig};
     use elmo_topology::{Clos, HostId, LeafId, PodId};
@@ -373,17 +373,8 @@ mod tests {
 
     fn install(ctl: &Controller, fabric: &mut Fabric, gid: GroupId) {
         let state = ctl.group(gid).expect("group");
-        for (leaf, bm) in &state.enc.d_leaf.s_rules {
-            fabric
-                .leaf_mut(LeafId(*leaf))
-                .install_srule(state.outer_addr, bm.clone())
-                .expect("leaf capacity");
-        }
-        for (pod, bm) in &state.enc.d_spine.s_rules {
-            fabric
-                .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
-                .expect("spine capacity");
-        }
+        deploy::apply_switch_ops(fabric, deploy::srule_ops(state.outer_addr, &state.enc))
+            .expect("switch capacity");
     }
 
     #[test]

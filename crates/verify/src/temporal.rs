@@ -354,16 +354,16 @@ impl TemporalReport {
 mod tests {
     use std::net::Ipv4Addr;
 
-    use elmo_controller::{ControllerConfig, MemberRole};
+    use elmo_controller::{deploy, ControllerConfig, Deployment, MemberRole};
     use elmo_dataplane::SwitchConfig;
-    use elmo_topology::{LeafId, PodId};
+    use elmo_topology::LeafId;
 
     use super::*;
 
     /// A group wide enough (and a budget tight enough) that the encoder
     /// must spill leaf s-rules — the shared state the temporal checker
     /// exists to protect.
-    fn setup() -> (Controller, Fabric, GroupId) {
+    fn setup() -> (Controller, Deployment, GroupId) {
         let topo = Clos::paper_example();
         // Tiny header budget: the encoder must spill most leaves to
         // s-rules, the shared state whose lifecycle we are checking.
@@ -382,58 +382,24 @@ mod tests {
             .map(|h| (h, MemberRole::Both))
             .collect();
         ctl.create_group(gid, elmo_net::Vni(7), Ipv4Addr::new(225, 0, 0, 1), members);
-        let mut fabric = Fabric::new(
-            topo,
-            SwitchConfig {
-                group_table_capacity: usize::MAX,
-                ..SwitchConfig::default()
-            },
-        );
-        sync_group(&ctl, &mut fabric, gid, None);
+        let uncapped = SwitchConfig {
+            group_table_capacity: usize::MAX,
+            ..SwitchConfig::default()
+        };
+        let dep = Deployment::of(&ctl, uncapped).expect("uncapped group tables");
         let state = ctl.group(gid).expect("group");
         assert!(
             !state.unicast_fallback && !state.enc.d_leaf.s_rules.is_empty(),
             "fixture must spill leaf s-rules (budget too generous?)"
         );
-        (ctl, fabric, gid)
-    }
-
-    /// Install the group's current s-rules, first removing `old`'s if a
-    /// pre-event encoding is handed in (the incremental sync the sim
-    /// harness performs per churn event).
-    fn sync_group(ctl: &Controller, fabric: &mut Fabric, gid: GroupId, old: Option<&GroupState>) {
-        if let Some(old) = old {
-            for (leaf, _) in &old.enc.d_leaf.s_rules {
-                fabric.leaf_mut(LeafId(*leaf)).remove_srule(&old.outer_addr);
-            }
-            for (pod, _) in &old.enc.d_spine.s_rules {
-                for s in ctl.topo().spines_in_pod(PodId(*pod)) {
-                    fabric.spine_mut(s).remove_srule(&old.outer_addr);
-                }
-            }
-        }
-        let state = match ctl.group(gid) {
-            Some(s) if !s.unicast_fallback => s,
-            _ => return,
-        };
-        for (leaf, bm) in &state.enc.d_leaf.s_rules {
-            fabric
-                .leaf_mut(LeafId(*leaf))
-                .install_srule(state.outer_addr, bm.clone())
-                .expect("uncapped leaf table");
-        }
-        for (pod, bm) in &state.enc.d_spine.s_rules {
-            fabric
-                .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
-                .expect("uncapped spine table");
-        }
+        (ctl, dep, gid)
     }
 
     #[test]
     fn unchanged_fabric_walks_exact() {
-        let (ctl, fabric, gid) = setup();
-        let snap = EpochSnapshot::capture(&ctl, &fabric, gid, 0).expect("snapshot");
-        let out = check_update(&snap, &ctl, &fabric, &UpdateSet::default(), 0);
+        let (ctl, dep, gid) = setup();
+        let snap = EpochSnapshot::capture(&ctl, &dep.fabric, gid, 0).expect("snapshot");
+        let out = check_update(&snap, &ctl, &dep.fabric, &UpdateSet::default(), 0);
         assert_eq!(out.exact, snap.senders(), "{:?}", out.violations);
         assert!(out.violations.is_empty());
         assert_eq!(out.versioned_out, 0);
@@ -441,21 +407,21 @@ mod tests {
 
     #[test]
     fn real_membership_events_are_exact_or_versioned_out() {
-        let (mut ctl, mut fabric, gid) = setup();
+        let (mut ctl, mut dep, gid) = setup();
         let mut report = TemporalReport::default();
         // A receiver join on a fresh host, then its leave: both exercise
         // the controller's real membership path.
         for (i, (host, join)) in [(HostId(1), true), (HostId(1), false)].iter().enumerate() {
-            let snap = EpochSnapshot::capture(&ctl, &fabric, gid, 0).expect("snapshot");
-            let old = snap.state.clone();
+            let snap = EpochSnapshot::capture(&ctl, &dep.fabric, gid, 0).expect("snapshot");
             let updates = if *join {
                 ctl.join(gid, *host, MemberRole::Receiver)
             } else {
                 ctl.leave(gid, *host, MemberRole::Receiver)
             };
-            sync_group(&ctl, &mut fabric, gid, Some(&old));
+            dep.apply(&ctl, &deploy::ops(&ctl, gid, &updates))
+                .expect("uncapped group tables");
             report.events += 1;
-            report.absorb(check_update(&snap, &ctl, &fabric, &updates, i));
+            report.absorb(check_update(&snap, &ctl, &dep.fabric, &updates, i));
         }
         assert!(
             report.ok(),
@@ -468,8 +434,9 @@ mod tests {
 
     #[test]
     fn unversioned_srule_free_is_caught() {
-        let (ctl, mut fabric, gid) = setup();
-        let snap = EpochSnapshot::capture(&ctl, &fabric, gid, 0).expect("snapshot");
+        let (ctl, mut dep, gid) = setup();
+        let fabric = &mut dep.fabric;
+        let snap = EpochSnapshot::capture(&ctl, fabric, gid, 0).expect("snapshot");
         // Seeded bug: a buggy reconfiguration frees a live leaf s-rule
         // without bumping the group's epoch.
         let state = ctl.group(gid).expect("group");
@@ -477,7 +444,7 @@ mod tests {
         assert!(fabric
             .leaf_mut(LeafId(leaf))
             .remove_srule(&state.outer_addr));
-        let out = check_update(&snap, &ctl, &fabric, &UpdateSet::default(), 7);
+        let out = check_update(&snap, &ctl, fabric, &UpdateSet::default(), 7);
         let v = out
             .violations
             .first()
@@ -490,8 +457,9 @@ mod tests {
 
     #[test]
     fn versioned_divergence_needs_sender_attribution() {
-        let (ctl, mut fabric, gid) = setup();
-        let snap = EpochSnapshot::capture(&ctl, &fabric, gid, 0).expect("snapshot");
+        let (ctl, mut dep, gid) = setup();
+        let fabric = &mut dep.fabric;
+        let snap = EpochSnapshot::capture(&ctl, fabric, gid, 0).expect("snapshot");
         let state = ctl.group(gid).expect("group");
         let (leaf, _) = state.enc.d_leaf.s_rules[0].clone();
         fabric
@@ -503,7 +471,7 @@ mod tests {
             epoch: snap.epoch + 1,
             ..UpdateSet::default()
         };
-        let out = check_update(&snap, &ctl, &fabric, &bumped, 0);
+        let out = check_update(&snap, &ctl, fabric, &bumped, 0);
         assert!(out
             .violations
             .iter()
@@ -515,7 +483,7 @@ mod tests {
             all_senders: true,
             ..UpdateSet::default()
         };
-        let out = check_update(&snap, &ctl, &fabric, &attributed, 0);
+        let out = check_update(&snap, &ctl, fabric, &attributed, 0);
         assert!(out.violations.is_empty(), "{:#?}", out.violations);
         assert!(out.versioned_out > 0);
     }

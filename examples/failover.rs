@@ -7,10 +7,10 @@
 
 use std::net::Ipv4Addr;
 
-use elmo::controller::{Controller, ControllerConfig, GroupId, MemberRole};
-use elmo::dataplane::{Fabric, HypervisorSwitch, SenderFlow, SwitchConfig, VmSlot};
+use elmo::controller::{deploy, Controller, ControllerConfig, Deployment, GroupId, MemberRole};
+use elmo::dataplane::{Fabric, SwitchConfig};
 use elmo::net::vxlan::Vni;
-use elmo::topology::{Clos, HostId, LeafId, PodId, SpineId};
+use elmo::topology::{Clos, HostId, PodId, SpineId};
 
 fn main() {
     let topo = Clos::paper_example();
@@ -76,7 +76,7 @@ fn main() {
     println!("the hypervisor now replicates over unicast until the network heals.");
 }
 
-/// Install the group's current rules in a fabric (with the given spines
+/// Deploy the group's current state into a fabric (with the given spines
 /// down) and send one packet.
 fn transmit(
     ctl: &Controller,
@@ -85,41 +85,32 @@ fn transmit(
     sender: HostId,
     dead_spines: &[SpineId],
 ) -> Vec<HostId> {
-    let topo = *ctl.topo();
     let layout = *ctl.layout();
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
+    let mut dep = Deployment::new(Fabric::new(*ctl.topo(), SwitchConfig::default()));
     for &s in dead_spines {
-        fabric.fail_spine(s);
+        dep.fabric.fail_spine(s);
     }
+    dep.apply(ctl, &deploy::deploy_group(ctl, gid))
+        .expect("one group fits the default group tables");
     let state = ctl.group(gid).expect("group");
-    for (leaf, bm) in &state.enc.d_leaf.s_rules {
-        fabric
-            .leaf_mut(LeafId(*leaf))
-            .install_srule(state.outer_addr, bm.clone())
-            .unwrap();
-    }
-    for (pod, bm) in &state.enc.d_spine.s_rules {
-        fabric
-            .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
-            .unwrap();
-    }
-    let header = ctl.header_for(gid, sender).expect("header");
-    let mut hv = HypervisorSwitch::new(sender);
-    hv.install_flow(
-        state.vni,
-        tenant_group,
-        SenderFlow::new(state.outer_addr, state.vni, &header, &layout, vec![]),
-    );
-    let pkt = hv
+    let pkt = dep
+        .hypervisor_mut(sender)
         .send(state.vni, tenant_group, b"failover probe", &layout)
         .remove(0);
-    let mut hosts: Vec<HostId> = fabric
+    let mut hosts: Vec<HostId> = dep
+        .fabric
         .inject(sender, pkt)
         .into_iter()
-        .filter_map(|(h, bytes)| {
-            let mut rx = HypervisorSwitch::new(h);
-            rx.subscribe(state.outer_addr, VmSlot(0));
-            (!rx.receive(&bytes, &layout).is_empty()).then_some(h)
+        .map(|(h, bytes)| {
+            // Every copy counts, a non-member's too; a member must decap it.
+            let rx = dep.hypervisor_mut(h);
+            if !rx.subscribers(state.outer_addr).is_empty() {
+                assert!(
+                    !rx.receive(&bytes, &layout).is_empty(),
+                    "{h} rejected its copy"
+                );
+            }
+            h
         })
         .collect();
     hosts.sort_unstable();

@@ -6,10 +6,10 @@
 
 use std::net::Ipv4Addr;
 
-use elmo::controller::{Controller, ControllerConfig, GroupId, MemberRole};
-use elmo::dataplane::{Fabric, HypervisorSwitch, PcapWriter, SenderFlow, SwitchConfig};
+use elmo::controller::{deploy, Controller, ControllerConfig, Deployment, GroupId, MemberRole};
+use elmo::dataplane::{Fabric, PcapWriter, SwitchConfig};
 use elmo::net::vxlan::Vni;
-use elmo::topology::{Clos, HostId, LeafId, PodId, SwitchRef};
+use elmo::topology::{Clos, HostId, SwitchRef};
 
 fn main() {
     let pcap_path = std::env::args().nth(1);
@@ -29,32 +29,16 @@ fn main() {
             (HostId(57), MemberRole::Receiver),
         ],
     );
-    let state = ctl.group(gid).expect("group");
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
-    for (leaf, bm) in &state.enc.d_leaf.s_rules {
-        fabric
-            .leaf_mut(LeafId(*leaf))
-            .install_srule(state.outer_addr, bm.clone())
-            .unwrap();
-    }
-    for (pod, bm) in &state.enc.d_spine.s_rules {
-        fabric
-            .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
-            .unwrap();
-    }
-    let header = ctl.header_for(gid, HostId(0)).expect("header");
-    let mut hv = HypervisorSwitch::new(HostId(0));
-    hv.install_flow(
-        Vni(55),
-        group,
-        SenderFlow::new(state.outer_addr, Vni(55), &header, ctl.layout(), vec![]),
-    );
-    let pkt = hv
+    let mut dep = Deployment::new(Fabric::new(topo, SwitchConfig::default()));
+    dep.apply(&ctl, &deploy::deploy_group(&ctl, gid))
+        .expect("one group fits the default group tables");
+    let pkt = dep
+        .hypervisor_mut(HostId(0))
         .send(Vni(55), group, b"trace this multicast", ctl.layout())
         .remove(0);
     let injected = pkt.clone();
 
-    let (deliveries, trace) = fabric.inject_traced(HostId(0), pkt);
+    let (deliveries, trace) = dep.fabric.inject_traced(HostId(0), pkt);
 
     println!("multicast traceroute for group {group} from H0:\n");
     for hop in &trace {

@@ -9,9 +9,9 @@
 
 use std::net::Ipv4Addr;
 
-use elmo::controller::{Controller, ControllerConfig, GroupId, MemberRole};
+use elmo::controller::{deploy, Controller, ControllerConfig, Deployment, GroupId, MemberRole};
 use elmo::core::HeaderLayout;
-use elmo::dataplane::{Fabric, HypervisorSwitch, SenderFlow, SwitchConfig, VmSlot};
+use elmo::dataplane::{Fabric, SwitchConfig};
 use elmo::net::vxlan::Vni;
 use elmo::topology::{Clos, HostId, LeafId, PodId};
 
@@ -92,26 +92,28 @@ fn main() {
     );
 
     // ----- 4. A real transmission ---------------------------------------------
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
+    // The controller's device ops program the fabric and both hypervisor
+    // roles: s-rules (none needed here), Ha's flow, every receiver's
+    // subscription.
+    let mut dep = Deployment::new(Fabric::new(topo, SwitchConfig::default()));
+    dep.apply(&ctl, &deploy::deploy_group(&ctl, gid))
+        .expect("one group fits the default group tables");
     let sender = HostId(0);
-    let mut hv = HypervisorSwitch::new(sender);
-    hv.install_flow(
-        Vni(42),
-        tenant_group,
-        SenderFlow::new(state.outer_addr, Vni(42), &header, &layout, vec![]),
-    );
     let payload = b"hello, multicast world";
-    let packet = hv.send(Vni(42), tenant_group, payload, &layout).remove(0);
+    let packet = dep
+        .hypervisor_mut(sender)
+        .send(Vni(42), tenant_group, payload, &layout)
+        .remove(0);
     println!(
         "\ninjecting a {}-byte packet from {sender}...",
         packet.len()
     );
 
-    let deliveries = fabric.inject(sender, packet);
+    let deliveries = dep.fabric.inject(sender, packet);
+    let mut accepted = 0;
     for (host, wire) in &deliveries {
-        let mut rx = HypervisorSwitch::new(*host);
-        rx.subscribe(state.outer_addr, VmSlot(0));
-        for (_vm, inner) in rx.receive(wire, &layout) {
+        for (_vm, inner) in dep.hypervisor_mut(*host).receive(wire, &layout) {
+            accepted += 1;
             println!(
                 "  {host} received {} bytes (inner frame: {:?})",
                 wire.len(),
@@ -122,17 +124,18 @@ fn main() {
     println!(
         "\nlink bytes per tier: host->leaf {}, leaf->spine {}, spine->core {}, \
          core->spine {}, spine->leaf {}, leaf->host {}",
-        fabric.stats.host_to_leaf_bytes,
-        fabric.stats.leaf_to_spine_bytes,
-        fabric.stats.spine_to_core_bytes,
-        fabric.stats.core_to_spine_bytes,
-        fabric.stats.spine_to_leaf_bytes,
-        fabric.stats.leaf_to_host_bytes
+        dep.fabric.stats.host_to_leaf_bytes,
+        dep.fabric.stats.leaf_to_spine_bytes,
+        dep.fabric.stats.spine_to_core_bytes,
+        dep.fabric.stats.core_to_spine_bytes,
+        dep.fabric.stats.spine_to_leaf_bytes,
+        dep.fabric.stats.leaf_to_host_bytes
     );
     assert_eq!(
         deliveries.len(),
         5,
         "all five receivers got exactly one copy"
     );
+    assert_eq!(accepted, 5, "every copy reached a subscribed receiver");
     println!("\nall receivers reached; headers popped hop by hop. done.");
 }

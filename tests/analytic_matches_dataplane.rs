@@ -7,6 +7,7 @@
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
+use elmo::controller::deploy;
 use elmo::controller::srules::SRuleSpace;
 use elmo::core::{
     encode_group, header_for_sender, DownstreamSections, EncoderConfig, HeaderLayout, SplitMix64,
@@ -28,17 +29,7 @@ fn measure_on_fabric(
     payload: usize,
 ) -> u64 {
     let mut fabric = Fabric::new(*topo, SwitchConfig::default());
-    for (leaf, bm) in &enc.d_leaf.s_rules {
-        fabric
-            .leaf_mut(LeafId(*leaf))
-            .install_srule(GROUP, bm.clone())
-            .expect("capacity");
-    }
-    for (pod, bm) in &enc.d_spine.s_rules {
-        fabric
-            .install_pod_srule(PodId(*pod), GROUP, bm.clone())
-            .expect("capacity");
-    }
+    deploy::apply_switch_ops(&mut fabric, deploy::srule_ops(GROUP, enc)).expect("capacity");
     let sections = DownstreamSections::new(topo, layout, tree, enc);
     let header = header_for_sender(
         topo,

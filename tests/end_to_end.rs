@@ -4,50 +4,37 @@
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
-use elmo::controller::{Controller, ControllerConfig, GroupId, MemberRole};
+use elmo::controller::{deploy, Controller, ControllerConfig, Deployment, GroupId, MemberRole};
 use elmo::core::SplitMix64;
-use elmo::dataplane::{Fabric, HypervisorSwitch, SenderFlow, SwitchConfig, VmSlot};
+use elmo::dataplane::{Fabric, SwitchConfig};
 use elmo::net::vxlan::Vni;
-use elmo::topology::{Clos, HostId, LeafId, PodId};
+use elmo::topology::{Clos, HostId};
 
-/// Install a group's switch rules into a fabric and deliver one packet from
-/// `sender`, returning the receiving hosts (deduplicated).
-fn deliver(
-    ctl: &Controller,
-    fabric: &mut Fabric,
-    gid: GroupId,
-    sender: HostId,
-) -> BTreeSet<HostId> {
+/// Deploy a group into a fresh fabric and deliver one packet from `sender`,
+/// returning every host the fabric handed a copy to (deduplicated), member
+/// or not. A copy to a subscribed host must also decapsulate there.
+fn deliver(ctl: &Controller, gid: GroupId, sender: HostId) -> BTreeSet<HostId> {
     let layout = *ctl.layout();
     let state = ctl.group(gid).expect("group exists");
-    for (leaf, bm) in &state.enc.d_leaf.s_rules {
-        fabric
-            .leaf_mut(LeafId(*leaf))
-            .install_srule(state.outer_addr, bm.clone())
-            .expect("leaf capacity");
-    }
-    for (pod, bm) in &state.enc.d_spine.s_rules {
-        fabric
-            .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
-            .expect("spine capacity");
-    }
-    let header = ctl.header_for(gid, sender).expect("sender header");
-    let mut hv = HypervisorSwitch::new(sender);
-    hv.install_flow(
-        state.vni,
-        state.tenant_addr,
-        SenderFlow::new(state.outer_addr, state.vni, &header, &layout, vec![]),
-    );
-    let pkt = hv
+    let mut dep = Deployment::new(Fabric::new(*ctl.topo(), SwitchConfig::default()));
+    dep.apply(ctl, &deploy::deploy_group(ctl, gid))
+        .expect("switch capacity");
+    let pkt = dep
+        .hypervisor_mut(sender)
         .send(state.vni, state.tenant_addr, b"integration", &layout)
         .remove(0);
-    fabric
+    dep.fabric
         .inject(sender, pkt)
         .into_iter()
-        .filter_map(|(h, bytes)| {
-            let mut rx = HypervisorSwitch::new(h);
-            rx.subscribe(state.outer_addr, VmSlot(0));
-            (!rx.receive(&bytes, &layout).is_empty()).then_some(h)
+        .map(|(h, bytes)| {
+            let rx = dep.hypervisor_mut(h);
+            if !rx.subscribers(state.outer_addr).is_empty() {
+                assert!(
+                    !rx.receive(&bytes, &layout).is_empty(),
+                    "{h} rejected its copy"
+                );
+            }
+            h
         })
         .collect()
 }
@@ -72,8 +59,7 @@ fn exact_encodings_deliver_precisely() {
             members.iter().map(|&h| (h, MemberRole::Both)),
         );
         let sender = *members.iter().next().expect("non-empty");
-        let mut fabric = Fabric::new(topo, SwitchConfig::default());
-        let got = deliver(&ctl, &mut fabric, gid, sender);
+        let got = deliver(&ctl, gid, sender);
         let expected: BTreeSet<HostId> = members.iter().copied().filter(|&h| h != sender).collect();
         assert_eq!(got, expected, "trial {trial}, sender {sender}");
     }
@@ -100,8 +86,7 @@ fn shared_encodings_never_miss_members() {
             members.iter().map(|&h| (h, MemberRole::Both)),
         );
         let sender = *members.iter().next().expect("non-empty");
-        let mut fabric = Fabric::new(topo, SwitchConfig::default());
-        let got = deliver(&ctl, &mut fabric, gid, sender);
+        let got = deliver(&ctl, gid, sender);
         for &m in &members {
             if m != sender {
                 assert!(got.contains(&m), "trial {trial}: member {m} missed");
@@ -132,8 +117,7 @@ fn all_senders_reach_all_members() {
         members.iter().map(|&h| (h, MemberRole::Both)),
     );
     for &sender in &members {
-        let mut fabric = Fabric::new(topo, SwitchConfig::default());
-        let got = deliver(&ctl, &mut fabric, gid, sender);
+        let got = deliver(&ctl, gid, sender);
         let expected: BTreeSet<HostId> = members.iter().copied().filter(|&h| h != sender).collect();
         assert_eq!(got, expected, "sender {sender}");
     }
@@ -156,21 +140,17 @@ fn non_members_discard_spurious_traffic() {
     );
     let layout = *ctl.layout();
     let state = ctl.group(gid).expect("group");
-    let header = ctl.header_for(gid, HostId(0)).expect("header");
-    let mut hv = HypervisorSwitch::new(HostId(0));
-    hv.install_flow(
-        Vni(4),
-        state.tenant_addr,
-        SenderFlow::new(state.outer_addr, Vni(4), &header, &layout, vec![]),
-    );
-    let pkt = hv
+    let mut dep = Deployment::new(Fabric::new(topo, SwitchConfig::default()));
+    dep.apply(&ctl, &deploy::deploy_group(&ctl, gid))
+        .expect("switch capacity");
+    let pkt = dep
+        .hypervisor_mut(HostId(0))
         .send(Vni(4), state.tenant_addr, b"secret", &layout)
         .remove(0);
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
-    for (host, bytes) in fabric.inject(HostId(0), pkt) {
+    for (host, bytes) in dep.fabric.inject(HostId(0), pkt) {
         if !members.contains(&host) {
             // An unsubscribed hypervisor must drop it.
-            let mut rx = HypervisorSwitch::new(host);
+            let rx = dep.hypervisor_mut(host);
             assert!(
                 rx.receive(&bytes, &layout).is_empty(),
                 "{host} leaked a frame"
@@ -210,11 +190,9 @@ fn tenants_share_group_addresses_without_collision() {
     assert_eq!(a.tenant_addr, b.tenant_addr);
     assert_ne!(a.outer_addr, b.outer_addr, "provider addresses must differ");
     // Tenant 100's packet reaches host 9, not host 42 (and vice versa).
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
-    let got_a = deliver(&ctl, &mut fabric, GroupId(1), HostId(0));
+    let got_a = deliver(&ctl, GroupId(1), HostId(0));
     assert_eq!(got_a, BTreeSet::from([HostId(9)]));
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
-    let got_b = deliver(&ctl, &mut fabric, GroupId(2), HostId(0));
+    let got_b = deliver(&ctl, GroupId(2), HostId(0));
     assert_eq!(got_b, BTreeSet::from([HostId(42)]));
 }
 
@@ -253,8 +231,7 @@ fn delivery_tracks_membership_changes() {
             ctl.leave(gid, h, MemberRole::Receiver);
             current.remove(&h);
         }
-        let mut fabric = Fabric::new(topo, SwitchConfig::default());
-        let got = deliver(&ctl, &mut fabric, gid, sender);
+        let got = deliver(&ctl, gid, sender);
         assert_eq!(
             got,
             current,

@@ -5,13 +5,13 @@
 
 use std::net::Ipv4Addr;
 
-use elmo::controller::{Controller, ControllerConfig, MemberRole};
-use elmo::dataplane::{Fabric, HypervisorSwitch, SenderFlow, SwitchConfig, VmSlot};
+use elmo::controller::{deploy, Controller, ControllerConfig, Deployment, MemberRole};
+use elmo::dataplane::{Fabric, HypervisorSwitch, SwitchConfig, VmSlot};
 use elmo::net::ethernet::{EtherType, Frame, FrameRepr, MacAddr};
 use elmo::net::igmp::{IgmpPacket, IgmpRepr, MESSAGE_LEN};
 use elmo::net::ipv4::{Ipv4Packet, Ipv4Repr, Protocol};
 use elmo::net::vxlan::Vni;
-use elmo::topology::{Clos, HostId, LeafId, PodId};
+use elmo::topology::{Clos, HostId};
 
 fn igmp_frame(repr: IgmpRepr) -> Vec<u8> {
     let mut buf = vec![0u8; 14 + 20 + MESSAGE_LEN];
@@ -58,35 +58,20 @@ fn igmp_joins_create_and_populate_groups() {
 
     // A sender joins (send-only role) and transmits.
     let sender = HostId(0);
-    let mut sender_hv = HypervisorSwitch::new(sender);
-    let signal = sender_hv
+    let signal = HypervisorSwitch::new(sender)
         .intercept_igmp(VmSlot(1), &igmp_frame(IgmpRepr::join(group)))
         .expect("sender join");
     ctl.handle_membership_signal(vni, &signal, MemberRole::Sender);
 
-    let state = ctl.group(gid).expect("state");
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
-    for (leaf, bm) in &state.enc.d_leaf.s_rules {
-        fabric
-            .leaf_mut(LeafId(*leaf))
-            .install_srule(state.outer_addr, bm.clone())
-            .unwrap();
-    }
-    for (pod, bm) in &state.enc.d_spine.s_rules {
-        fabric
-            .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
-            .unwrap();
-    }
-    let header = ctl.header_for(gid, sender).expect("header");
-    sender_hv.install_flow(
-        vni,
-        group,
-        SenderFlow::new(state.outer_addr, vni, &header, ctl.layout(), vec![]),
-    );
-    let pkt = sender_hv
+    let mut dep = Deployment::new(Fabric::new(topo, SwitchConfig::default()));
+    dep.apply(&ctl, &deploy::deploy_group(&ctl, gid))
+        .expect("switch capacity");
+    let pkt = dep
+        .hypervisor_mut(sender)
         .send(vni, group, b"igmp-made group", ctl.layout())
         .remove(0);
-    let mut got: Vec<HostId> = fabric
+    let mut got: Vec<HostId> = dep
+        .fabric
         .inject(sender, pkt)
         .into_iter()
         .map(|(h, _)| h)

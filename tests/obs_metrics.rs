@@ -6,10 +6,10 @@
 use std::net::Ipv4Addr;
 use std::sync::Mutex;
 
-use elmo::controller::{Controller, ControllerConfig, GroupId, MemberRole};
-use elmo::dataplane::{Fabric, HypervisorSwitch, SenderFlow, SwitchConfig, VmSlot};
+use elmo::controller::{deploy, Controller, ControllerConfig, Deployment, GroupId, MemberRole};
+use elmo::dataplane::{Fabric, SwitchConfig};
 use elmo::net::vxlan::Vni;
-use elmo::topology::{Clos, HostId, LeafId, PodId};
+use elmo::topology::{Clos, HostId};
 
 /// The obs registry is process-global; serialize the tests in this binary.
 static REGISTRY: Mutex<()> = Mutex::new(());
@@ -32,34 +32,19 @@ fn fabric_globals_mirror_local_stats_exactly() {
         tenant_addr,
         members.iter().map(|&h| (HostId(h), MemberRole::Both)),
     );
-    let state = ctl.group(gid).expect("group");
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
-    for (leaf, bm) in &state.enc.d_leaf.s_rules {
-        fabric
-            .leaf_mut(LeafId(*leaf))
-            .install_srule(state.outer_addr, bm.clone())
-            .expect("leaf capacity");
-    }
-    for (pod, bm) in &state.enc.d_spine.s_rules {
-        fabric
-            .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
-            .expect("spine capacity");
-    }
+    let mut dep = Deployment::new(Fabric::new(topo, SwitchConfig::default()));
+    dep.apply(&ctl, &deploy::deploy_group(&ctl, gid))
+        .expect("switch capacity");
     let sender = HostId(members[0]);
-    let header = ctl.header_for(gid, sender).expect("header");
-    let mut hv = HypervisorSwitch::new(sender);
-    hv.install_flow(
-        vni,
-        tenant_addr,
-        SenderFlow::new(state.outer_addr, vni, &header, ctl.layout(), vec![]),
-    );
-    let mut rx = HypervisorSwitch::new(HostId(members[1]));
-    rx.subscribe(state.outer_addr, VmSlot(0));
+    let receiver = HostId(members[1]);
     let mut delivered = 0usize;
-    for pkt in hv.send(vni, tenant_addr, b"obs cross-check", ctl.layout()) {
-        for (host, bytes) in fabric.inject(sender, pkt) {
-            if host == HostId(members[1]) {
-                delivered += rx.receive(&bytes, ctl.layout()).len();
+    let pkts = dep
+        .hypervisor_mut(sender)
+        .send(vni, tenant_addr, b"obs cross-check", ctl.layout());
+    for pkt in pkts {
+        for (host, bytes) in dep.fabric.inject(sender, pkt) {
+            if host == receiver {
+                delivered += dep.hypervisor_mut(host).receive(&bytes, ctl.layout()).len();
             }
         }
     }
@@ -69,7 +54,7 @@ fn fabric_globals_mirror_local_stats_exactly() {
     // they are incremented at the same sites, so any drift means a missed
     // or doubled recording call.
     let snap = elmo::obs::snapshot();
-    let s = &fabric.stats;
+    let s = &dep.fabric.stats;
     for (name, local) in [
         ("fabric.host_to_leaf_bytes", s.host_to_leaf_bytes),
         ("fabric.leaf_to_host_bytes", s.leaf_to_host_bytes),

@@ -5,10 +5,10 @@
 
 use std::net::Ipv4Addr;
 
-use elmo::controller::{Controller, ControllerConfig, GroupId, MemberRole};
-use elmo::dataplane::{Fabric, HypervisorSwitch, SenderFlow, SwitchConfig};
+use elmo::controller::{deploy, Controller, ControllerConfig, Deployment, GroupId, MemberRole};
+use elmo::dataplane::{Fabric, SwitchConfig};
 use elmo::net::vxlan::Vni;
-use elmo::topology::{Clos, HostId, LeafId, PodId, SwitchRef};
+use elmo::topology::{Clos, HostId, LeafId, SwitchRef};
 
 fn traced_transmission() -> (Vec<(HostId, Vec<u8>)>, Vec<elmo::dataplane::HopRecord>) {
     let (_, mut fabric, pkt) = tree_fixture();
@@ -85,29 +85,15 @@ fn tree_fixture() -> (Clos, Fabric, elmo::dataplane::FlightPacket) {
             (HostId(57), MemberRole::Receiver),
         ],
     );
-    let state = ctl.group(gid).expect("group");
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
-    for (leaf, bm) in &state.enc.d_leaf.s_rules {
-        fabric
-            .leaf_mut(LeafId(*leaf))
-            .install_srule(state.outer_addr, bm.clone())
-            .unwrap();
-    }
-    for (pod, bm) in &state.enc.d_spine.s_rules {
-        fabric
-            .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
-            .unwrap();
-    }
-    let header = ctl.header_for(gid, HostId(0)).expect("header");
-    let mut hv = HypervisorSwitch::new(HostId(0));
-    hv.install_flow(
-        Vni(8),
-        group,
-        SenderFlow::new(state.outer_addr, Vni(8), &header, ctl.layout(), vec![]),
-    );
+    let mut dep = Deployment::new(Fabric::new(topo, SwitchConfig::default()));
+    dep.apply(&ctl, &deploy::deploy_group(&ctl, gid))
+        .expect("switch capacity");
     let payload: std::sync::Arc<[u8]> = std::sync::Arc::from(&b"trace me"[..]);
-    let pkt = hv.send_flight(Vni(8), group, &payload).remove(0);
-    (topo, fabric, pkt)
+    let pkt = dep
+        .hypervisor_mut(HostId(0))
+        .send_flight(Vni(8), group, &payload)
+        .remove(0);
+    (topo, dep.fabric, pkt)
 }
 
 /// One flight through the replay engine, deliveries as owned bytes.

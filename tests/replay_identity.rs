@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use elmo::controller::{Controller, ControllerConfig, GroupId, MemberRole};
+use elmo::controller::{deploy, Controller, ControllerConfig, Deployment, GroupId, MemberRole};
 use elmo::core::{
     encode_group, header_for_sender, DownstreamSections, EncoderConfig, HeaderLayout,
 };
@@ -23,9 +23,7 @@ use elmo::dataplane::{
     DeliveryBatch, Fabric, FlightPacket, HypervisorSwitch, SenderFlow, SwitchConfig, SwitchStats,
 };
 use elmo::net::vxlan::Vni;
-use elmo::topology::{
-    Clos, CoreId, GroupTree, HostId, LeafId, PodId, SpineId, SwitchRef, UpstreamCover,
-};
+use elmo::topology::{Clos, CoreId, GroupTree, HostId, LeafId, SpineId, SwitchRef, UpstreamCover};
 use elmo::workloads::{GroupSizeDist, Workload, WorkloadConfig};
 
 const OUTER: Ipv4Addr = Ipv4Addr::new(239, 1, 1, 1);
@@ -106,17 +104,8 @@ fn default_prule_scenario() -> Scenario {
 
 fn build_fabric(s: &Scenario) -> Fabric {
     let mut fabric = Fabric::new(s.topo, SwitchConfig::default());
-    for (leaf, bm) in &s.enc.d_leaf.s_rules {
-        fabric
-            .leaf_mut(LeafId(*leaf))
-            .install_srule(OUTER, bm.clone())
-            .expect("leaf capacity");
-    }
-    for (pod, bm) in &s.enc.d_spine.s_rules {
-        fabric
-            .install_pod_srule(PodId(*pod), OUTER, bm.clone())
-            .expect("spine capacity");
-    }
+    deploy::apply_switch_ops(&mut fabric, deploy::srule_ops(OUTER, &s.enc))
+        .expect("switch capacity");
     fabric
 }
 
@@ -635,24 +624,27 @@ fn capture_and_hop_trace_do_not_depend_on_the_shard_count() {
 fn three_thousand_packets_over_the_example_groups_deliver_8000_copies() {
     let topo = Clos::paper_example();
     let mut ctl = Controller::new(topo, ControllerConfig::paper_default(12));
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
+    let mut dep = Deployment::new(Fabric::new(topo, SwitchConfig::default()));
     let shapes: [&[u32]; 3] = [&[0, 1], &[0, 8, 13], &[0, 1, 42, 48, 49, 57]];
-    let mut senders = Vec::new();
+    let mut tenants = Vec::new();
     for (gi, members) in shapes.iter().enumerate() {
+        let gid = GroupId(gi as u64 + 1);
         let members = members.iter().map(|&h| (HostId(h), MemberRole::Both));
         let tenant = Ipv4Addr::new(225, 9, 9, gi as u8 + 1);
-        senders.push(install_group(&mut ctl, &mut fabric, gi, Vni(7), tenant, members).1);
+        ctl.create_group(gid, Vni(7), tenant, members);
+        dep.apply(&ctl, &deploy::deploy_group(&ctl, gid))
+            .expect("group tables");
+        tenants.push(tenant);
     }
     let payload: Arc<[u8]> = Arc::from(vec![0xE1u8; 1_500]);
+    let hv = dep.hypervisor_mut(HostId(0));
     let flights: Vec<(HostId, FlightPacket)> = (0..3_000)
         .map(|i| {
-            let (hv, tenant) = &mut senders[i % 3];
-            (
-                HostId(0),
-                hv.send_flight(Vni(7), *tenant, &payload).remove(0),
-            )
+            let pkt = hv.send_flight(Vni(7), tenants[i % 3], &payload).remove(0);
+            (HostId(0), pkt)
         })
         .collect();
+    let fabric = dep.fabric;
     let out = &mut DeliveryBatch::new();
     let mut run = |shim: Option<usize>| {
         let mut fabric = fabric.clone();
@@ -666,39 +658,6 @@ fn three_thousand_packets_over_the_example_groups_deliver_8000_copies() {
     let first = run(None);
     assert!(first == run(None), "a reused batch diverged");
     assert!(first == run(Some(2)), "the shim diverged");
-}
-
-/// Create group `gi` on the controller, install its s-rules on `fabric`,
-/// and return its members plus the first member's sending hypervisor
-/// (with the tenant address the flow is keyed on).
-fn install_group(
-    ctl: &mut Controller,
-    fabric: &mut Fabric,
-    gi: usize,
-    vni: Vni,
-    tenant: Ipv4Addr,
-    members: impl IntoIterator<Item = (HostId, MemberRole)>,
-) -> (Vec<HostId>, (HypervisorSwitch, Ipv4Addr)) {
-    let gid = GroupId(gi as u64 + 1);
-    ctl.create_group(gid, vni, tenant, members);
-    let state = ctl.group(gid).expect("created group");
-    for (leaf, bm) in &state.enc.d_leaf.s_rules {
-        fabric
-            .leaf_mut(LeafId(*leaf))
-            .install_srule(state.outer_addr, bm.clone())
-            .expect("leaf group table");
-    }
-    for (pod, bm) in &state.enc.d_spine.s_rules {
-        fabric
-            .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
-            .expect("spine group table");
-    }
-    let members = state.tree.members().to_vec();
-    let header = ctl.header_for(gid, members[0]).expect("sender header");
-    let mut hv = HypervisorSwitch::new(members[0]);
-    let flow = SenderFlow::new(state.outer_addr, vni, &header, ctl.layout(), vec![]);
-    hv.install_flow(vni, tenant, flow);
-    (members, (hv, tenant))
 }
 
 /// Engine ≡ spec beyond the three hand-built trees: ≥ 200 generated
@@ -737,14 +696,25 @@ fn generated_workload_engine_matches_spec() {
             },
         );
         let mut ctl = Controller::new(topo, cfg);
-        let mut fabric = Fabric::new(topo, SwitchConfig::default());
+        let mut dep = Deployment::new(Fabric::new(topo, SwitchConfig::default()));
         let mut pkts: Packets = Vec::new();
         for (gi, g) in wl.groups.iter().enumerate() {
-            let members = wl.member_hosts(g);
+            let gid = GroupId(gi as u64 + 1);
             let tenant = Ipv4Addr::new(225, 4, (gi >> 8) as u8, gi as u8);
-            let roles = members.iter().map(|&h| (h, MemberRole::Both));
-            let (members, (mut hv, _)) =
-                install_group(&mut ctl, &mut fabric, gi, Vni(g.tenant), tenant, roles);
+            let roles = wl
+                .member_hosts(g)
+                .into_iter()
+                .map(|h| (h, MemberRole::Both));
+            ctl.create_group(gid, Vni(g.tenant), tenant, roles);
+            dep.apply(&ctl, &deploy::deploy_group(&ctl, gid))
+                .expect("group tables");
+            let members = ctl
+                .group(gid)
+                .expect("created group")
+                .tree
+                .members()
+                .to_vec();
+            let hv = dep.hypervisor_mut(members[0]);
             let layout = ctl.layout();
             for i in 0..4 {
                 let payload = format!("generated workload g{gi} #{i}");
@@ -770,7 +740,7 @@ fn generated_workload_engine_matches_spec() {
         ] {
             let via = Via::Flights;
             let engine =
-                assert_engine_matches_spec(&fabric, &chunk.to_vec(), &down, via, false, out);
+                assert_engine_matches_spec(&dep.fabric, &chunk.to_vec(), &down, via, false, out);
             let topo = *engine.topo();
             for st in (topo.leaves().map(|l| engine.leaf(l).stats))
                 .chain(topo.spines().map(|s| engine.spine(s).stats))

@@ -6,10 +6,10 @@
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
-use elmo::controller::{Controller, ControllerConfig, GroupId, MemberRole};
-use elmo::dataplane::{Fabric, HypervisorSwitch, SenderFlow, SwitchConfig, VmSlot};
+use elmo::controller::{deploy, Controller, ControllerConfig, Deployment, GroupId, MemberRole};
+use elmo::dataplane::{Fabric, SwitchConfig};
 use elmo::net::vxlan::Vni;
-use elmo::topology::{Clos, HostId, LeafId, PodId};
+use elmo::topology::{Clos, HostId};
 use elmo::workloads::{GroupSizeDist, Workload, WorkloadConfig};
 
 #[test]
@@ -28,10 +28,10 @@ fn thousands_of_groups_share_one_fabric() {
         },
     );
     let mut ctl = Controller::new(topo, ControllerConfig::paper_default(0));
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
+    let mut dep = Deployment::new(Fabric::new(topo, SwitchConfig::default()));
 
-    // Install everything: controller state plus every group's s-rules in the
-    // shared group tables.
+    // Deploy everything: controller state plus every group's s-rules in the
+    // shared group tables, flows and subscriptions.
     for (gi, g) in wl.groups.iter().enumerate() {
         let hosts = wl.member_hosts(g);
         ctl.create_group(
@@ -40,18 +40,8 @@ fn thousands_of_groups_share_one_fabric() {
             Ipv4Addr::new(225, 4, (gi >> 8) as u8, gi as u8),
             hosts.iter().map(|&h| (h, MemberRole::Both)),
         );
-        let state = ctl.group(GroupId(gi as u64)).expect("group");
-        for (leaf, bm) in &state.enc.d_leaf.s_rules {
-            fabric
-                .leaf_mut(LeafId(*leaf))
-                .install_srule(state.outer_addr, bm.clone())
-                .expect("leaf group table never exhausts at this scale");
-        }
-        for (pod, bm) in &state.enc.d_spine.s_rules {
-            fabric
-                .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
-                .expect("spine group table never exhausts at this scale");
-        }
+        dep.apply(&ctl, &deploy::deploy_group(&ctl, GroupId(gi as u64)))
+            .expect("group tables never exhaust at this scale");
     }
 
     // Sample every 97th group; verify exact delivery (R = 0).
@@ -61,22 +51,23 @@ fn thousands_of_groups_share_one_fabric() {
         let state = ctl.group(gid).expect("group");
         let members: Vec<HostId> = state.tree.members().to_vec();
         let sender = members[gi % members.len()];
-        let header = ctl.header_for(gid, sender).expect("header");
         let (vni, taddr, outer) = (state.vni, state.tenant_addr, state.outer_addr);
-        let mut hv = HypervisorSwitch::new(sender);
-        hv.install_flow(
-            vni,
-            taddr,
-            SenderFlow::new(outer, vni, &header, ctl.layout(), vec![]),
-        );
-        let pkt = hv.send(vni, taddr, b"scale smoke", ctl.layout()).remove(0);
-        let got: BTreeSet<HostId> = fabric
+        let pkt = dep
+            .hypervisor_mut(sender)
+            .send(vni, taddr, b"scale smoke", ctl.layout())
+            .remove(0);
+        let got: BTreeSet<HostId> = dep
+            .fabric
             .inject(sender, pkt)
             .into_iter()
-            .filter_map(|(h, bytes)| {
-                let mut rx = HypervisorSwitch::new(h);
-                rx.subscribe(outer, VmSlot(0));
-                (!rx.receive(&bytes, ctl.layout()).is_empty()).then_some(h)
+            .map(|(h, bytes)| {
+                // Every copy counts, so a cross-group s-rule collision in
+                // the shared tables shows; a subscriber must also decap.
+                let rx = dep.hypervisor_mut(h);
+                if !rx.subscribers(outer).is_empty() {
+                    assert!(!rx.receive(&bytes, ctl.layout()).is_empty());
+                }
+                h
             })
             .collect();
         let expected: BTreeSet<HostId> = members.iter().copied().filter(|&h| h != sender).collect();

@@ -5,7 +5,7 @@
 
 use std::net::Ipv4Addr;
 
-use elmo_controller::{Controller, ControllerConfig, GroupId, MemberRole};
+use elmo_controller::{deploy, Controller, ControllerConfig, GroupId, MemberRole};
 use elmo_core::PortBitmap;
 use elmo_dataplane::{Fabric, SwitchConfig};
 use elmo_net::vxlan::Vni;
@@ -49,17 +49,8 @@ fn setup() -> (Controller, Fabric, GroupId) {
     );
 
     let mut fabric = Fabric::new(topo, SwitchConfig::default());
-    for (leaf, bm) in &state.enc.d_leaf.s_rules {
-        fabric
-            .leaf_mut(LeafId(*leaf))
-            .install_srule(state.outer_addr, bm.clone())
-            .expect("leaf table has room");
-    }
-    for (pod, bm) in &state.enc.d_spine.s_rules {
-        fabric
-            .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
-            .expect("spine tables have room");
-    }
+    deploy::apply_switch_ops(&mut fabric, deploy::srule_ops(state.outer_addr, &state.enc))
+        .expect("switch tables have room");
     (ctl, fabric, gid)
 }
 
