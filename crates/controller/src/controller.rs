@@ -13,7 +13,7 @@ use std::net::Ipv4Addr;
 
 use elmo_core::{
     header_for_sender, DetHashMap, DownstreamSections, ElmoHeader, EncodeScratch, EncoderConfig,
-    GroupEncoding, HeaderLayout, RedundancyMode,
+    GroupEncoding, HeaderLayout,
 };
 use elmo_dataplane::MembershipSignal;
 use elmo_net::vxlan::Vni;
@@ -227,8 +227,6 @@ pub struct ControllerConfig {
     pub leaf_fmax: usize,
     /// Per-spine group-table capacity `Fmax`.
     pub spine_fmax: usize,
-    /// Redundancy interpretation.
-    pub mode: RedundancyMode,
 }
 
 impl ControllerConfig {
@@ -240,7 +238,6 @@ impl ControllerConfig {
             r,
             leaf_fmax: usize::MAX,
             spine_fmax: usize::MAX,
-            mode: RedundancyMode::Sum,
         }
     }
 }
@@ -265,8 +262,7 @@ impl Controller {
     /// Build a controller for a fabric.
     pub fn new(topo: Clos, config: ControllerConfig) -> Self {
         let layout = HeaderLayout::for_clos(&topo);
-        let mut encoder = EncoderConfig::with_budget(&layout, config.header_budget_bytes, config.r);
-        encoder.mode = config.mode;
+        let encoder = EncoderConfig::with_budget(&layout, config.header_budget_bytes, config.r);
         Controller {
             topo,
             layout,
@@ -878,7 +874,6 @@ mod tests {
             r: 0,
             leaf_fmax: 100,
             spine_fmax: 100,
-            mode: RedundancyMode::Sum,
         };
         let mut ctl = Controller::new(topo, config);
         ctl.create_group(GroupId(1), Vni(5), TADDR, figure3_members());
@@ -909,7 +904,6 @@ mod tests {
             r: 0,
             leaf_fmax: 100,
             spine_fmax: 100,
-            mode: RedundancyMode::Sum,
         };
         let mut ctl = Controller::new(topo, config);
         ctl.create_group(GroupId(1), Vni(5), TADDR, figure3_members());
@@ -937,7 +931,6 @@ mod tests {
             r: 0,
             leaf_fmax: 4,
             spine_fmax: 4,
-            mode: RedundancyMode::Sum,
         };
         let mut rng = SplitMix64::new(0xBA7C);
         let specs: Vec<_> = (0..40u64)

@@ -69,6 +69,42 @@ impl BitWriter {
         self.push(bit as u64, 1);
     }
 
+    /// Append the first `len` bits of `src`, an MSB-first stream laid out
+    /// as [`finish`](Self::finish) returns one, at whatever bit offset the
+    /// stream is at. On a byte boundary this is a byte copy; otherwise each
+    /// eight source bytes go out as one shifted word.
+    ///
+    /// # Panics
+    /// Panics if `src` holds fewer than `len` bits.
+    pub fn append_bits(&mut self, src: &[u8], len: usize) {
+        assert!(len <= src.len() * 8, "{len} bits from {} bytes", src.len());
+        let (whole, rest) = (len / 8, len % 8);
+        let mut body = &src[..whole];
+        if self.pending == 0 {
+            self.bytes.extend_from_slice(body);
+        } else {
+            // The `pending` bits lead each output word, the source word's
+            // high bits follow, and its low `pending` bits carry over.
+            let p = self.pending;
+            let low = (1u64 << p) - 1;
+            let mut carry = self.acc & low;
+            while let Some((chunk, tail)) = body.split_first_chunk::<8>() {
+                let word = u64::from_be_bytes(*chunk);
+                let out = carry << (64 - p) | word >> p;
+                self.bytes.extend_from_slice(&out.to_be_bytes());
+                carry = word & low;
+                body = tail;
+            }
+            self.acc = carry;
+            for &byte in body {
+                self.push(byte as u64, 8);
+            }
+        }
+        if rest > 0 {
+            self.push((src[whole] >> (8 - rest)) as u64, rest);
+        }
+    }
+
     /// Shift `width <= 64 - pending` bits into the accumulator and flush
     /// every whole byte it now holds.
     fn push(&mut self, value: u64, width: usize) {
@@ -266,6 +302,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn append_bits_matches_oracle_at_every_alignment() {
+        let mut rng = SplitMix64::new(0xa99e);
+        for start in 0..8usize {
+            // Every tail alignment of the source, and spans of 0 to 4 whole
+            // words; the source's bits past `len` are random and ignored.
+            for len in (0..=40usize).chain([63, 64, 65, 127, 128, 129, 200, 257]) {
+                let src: Vec<u8> = (0..len.div_ceil(8) + rng.next_u64() as usize % 2)
+                    .map(|_| rng.next_u64() as u8)
+                    .collect();
+                let prefix = low_bits(rng.next_u64(), start);
+                let suffix = low_bits(rng.next_u64(), 13);
+
+                let mut w = BitWriter::new();
+                w.write_bits(prefix, start);
+                w.append_bits(&src, len);
+                assert_eq!(w.len_bits(), start + len);
+                w.write_bits(suffix, 13);
+
+                let mut reference = Vec::new();
+                oracle::write_bits(&mut reference, prefix, start);
+                let mut pos = 0;
+                for _ in 0..len {
+                    let bit = oracle::read_bits(&src, &mut pos, 1).expect("in range");
+                    oracle::write_bits(&mut reference, bit, 1);
+                }
+                oracle::write_bits(&mut reference, suffix, 13);
+                assert_eq!(
+                    w.finish(),
+                    oracle::finish(&reference),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bits from")]
+    fn append_bits_rejects_a_short_source() {
+        BitWriter::new().append_bits(&[0xff], 9);
     }
 
     #[test]

@@ -12,30 +12,13 @@ use crate::bitmap::PortBitmap;
 use crate::header::DownstreamRule;
 use crate::min_k_union::{approx_min_k_union_with, MinKUnionScratch};
 
-/// How the redundancy limit `R` bounds a shared p-rule.
-///
-/// The paper's prose defines `R` as "the sum of Hamming distances of each
-/// input bitmap to the output bitmap", while Algorithm 1's line 6 reads as a
-/// per-bitmap bound; both agree on the running example. [`Sum`] is the
-/// default; [`PerSwitch`] is provided for sensitivity analysis.
-///
-/// [`Sum`]: RedundancyMode::Sum
-/// [`PerSwitch`]: RedundancyMode::PerSwitch
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum RedundancyMode {
-    /// The *sum* of Hamming distances from each member bitmap to the shared
-    /// output bitmap must not exceed `R`.
-    #[default]
-    Sum,
-    /// *Each* member bitmap's Hamming distance to the output must not exceed
-    /// `R`.
-    PerSwitch,
-}
-
 /// Per-layer clustering constraints (the constants of Algorithm 1).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ClusterConfig {
-    /// Redundancy limit `R`: spurious-transmission budget per shared p-rule.
+    /// Redundancy limit `R`: spurious-transmission budget per shared
+    /// p-rule, bounding the *sum* of the member bitmaps' Hamming distances
+    /// to the shared output bitmap (the paper's prose definition; it and
+    /// Algorithm 1's per-bitmap reading agree on the running example).
     pub r: usize,
     /// `Hmax`: maximum p-rules for this layer in the packet header
     /// (`usize::MAX` when only the bit budget binds).
@@ -48,8 +31,6 @@ pub struct ClusterConfig {
     pub id_bits: usize,
     /// `Kmax`: maximum switches sharing one p-rule.
     pub k_max: usize,
-    /// Interpretation of `r` (see [`RedundancyMode`]).
-    pub mode: RedundancyMode,
 }
 
 impl ClusterConfig {
@@ -285,18 +266,11 @@ fn cluster_pressed(
             union.or_assign(candidates[ci]);
         }
         let output = &*union;
-        let within_budget = match cfg.mode {
-            RedundancyMode::Sum => {
-                picked
-                    .iter()
-                    .map(|&ci| candidates[ci].hamming(output))
-                    .sum::<usize>()
-                    <= cfg.r
-            }
-            RedundancyMode::PerSwitch => picked
-                .iter()
-                .all(|&ci| candidates[ci].hamming(output) <= cfg.r),
-        };
+        let within_budget = picked
+            .iter()
+            .map(|&ci| candidates[ci].hamming(output))
+            .sum::<usize>()
+            <= cfg.r;
         if within_budget {
             let mut switches: Vec<u32> =
                 picked.iter().map(|&ci| inputs[unassigned[ci]].0).collect();
@@ -381,7 +355,6 @@ mod tests {
             bit_budget: usize::MAX,
             id_bits: 8,
             k_max: 2,
-            mode: RedundancyMode::Sum,
         };
         let mut alloc = unlimited_srules();
         let enc = cluster_layer(&figure3_spine_inputs(), &cfg, &mut alloc);
@@ -399,7 +372,6 @@ mod tests {
             bit_budget: usize::MAX,
             id_bits: 8,
             k_max: 2,
-            mode: RedundancyMode::Sum,
         };
         let mut alloc = no_srules();
         let enc = cluster_layer(&figure3_spine_inputs(), &cfg, &mut alloc);
@@ -422,7 +394,6 @@ mod tests {
             bit_budget: usize::MAX,
             id_bits: 8,
             k_max: 2,
-            mode: RedundancyMode::Sum,
         };
         let mut alloc = no_srules();
         let enc = cluster_layer(&figure3_spine_inputs(), &cfg, &mut alloc);
@@ -450,7 +421,6 @@ mod tests {
             bit_budget: usize::MAX,
             id_bits: 8,
             k_max: 2,
-            mode: RedundancyMode::Sum,
         };
         let mut alloc = no_srules();
         let enc = cluster_layer(&figure3_leaf_inputs(), &cfg, &mut alloc);
@@ -483,7 +453,6 @@ mod tests {
             bit_budget: usize::MAX,
             id_bits: 8,
             k_max: 3,
-            mode: RedundancyMode::Sum,
         };
         let mut alloc = no_srules();
         let enc = cluster_layer(&inputs, &cfg, &mut alloc);
@@ -501,7 +470,6 @@ mod tests {
             bit_budget: usize::MAX,
             id_bits: 8,
             k_max: 2,
-            mode: RedundancyMode::Sum,
         };
         let mut alloc = no_srules();
         let enc = cluster_layer(&inputs, &cfg, &mut alloc);
@@ -518,7 +486,6 @@ mod tests {
             bit_budget: usize::MAX,
             id_bits: 8,
             k_max: 2,
-            mode: RedundancyMode::Sum,
         };
         let mut count = 0;
         let mut alloc = |_s: u32| {
@@ -540,7 +507,6 @@ mod tests {
             bit_budget: usize::MAX,
             id_bits: 8,
             k_max: 2,
-            mode: RedundancyMode::Sum,
         };
         let mut budget = 2;
         let mut alloc = |_s: u32| {
@@ -564,46 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn per_switch_mode_is_stricter_per_member() {
-        // Bitmaps 1000 and 0111: union 1111; distances 3 and 1 (sum 4).
-        // Hmax = 1 forces sharing to be attempted (parsimonious sharing
-        // never merges when exact rules already fit).
-        let inputs = vec![(0, bm(4, &[0])), (1, bm(4, &[1, 2, 3]))];
-        let sum_cfg = ClusterConfig {
-            r: 4,
-            h_max: 1,
-            bit_budget: usize::MAX,
-            id_bits: 8,
-            k_max: 2,
-            mode: RedundancyMode::Sum,
-        };
-        let per_cfg = ClusterConfig {
-            r: 2,
-            h_max: 1,
-            bit_budget: usize::MAX,
-            id_bits: 8,
-            k_max: 2,
-            mode: RedundancyMode::PerSwitch,
-        };
-        let mut alloc = no_srules();
-        let enc_sum = cluster_layer(&inputs, &sum_cfg, &mut alloc);
-        assert_eq!(enc_sum.p_rules.len(), 1, "sum mode allows the merge at R=4");
-        assert!(enc_sum.covered_by_p_rules());
-        let mut alloc = no_srules();
-        let enc_per = cluster_layer(&inputs, &per_cfg, &mut alloc);
-        assert_eq!(
-            enc_per.p_rules.len(),
-            1,
-            "per-switch mode rejects distance 3 > 2"
-        );
-        assert_eq!(
-            enc_per.default_switches.len(),
-            1,
-            "the other switch defaults"
-        );
-    }
-
-    #[test]
     fn empty_input_yields_empty_encoding() {
         let cfg = ClusterConfig {
             r: 0,
@@ -611,7 +537,6 @@ mod tests {
             bit_budget: usize::MAX,
             id_bits: 8,
             k_max: 2,
-            mode: RedundancyMode::Sum,
         };
         let mut alloc = no_srules();
         let enc = cluster_layer(&[], &cfg, &mut alloc);
@@ -627,7 +552,6 @@ mod tests {
             bit_budget: usize::MAX,
             id_bits: 8,
             k_max: 2,
-            mode: RedundancyMode::Sum,
         };
         let inputs = figure3_spine_inputs();
         let mut budget = 1;

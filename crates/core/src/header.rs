@@ -16,12 +16,14 @@
 //! header shrinks hop by hop; [`ElmoHeader::pop_upstream_leaf`] and friends
 //! model exactly what the egress pipeline's header invalidation does.
 //!
-//! The two downstream rule lists are reference-counted slices: every
-//! sender's header of a group points at the same allocation (built once per
-//! encoding, see [`crate::plan::DownstreamSections`]), so cloning a header
-//! moves two reference counts instead of copying its rules.
+//! The two downstream sections are immutable, reference-counted
+//! [`DownstreamSection`] values: every sender's header of a group points at
+//! the same two (built once per encoding, see
+//! [`crate::plan::DownstreamSections`]), and each section serialises its
+//! rules at most once, on its first encode. A sender's header is then its
+//! few upstream bits followed by a shifted copy of those shared bits.
 
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock, OnceLock};
 
 use crate::bitmap::PortBitmap;
 use crate::bits::{BitReader, BitWriter, OutOfBits};
@@ -78,13 +80,235 @@ impl UpstreamRule {
 
 /// A downstream p-rule: an output bitmap shared by one or more switches of
 /// the layer, identified by layer-local identifiers (global leaf index, or
-/// pod index for logical spines).
+/// pod index for logical spines). This is what the encoder produces; a
+/// header carries its rules as a [`DownstreamSection`].
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct DownstreamRule {
     /// Output ports (bitwise OR of the member switches' port sets, D3).
     pub bitmap: PortBitmap,
     /// Switch identifiers sharing this rule. Never empty.
     pub switches: Vec<u32>,
+}
+
+/// One rule of a [`DownstreamSection`], borrowed from its columns.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SectionRule<'a> {
+    /// Output ports.
+    pub bitmap: &'a PortBitmap,
+    /// Switch identifiers sharing this rule. Never empty.
+    pub switches: &'a [u32],
+}
+
+/// A downstream section of the header — the spine or the leaf layer's
+/// p-rules plus its optional default p-rule — as one immutable value that
+/// every sender's header of a group shares through an `Arc`.
+///
+/// The rules live in flat columns: per rule its bitmap and the end of its
+/// identifiers in one shared identifier column. The exact wire length is
+/// fixed when the section is built; the wire bits themselves are built on
+/// the section's first encode and kept, so every later header that carries
+/// the section copies them instead of serialising its rules again.
+///
+/// Equality compares the rules and the default by value; whether the wire
+/// bits were built yet never matters.
+pub struct DownstreamSection {
+    /// Per rule: its bitmap and the end of its identifiers in `ids`.
+    rules: Vec<(PortBitmap, u32)>,
+    ids: Vec<u32>,
+    default: Option<PortBitmap>,
+    /// Bits per switch identifier in this layer.
+    id_bits: usize,
+    /// Exact encoded length of rules and default, in bits.
+    bit_len: usize,
+    /// The encoded rules and default, MSB-first, zero-padded to a byte.
+    wire: OnceLock<Box<[u8]>>,
+}
+
+static EMPTY_SECTION: LazyLock<Arc<DownstreamSection>> =
+    LazyLock::new(|| Arc::new(DownstreamSection::new(&[], None, 0)));
+
+impl DownstreamSection {
+    /// A section of `rules` and an optional `default`, whose identifiers
+    /// are `id_bits` wide on the wire (the layout's `pod_id_bits` for the
+    /// spine section, `leaf_id_bits` for the leaf section).
+    ///
+    /// # Panics
+    /// Panics if a rule names no switch.
+    pub fn new(rules: &[DownstreamRule], default: Option<PortBitmap>, id_bits: usize) -> Self {
+        let mut columns = Vec::with_capacity(rules.len());
+        let mut ids = Vec::with_capacity(rules.iter().map(|r| r.switches.len()).sum());
+        for rule in rules {
+            assert!(
+                !rule.switches.is_empty(),
+                "downstream rule with no switches"
+            );
+            ids.extend_from_slice(&rule.switches);
+            columns.push((rule.bitmap.clone(), ids.len() as u32));
+        }
+        Self::from_columns(columns, ids, default, id_bits)
+    }
+
+    fn from_columns(
+        rules: Vec<(PortBitmap, u32)>,
+        ids: Vec<u32>,
+        default: Option<PortBitmap>,
+        id_bits: usize,
+    ) -> Self {
+        let bit_len = rules.iter().map(|(bm, _)| bm.width() + 1).sum::<usize>()
+            + ids.len() * (id_bits + 1)
+            + default.as_ref().map_or(0, PortBitmap::width);
+        DownstreamSection {
+            rules,
+            ids,
+            default,
+            id_bits,
+            bit_len,
+            wire: OnceLock::new(),
+        }
+    }
+
+    /// The shared section with no rules and no default: what a header
+    /// carries for a layer it does not traverse. Allocates nothing after
+    /// its first use.
+    pub fn empty() -> Arc<Self> {
+        Arc::clone(&EMPTY_SECTION)
+    }
+
+    /// Number of rules (the default not counted).
+    pub fn len(&self) -> usize {
+        self.rules.len()
+    }
+
+    /// Whether the section holds no rules (it may still hold a default).
+    pub fn is_empty(&self) -> bool {
+        self.rules.is_empty()
+    }
+
+    /// Rule `i`.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`.
+    pub fn rule(&self, i: usize) -> SectionRule<'_> {
+        let start = match i {
+            0 => 0,
+            _ => self.rules[i - 1].1 as usize,
+        };
+        let (bitmap, end) = &self.rules[i];
+        SectionRule {
+            bitmap,
+            switches: &self.ids[start..*end as usize],
+        }
+    }
+
+    /// The rules in wire order.
+    pub fn rules(&self) -> impl ExactSizeIterator<Item = SectionRule<'_>> + '_ {
+        (0..self.rules.len()).map(|i| self.rule(i))
+    }
+
+    /// The rule naming `switch`, if any (the parser's match on its own
+    /// identifier, §4.1): one scan of the identifier column.
+    pub fn find(&self, switch: u32) -> Option<SectionRule<'_>> {
+        let at = self.ids.iter().position(|&id| id == switch)? as u32;
+        Some(self.rule(self.rules.partition_point(|&(_, end)| end <= at)))
+    }
+
+    /// The default p-rule, if any.
+    pub fn default(&self) -> Option<&PortBitmap> {
+        self.default.as_ref()
+    }
+
+    /// Exact encoded length in bits of the rules and the default.
+    pub fn bit_len(&self) -> usize {
+        self.bit_len
+    }
+
+    /// Append the section's bits: on its first call this serialises the
+    /// rules once, every call copies the kept bits.
+    fn write(&self, w: &mut BitWriter, id_bits: usize) {
+        if self.bit_len == 0 {
+            return;
+        }
+        debug_assert!(
+            self.is_empty() || self.id_bits == id_bits,
+            "section built for {}-bit identifiers, layout has {id_bits}",
+            self.id_bits
+        );
+        let wire = self.wire.get_or_init(|| {
+            let mut w = BitWriter::with_capacity(self.bit_len.div_ceil(8));
+            for (i, rule) in self.rules().enumerate() {
+                rule.bitmap.write(&mut w);
+                for (j, &id) in rule.switches.iter().enumerate() {
+                    let more = j + 1 < rule.switches.len(); // more-ids flag
+                    w.write_bits((id as u64) << 1 | more as u64, self.id_bits + 1);
+                }
+                w.write_bit(i + 1 < self.rules.len()); // next-rule flag
+            }
+            if let Some(bm) = &self.default {
+                bm.write(&mut w);
+            }
+            debug_assert_eq!(w.len_bits(), self.bit_len);
+            w.finish().into_boxed_slice()
+        });
+        w.append_bits(wire, self.bit_len);
+    }
+
+    /// Read a section whose presence flags are `rules` and `default`. The
+    /// rule list is walked on a copy of the cursor first, so the two
+    /// columns are allocated once at their exact sizes and a truncated
+    /// section is refused before anything is built.
+    fn read(
+        r: &mut BitReader<'_>,
+        rules: bool,
+        default: bool,
+        bitmap_width: usize,
+        id_bits: usize,
+    ) -> Result<Arc<Self>, HeaderError> {
+        if !rules && !default {
+            return Ok(Self::empty());
+        }
+        let (mut columns, mut ids) = (Vec::new(), Vec::new());
+        if rules {
+            let mut probe = *r;
+            let (n_rules, n_ids) = skip_rules(&mut probe, bitmap_width, id_bits)?;
+            columns.reserve_exact(n_rules);
+            ids.reserve_exact(n_ids);
+            // The probe walked these exact bits: reading them cannot fail.
+            for _ in 0..n_rules {
+                let bitmap = PortBitmap::read(r, bitmap_width).expect("walked by the probe");
+                loop {
+                    let (id, more) = read_id(r, id_bits).expect("walked by the probe");
+                    ids.push(id);
+                    if !more {
+                        break;
+                    }
+                }
+                r.skip_bits(1).expect("walked by the probe"); // next-rule flag
+                columns.push((bitmap, ids.len() as u32));
+            }
+        }
+        let default = match default {
+            true => Some(PortBitmap::read(r, bitmap_width)?),
+            false => None,
+        };
+        Ok(Arc::new(Self::from_columns(columns, ids, default, id_bits)))
+    }
+}
+
+impl PartialEq for DownstreamSection {
+    fn eq(&self, other: &Self) -> bool {
+        self.rules == other.rules && self.ids == other.ids && self.default == other.default
+    }
+}
+
+impl Eq for DownstreamSection {}
+
+impl std::fmt::Debug for DownstreamSection {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DownstreamSection")
+            .field("rules", &self.rules().collect::<Vec<_>>())
+            .field("default", &self.default)
+            .finish()
+    }
 }
 
 /// A decoded Elmo header.
@@ -96,13 +320,11 @@ pub struct ElmoHeader {
     pub u_spine: Option<UpstreamRule>,
     /// Pods the logical core forwards to.
     pub core: Option<PortBitmap>,
-    /// Downstream spine rules, shared with every header of the same group
-    /// and encoding.
-    pub d_spine: Arc<[DownstreamRule]>,
-    pub d_spine_default: Option<PortBitmap>,
-    /// Downstream leaf rules, shared like `d_spine`.
-    pub d_leaf: Arc<[DownstreamRule]>,
-    pub d_leaf_default: Option<PortBitmap>,
+    /// Downstream spine rules and default, shared with every header of the
+    /// same group and encoding.
+    pub d_spine: Arc<DownstreamSection>,
+    /// Downstream leaf rules and default, shared like `d_spine`.
+    pub d_leaf: Arc<DownstreamSection>,
 }
 
 /// Pop depths for an in-flight header. Sections pop strictly in traversal
@@ -160,35 +382,38 @@ fn read_id(r: &mut BitReader<'_>, id_bits: usize) -> Result<(u32, bool), HeaderE
 }
 
 /// Advance past a downstream rule list (bitmap, identifiers, more-ids and
-/// next-rule flags) and return how many rules it holds.
+/// next-rule flags) and return how many rules and identifiers it holds.
 fn skip_rules(
     r: &mut BitReader<'_>,
     bitmap_width: usize,
     id_bits: usize,
-) -> Result<usize, HeaderError> {
-    let mut count = 0;
+) -> Result<(usize, usize), HeaderError> {
+    let (mut rules, mut ids) = (0, 0);
     loop {
         r.skip_bits(bitmap_width)?;
-        while read_id(r, id_bits)?.1 {}
-        count += 1;
+        loop {
+            ids += 1;
+            if !read_id(r, id_bits)?.1 {
+                break;
+            }
+        }
+        rules += 1;
         if !r.read_bit()? {
-            return Ok(count);
+            return Ok((rules, ids));
         }
     }
 }
 
 impl ElmoHeader {
-    /// An empty header (nothing present). Allocates nothing: an empty
-    /// `Arc<[_]>` is a shared static.
+    /// An empty header (nothing present). Allocates nothing: both
+    /// sections are the shared [`DownstreamSection::empty`].
     pub fn empty() -> Self {
         ElmoHeader {
             u_leaf: None,
             u_spine: None,
             core: None,
-            d_spine: Arc::default(),
-            d_spine_default: None,
-            d_leaf: Arc::default(),
-            d_leaf_default: None,
+            d_spine: DownstreamSection::empty(),
+            d_leaf: DownstreamSection::empty(),
         }
     }
 
@@ -198,9 +423,10 @@ impl ElmoHeader {
     }
 
     /// [`bit_len`](Self::bit_len) of the header with the first `depth`
-    /// sections (see [`pop`]) treated as popped.
+    /// sections (see [`pop`]) treated as popped. Constant time: each
+    /// downstream section knows its own length.
     pub fn bit_len_popped(&self, layout: &HeaderLayout, depth: u8) -> usize {
-        let mut bits = layout.flags_bits();
+        let mut bits = layout.flags_bits() + self.d_leaf.bit_len();
         if depth < pop::U_LEAF && self.u_leaf.is_some() {
             bits += layout.u_leaf_bits();
         }
@@ -211,18 +437,7 @@ impl ElmoHeader {
             bits += layout.core_bits();
         }
         if depth < pop::D_SPINE {
-            for r in self.d_spine.iter() {
-                bits += layout.d_spine_rule_bits(r.switches.len());
-            }
-            if self.d_spine_default.is_some() {
-                bits += layout.d_spine_default_bits();
-            }
-        }
-        for r in self.d_leaf.iter() {
-            bits += layout.d_leaf_rule_bits(r.switches.len());
-        }
-        if self.d_leaf_default.is_some() {
-            bits += layout.d_leaf_default_bits();
+            bits += self.d_spine.bit_len();
         }
         bits
     }
@@ -238,40 +453,15 @@ impl ElmoHeader {
     }
 
     /// [`byte_len_popped`](Self::byte_len_popped) at every pop depth
-    /// (index = depth, `pop::NONE` through `pop::D_SPINE`) in a single
-    /// walk over the sections, instead of five. The replay batch
-    /// pre-pass computes this row per packet; doing it section-by-section
-    /// would re-iterate the d-spine and d-leaf rule lists per depth.
+    /// (index = depth, `pop::NONE` through `pop::D_SPINE`). The replay
+    /// batch pre-pass computes this row per packet.
     pub fn byte_len_rows(&self, layout: &HeaderLayout) -> [usize; 5] {
-        let u_leaf = if self.u_leaf.is_some() {
-            layout.u_leaf_bits()
-        } else {
-            0
-        };
-        let u_spine = if self.u_spine.is_some() {
-            layout.u_spine_bits()
-        } else {
-            0
-        };
-        let core = if self.core.is_some() {
-            layout.core_bits()
-        } else {
-            0
-        };
-        let mut d_spine = 0;
-        for r in self.d_spine.iter() {
-            d_spine += layout.d_spine_rule_bits(r.switches.len());
-        }
-        if self.d_spine_default.is_some() {
-            d_spine += layout.d_spine_default_bits();
-        }
-        let mut tail = layout.flags_bits();
-        for r in self.d_leaf.iter() {
-            tail += layout.d_leaf_rule_bits(r.switches.len());
-        }
-        if self.d_leaf_default.is_some() {
-            tail += layout.d_leaf_default_bits();
-        }
+        let present = |some: bool, bits: usize| if some { bits } else { 0 };
+        let u_leaf = present(self.u_leaf.is_some(), layout.u_leaf_bits());
+        let u_spine = present(self.u_spine.is_some(), layout.u_spine_bits());
+        let core = present(self.core.is_some(), layout.core_bits());
+        let d_spine = self.d_spine.bit_len();
+        let tail = layout.flags_bits() + self.d_leaf.bit_len();
         [
             (tail + d_spine + core + u_spine + u_leaf).div_ceil(8),
             (tail + d_spine + core + u_spine).div_ceil(8),
@@ -289,38 +479,33 @@ impl ElmoHeader {
     /// Serialize with the first `depth` sections (see [`pop`]) omitted, as
     /// if they had been popped off a clone first — byte-identical to doing
     /// exactly that, without mutating or copying the header.
+    ///
+    /// Writes the flags byte and whatever upstream and core rules the depth
+    /// leaves, then splices in each present downstream section's kept bits
+    /// (see [`DownstreamSection`]).
     pub fn encode_popped(&self, layout: &HeaderLayout, depth: u8) -> Vec<u8> {
         let u_leaf = self.u_leaf.as_ref().filter(|_| depth < pop::U_LEAF);
         let u_spine = self.u_spine.as_ref().filter(|_| depth < pop::U_SPINE);
         let core = self.core.as_ref().filter(|_| depth < pop::CORE);
-        let (d_spine, d_spine_default): (&[DownstreamRule], _) = if depth < pop::D_SPINE {
-            (&self.d_spine, self.d_spine_default.as_ref())
-        } else {
-            (&[], None)
-        };
+        let d_spine = Some(&*self.d_spine).filter(|_| depth < pop::D_SPINE);
+        let d_leaf = &*self.d_leaf;
         let mut w = BitWriter::with_capacity(self.byte_len_popped(layout, depth));
         let mut flags = 0u64;
-        if u_leaf.is_some() {
-            flags |= flag::U_LEAF;
-        }
-        if u_spine.is_some() {
-            flags |= flag::U_SPINE;
-        }
-        if core.is_some() {
-            flags |= flag::CORE;
-        }
-        if !d_spine.is_empty() {
-            flags |= flag::D_SPINE;
-        }
-        if d_spine_default.is_some() {
-            flags |= flag::D_SPINE_DEFAULT;
-        }
-        if !self.d_leaf.is_empty() {
-            flags |= flag::D_LEAF;
-        }
-        if self.d_leaf_default.is_some() {
-            flags |= flag::D_LEAF_DEFAULT;
-        }
+        let mut set = |present: bool, bit: u64| {
+            if present {
+                flags |= bit;
+            }
+        };
+        set(u_leaf.is_some(), flag::U_LEAF);
+        set(u_spine.is_some(), flag::U_SPINE);
+        set(core.is_some(), flag::CORE);
+        set(d_spine.is_some_and(|s| !s.is_empty()), flag::D_SPINE);
+        set(
+            d_spine.is_some_and(|s| s.default().is_some()),
+            flag::D_SPINE_DEFAULT,
+        );
+        set(!d_leaf.is_empty(), flag::D_LEAF);
+        set(d_leaf.default().is_some(), flag::D_LEAF_DEFAULT);
         w.write_bits(flags, 8);
         if let Some(r) = u_leaf {
             debug_assert_eq!(r.down.width(), layout.leaf_down_ports);
@@ -340,67 +525,64 @@ impl ElmoHeader {
             debug_assert_eq!(bm.width(), layout.core_ports);
             bm.write(&mut w);
         }
-        Self::encode_rules(&mut w, d_spine, layout.pod_id_bits);
-        if let Some(bm) = d_spine_default {
-            bm.write(&mut w);
+        if let Some(s) = d_spine {
+            s.write(&mut w, layout.pod_id_bits);
         }
-        Self::encode_rules(&mut w, &self.d_leaf, layout.leaf_id_bits);
-        if let Some(bm) = &self.d_leaf_default {
-            bm.write(&mut w);
-        }
+        d_leaf.write(&mut w, layout.leaf_id_bits);
         w.finish()
-    }
-
-    fn encode_rules(w: &mut BitWriter, rules: &[DownstreamRule], id_bits: usize) {
-        for (i, rule) in rules.iter().enumerate() {
-            assert!(
-                !rule.switches.is_empty(),
-                "downstream rule with no switches"
-            );
-            rule.bitmap.write(w);
-            for (j, &id) in rule.switches.iter().enumerate() {
-                let more = j + 1 < rule.switches.len(); // more-ids flag
-                w.write_bits((id as u64) << 1 | more as u64, id_bits + 1);
-            }
-            w.write_bit(i + 1 < rules.len()); // next-rule flag
-        }
     }
 
     /// Deserialize from bytes. Returns the header and the number of bytes it
     /// occupied (callers slice the remaining payload off that).
+    ///
+    /// Allocates at most three times per present downstream section (the
+    /// section, its rule column and its identifier column), whatever its
+    /// rule count, and never builds the sections' wire bits.
     pub fn decode(bytes: &[u8], layout: &HeaderLayout) -> Result<(ElmoHeader, usize), HeaderError> {
         let mut r = BitReader::new(bytes);
         let flags = read_flags(&mut r)?;
-        let mut header = ElmoHeader::empty();
-        if flags & flag::U_LEAF != 0 {
-            header.u_leaf = Some(Self::read_upstream(
+        let has = |bit: u64| flags & bit != 0;
+        let u_leaf = match has(flag::U_LEAF) {
+            true => Some(Self::read_upstream(
                 &mut r,
                 layout.leaf_down_ports,
                 layout.leaf_up_ports,
-            )?);
-        }
-        if flags & flag::U_SPINE != 0 {
-            header.u_spine = Some(Self::read_upstream(
+            )?),
+            false => None,
+        };
+        let u_spine = match has(flag::U_SPINE) {
+            true => Some(Self::read_upstream(
                 &mut r,
                 layout.spine_down_ports,
                 layout.spine_up_ports,
-            )?);
-        }
-        if flags & flag::CORE != 0 {
-            header.core = Some(PortBitmap::read(&mut r, layout.core_ports)?);
-        }
-        if flags & flag::D_SPINE != 0 {
-            header.d_spine = Self::read_rules(&mut r, layout.spine_down_ports, layout.pod_id_bits)?;
-        }
-        if flags & flag::D_SPINE_DEFAULT != 0 {
-            header.d_spine_default = Some(PortBitmap::read(&mut r, layout.spine_down_ports)?);
-        }
-        if flags & flag::D_LEAF != 0 {
-            header.d_leaf = Self::read_rules(&mut r, layout.leaf_down_ports, layout.leaf_id_bits)?;
-        }
-        if flags & flag::D_LEAF_DEFAULT != 0 {
-            header.d_leaf_default = Some(PortBitmap::read(&mut r, layout.leaf_down_ports)?);
-        }
+            )?),
+            false => None,
+        };
+        let core = match has(flag::CORE) {
+            true => Some(PortBitmap::read(&mut r, layout.core_ports)?),
+            false => None,
+        };
+        let d_spine = DownstreamSection::read(
+            &mut r,
+            has(flag::D_SPINE),
+            has(flag::D_SPINE_DEFAULT),
+            layout.spine_down_ports,
+            layout.pod_id_bits,
+        )?;
+        let d_leaf = DownstreamSection::read(
+            &mut r,
+            has(flag::D_LEAF),
+            has(flag::D_LEAF_DEFAULT),
+            layout.leaf_down_ports,
+            layout.leaf_id_bits,
+        )?;
+        let header = ElmoHeader {
+            u_leaf,
+            u_spine,
+            core,
+            d_spine,
+            d_leaf,
+        };
         Ok((header, r.pos_bits().div_ceil(8)))
     }
 
@@ -453,51 +635,17 @@ impl ElmoHeader {
         })
     }
 
-    fn read_rules(
-        r: &mut BitReader<'_>,
-        bitmap_width: usize,
-        id_bits: usize,
-    ) -> Result<Arc<[DownstreamRule]>, HeaderError> {
-        // Count the rules on a copy of the cursor first: the section is
-        // allocated once at its exact size, straight into its `Arc`, and a
-        // truncated section is refused before anything is built. The
-        // probe walked these exact bits, so reading them again cannot fail.
-        let mut probe = *r;
-        let count = skip_rules(&mut probe, bitmap_width, id_bits)?;
-        Ok((0..count)
-            .map(|_| Self::read_rule(r, bitmap_width, id_bits).expect("walked by the probe"))
-            .collect())
-    }
-
-    fn read_rule(
-        r: &mut BitReader<'_>,
-        bitmap_width: usize,
-        id_bits: usize,
-    ) -> Result<DownstreamRule, HeaderError> {
-        let bitmap = PortBitmap::read(r, bitmap_width)?;
-        let mut switches = Vec::new();
-        loop {
-            let (id, more) = read_id(r, id_bits)?;
-            switches.push(id);
-            if !more {
-                break;
-            }
-        }
-        r.skip_bits(1)?; // next-rule flag, already followed by the count
-        Ok(DownstreamRule { bitmap, switches })
-    }
-
     // ----- lookups (what the switch parser does) ----------------------------
 
     /// The downstream spine rule matching a pod, if any (parser match-and-set
     /// on the switch's own identifier, §4.1).
-    pub fn find_d_spine(&self, pod: u32) -> Option<&DownstreamRule> {
-        self.d_spine.iter().find(|r| r.switches.contains(&pod))
+    pub fn find_d_spine(&self, pod: u32) -> Option<SectionRule<'_>> {
+        self.d_spine.find(pod)
     }
 
     /// The downstream leaf rule matching a leaf, if any.
-    pub fn find_d_leaf(&self, leaf: u32) -> Option<&DownstreamRule> {
-        self.d_leaf.iter().find(|r| r.switches.contains(&leaf))
+    pub fn find_d_leaf(&self, leaf: u32) -> Option<SectionRule<'_>> {
+        self.d_leaf.find(leaf)
     }
 
     // ----- popping (what the egress pipeline does, D2d) ----------------------
@@ -521,8 +669,7 @@ impl ElmoHeader {
     /// Pop the downstream spine section (done by a downstream spine before
     /// sending the packet to leaves).
     pub fn pop_d_spine(&mut self) {
-        self.d_spine = Arc::default();
-        self.d_spine_default = None;
+        self.d_spine = DownstreamSection::empty();
     }
 
     /// Pop everything (done by a leaf before delivering to hosts, saving the
@@ -560,29 +707,35 @@ mod tests {
             }),
             // Core: forward to pods 2 and 3.
             core: Some(PortBitmap::from_ports(layout.core_ports, [2, 3])),
-            d_spine: Arc::from([
-                DownstreamRule {
-                    bitmap: PortBitmap::from_ports(layout.spine_down_ports, [0]),
-                    switches: vec![0],
-                },
-                DownstreamRule {
-                    bitmap: PortBitmap::from_ports(layout.spine_down_ports, [1]),
-                    switches: vec![2],
-                },
-            ]),
-            // Default: pod 3 forwards to both leaves.
-            d_spine_default: Some(PortBitmap::from_ports(layout.spine_down_ports, [0, 1])),
-            d_leaf: Arc::from([
-                DownstreamRule {
-                    bitmap: PortBitmap::from_ports(layout.leaf_down_ports, [0, 1]),
-                    switches: vec![0, 6],
-                },
-                DownstreamRule {
-                    bitmap: PortBitmap::from_ports(layout.leaf_down_ports, [2]),
-                    switches: vec![5],
-                },
-            ]),
-            d_leaf_default: Some(PortBitmap::from_ports(layout.leaf_down_ports, [1])),
+            d_spine: Arc::new(DownstreamSection::new(
+                &[
+                    DownstreamRule {
+                        bitmap: PortBitmap::from_ports(layout.spine_down_ports, [0]),
+                        switches: vec![0],
+                    },
+                    DownstreamRule {
+                        bitmap: PortBitmap::from_ports(layout.spine_down_ports, [1]),
+                        switches: vec![2],
+                    },
+                ],
+                // Default: pod 3 forwards to both leaves.
+                Some(PortBitmap::from_ports(layout.spine_down_ports, [0, 1])),
+                layout.pod_id_bits,
+            )),
+            d_leaf: Arc::new(DownstreamSection::new(
+                &[
+                    DownstreamRule {
+                        bitmap: PortBitmap::from_ports(layout.leaf_down_ports, [0, 1]),
+                        switches: vec![0, 6],
+                    },
+                    DownstreamRule {
+                        bitmap: PortBitmap::from_ports(layout.leaf_down_ports, [2]),
+                        switches: vec![5],
+                    },
+                ],
+                Some(PortBitmap::from_ports(layout.leaf_down_ports, [1])),
+                layout.leaf_id_bits,
+            )),
         }
     }
 
@@ -602,8 +755,7 @@ mod tests {
         let layout = example_layout();
         let mut partial = figure3b_header(&layout);
         partial.u_spine = None;
-        partial.d_spine_default = None;
-        partial.d_leaf_default = None;
+        partial.d_leaf = DownstreamSection::empty();
         for header in [figure3b_header(&layout), partial, ElmoHeader::empty()] {
             let rows = header.byte_len_rows(&layout);
             for depth in 0..5u8 {
@@ -670,6 +822,241 @@ mod tests {
                 "depth {depth}"
             );
         }
+    }
+
+    /// The rule-by-rule encoder the section splice replaced, on the
+    /// bit-at-a-time `bits::oracle` stream: every field of every rule
+    /// written in wire order, nothing precomputed.
+    mod oracle {
+        use super::*;
+        use crate::bits::oracle::{finish, write_bits};
+
+        fn bitmap(bits: &mut Vec<bool>, bm: &PortBitmap) {
+            bits.extend((0..bm.width()).map(|p| bm.get(p)));
+        }
+
+        fn upstream(bits: &mut Vec<bool>, r: &UpstreamRule) {
+            bitmap(bits, &r.down);
+            bits.push(r.multipath);
+            bitmap(bits, &r.up);
+        }
+
+        fn section(bits: &mut Vec<bool>, s: &DownstreamSection, id_bits: usize) {
+            for (i, rule) in s.rules().enumerate() {
+                bitmap(bits, rule.bitmap);
+                for (j, &id) in rule.switches.iter().enumerate() {
+                    write_bits(bits, id as u64, id_bits);
+                    bits.push(j + 1 < rule.switches.len());
+                }
+                bits.push(i + 1 < s.len());
+            }
+            if let Some(bm) = s.default() {
+                bitmap(bits, bm);
+            }
+        }
+
+        pub(super) fn encode_popped(h: &ElmoHeader, layout: &HeaderLayout, depth: u8) -> Vec<u8> {
+            let u_leaf = h.u_leaf.as_ref().filter(|_| depth < pop::U_LEAF);
+            let u_spine = h.u_spine.as_ref().filter(|_| depth < pop::U_SPINE);
+            let core = h.core.as_ref().filter(|_| depth < pop::CORE);
+            let empty = DownstreamSection::empty();
+            let d_spine = if depth < pop::D_SPINE {
+                &h.d_spine
+            } else {
+                &empty
+            };
+            let mut bits = vec![
+                u_leaf.is_some(),
+                u_spine.is_some(),
+                core.is_some(),
+                !d_spine.is_empty(),
+                d_spine.default().is_some(),
+                !h.d_leaf.is_empty(),
+                h.d_leaf.default().is_some(),
+                false,
+            ];
+            u_leaf.into_iter().for_each(|r| upstream(&mut bits, r));
+            u_spine.into_iter().for_each(|r| upstream(&mut bits, r));
+            core.into_iter().for_each(|bm| bitmap(&mut bits, bm));
+            section(&mut bits, d_spine, layout.pod_id_bits);
+            section(&mut bits, &h.d_leaf, layout.leaf_id_bits);
+            finish(&bits)
+        }
+    }
+
+    fn random_bitmap(rng: &mut crate::rng::SplitMix64, width: usize) -> PortBitmap {
+        PortBitmap::from_ports(
+            width,
+            (0..width).filter(|_| rng.next_u64().is_multiple_of(3)),
+        )
+    }
+
+    /// A section of one of four shapes — absent, default only, rules only,
+    /// rules and default — with up to `max_rules` rules of 1 to 4 ids.
+    fn random_section(
+        rng: &mut crate::rng::SplitMix64,
+        width: usize,
+        switches: u64,
+        id_bits: usize,
+        max_rules: u64,
+    ) -> Arc<DownstreamSection> {
+        let shape = rng.next_u64() % 4;
+        if shape == 0 && rng.next_u64().is_multiple_of(2) {
+            return DownstreamSection::empty();
+        }
+        let n = if shape >= 2 {
+            1 + rng.next_u64() % max_rules
+        } else {
+            0
+        };
+        let rules: Vec<DownstreamRule> = (0..n)
+            .map(|_| DownstreamRule {
+                bitmap: random_bitmap(rng, width),
+                switches: (0..1 + rng.next_u64() % 4)
+                    .map(|_| (rng.next_u64() % switches) as u32)
+                    .collect(),
+            })
+            .collect();
+        let default = (shape % 2 == 1).then(|| random_bitmap(rng, width));
+        Arc::new(DownstreamSection::new(&rules, default, id_bits))
+    }
+
+    fn random_header(rng: &mut crate::rng::SplitMix64, l: &HeaderLayout) -> ElmoHeader {
+        let mut coin = || rng.next_u64().is_multiple_of(2);
+        let (u_leaf, u_spine, core) = (coin(), coin(), coin());
+        let mut upstream = |down, up| UpstreamRule {
+            down: random_bitmap(rng, down),
+            multipath: rng.next_u64().is_multiple_of(2),
+            up: random_bitmap(rng, up),
+        };
+        ElmoHeader {
+            u_leaf: u_leaf.then(|| upstream(l.leaf_down_ports, l.leaf_up_ports)),
+            u_spine: u_spine.then(|| upstream(l.spine_down_ports, l.spine_up_ports)),
+            core: core.then(|| random_bitmap(rng, l.core_ports)),
+            d_spine: random_section(
+                rng,
+                l.spine_down_ports,
+                l.core_ports as u64,
+                l.pod_id_bits,
+                3,
+            ),
+            d_leaf: random_section(
+                rng,
+                l.leaf_down_ports,
+                1 << l.leaf_id_bits,
+                l.leaf_id_bits,
+                12,
+            ),
+        }
+    }
+
+    #[test]
+    fn encode_popped_matches_the_rule_by_rule_oracle() {
+        use elmo_topology::{GroupTree, HostId, UpstreamCover};
+        let paper = Clos::paper_example();
+        // The running example, the evaluation fabric, and a synthetic one
+        // whose bitmaps span two words.
+        let wide = HeaderLayout {
+            leaf_down_ports: 130,
+            leaf_up_ports: 3,
+            spine_down_ports: 70,
+            spine_up_ports: 5,
+            core_ports: 9,
+            leaf_id_bits: 11,
+            pod_id_bits: 4,
+        };
+        let layouts = [
+            example_layout(),
+            HeaderLayout::for_clos(&Clos::facebook_fabric()),
+            wide,
+        ];
+        let mut rng = crate::rng::SplitMix64::new(0x0ac1e);
+        let mut cases: Vec<(usize, ElmoHeader)> = (0..120)
+            .map(|i| {
+                (
+                    i % layouts.len(),
+                    random_header(&mut rng, &layouts[i % layouts.len()]),
+                )
+            })
+            .collect();
+        // A single-leaf group as the controller builds it: a member sender
+        // carries its upstream leaf rule only, a remote one the synthesized
+        // one-rule sections as well.
+        let layout = example_layout();
+        let tree = GroupTree::new(&paper, [HostId(0), HostId(1), HostId(5)]);
+        let enc = crate::plan::encode_group(
+            &paper,
+            &tree,
+            &crate::plan::EncoderConfig::paper_default(&layout, 0),
+            &mut |_| true,
+            &mut |_| true,
+        );
+        let sections = crate::plan::DownstreamSections::new(&paper, &layout, &tree, &enc);
+        for sender in [HostId(0), HostId(42)] {
+            let h = crate::plan::header_for_sender(
+                &paper,
+                &layout,
+                &tree,
+                &sections,
+                sender,
+                &UpstreamCover::multipath(),
+            );
+            cases.push((0, h));
+        }
+        cases.push((0, figure3b_header(&layout)));
+        cases.push((0, ElmoHeader::empty()));
+
+        // Where each present section starts, modulo a byte.
+        let mut spine_offsets = [false; 8];
+        let mut leaf_offsets = [false; 8];
+        for (li, h) in &cases {
+            let l = &layouts[*li];
+            for depth in 0..=pop::D_SPINE {
+                let bytes = h.encode_popped(l, depth);
+                assert_eq!(
+                    bytes,
+                    oracle::encode_popped(h, l, depth),
+                    "{h:?} at depth {depth}"
+                );
+                assert_eq!(bytes.len(), h.byte_len_popped(l, depth));
+                let leaf_at = h.bit_len_popped(l, depth) - h.d_leaf.bit_len();
+                leaf_offsets[leaf_at % 8] |= h.d_leaf.bit_len() > 0;
+                if depth < pop::D_SPINE && h.d_spine.bit_len() > 0 {
+                    spine_offsets[(leaf_at - h.d_spine.bit_len()) % 8] = true;
+                }
+                let (decoded, used) = ElmoHeader::decode(&bytes, l).expect("own encoding");
+                assert_eq!(used, bytes.len());
+                assert_eq!(decoded.encode(l), bytes, "decode then encode");
+            }
+        }
+        assert_eq!(spine_offsets, [true; 8], "every spine section alignment");
+        assert_eq!(leaf_offsets, [true; 8], "every leaf section alignment");
+        let shapes = |s: &DownstreamSection| (s.is_empty(), s.default().is_some());
+        for shape in [(true, false), (true, true), (false, false), (false, true)] {
+            assert!(
+                cases.iter().any(|(_, h)| shapes(&h.d_spine) == shape),
+                "{shape:?}"
+            );
+            assert!(
+                cases.iter().any(|(_, h)| shapes(&h.d_leaf) == shape),
+                "{shape:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn section_equality_ignores_built_bits() {
+        let layout = example_layout();
+        let built = figure3b_header(&layout);
+        let fresh = figure3b_header(&layout);
+        built.encode(&layout);
+        assert_eq!(built, fresh);
+        assert_ne!(built.d_spine, fresh.d_leaf);
+        let first = fresh.d_leaf.rule(0);
+        assert_eq!(first.switches, [0, 6]);
+        assert_eq!(fresh.d_leaf.find(6), Some(first));
+        assert_eq!(fresh.d_leaf.find(5).map(|r| r.switches), Some(&[5][..]));
+        assert_eq!(fresh.d_leaf.find(7), None);
     }
 
     #[test]

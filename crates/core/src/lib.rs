@@ -34,10 +34,12 @@ pub mod rng;
 
 pub use bitmap::PortBitmap;
 pub use cluster::{
-    cluster_layer, cluster_layer_with, ClusterConfig, ClusterScratch, LayerEncoding, RedundancyMode,
+    cluster_layer, cluster_layer_with, ClusterConfig, ClusterScratch, LayerEncoding,
 };
 pub use det::{DetHashMap, DetHashSet, DetHasher};
-pub use header::{pop, DownstreamRule, ElmoHeader, HeaderError, UpstreamRule};
+pub use header::{
+    pop, DownstreamRule, DownstreamSection, ElmoHeader, HeaderError, SectionRule, UpstreamRule,
+};
 pub use layout::HeaderLayout;
 pub use min_k_union::{approx_min_k_union, approx_min_k_union_with, MinKUnionScratch};
 pub use plan::{

@@ -15,10 +15,8 @@ use std::sync::Arc;
 use elmo_topology::{Clos, GroupTree, HostId, LeafId, PodId, UpstreamCover};
 
 use crate::bitmap::PortBitmap;
-use crate::cluster::{
-    cluster_layer_with, ClusterConfig, ClusterScratch, LayerEncoding, RedundancyMode,
-};
-use crate::header::{DownstreamRule, ElmoHeader, UpstreamRule};
+use crate::cluster::{cluster_layer_with, ClusterConfig, ClusterScratch, LayerEncoding};
+use crate::header::{DownstreamRule, DownstreamSection, ElmoHeader, UpstreamRule};
 use crate::layout::HeaderLayout;
 
 /// Tunable parameters of the group encoder.
@@ -37,8 +35,6 @@ pub struct EncoderConfig {
     /// group is recomputed from the bytes left after its actual upstream and
     /// spine sections, so encoded headers never exceed this size.
     pub budget_bytes: usize,
-    /// Redundancy interpretation.
-    pub mode: RedundancyMode,
 }
 
 impl EncoderConfig {
@@ -69,7 +65,6 @@ impl EncoderConfig {
             h_spine_max: 2,
             h_leaf_max: usize::MAX,
             budget_bytes,
-            mode: RedundancyMode::Sum,
         }
     }
 }
@@ -180,7 +175,6 @@ fn spine_cluster_cfg(layout: &HeaderLayout, cfg: &EncoderConfig) -> ClusterConfi
         bit_budget: usize::MAX, // the spine section is rule-count bound
         id_bits: layout.pod_id_bits,
         k_max: cfg.k_max,
-        mode: cfg.mode,
     }
 }
 
@@ -217,7 +211,6 @@ fn leaf_cluster_cfg(layout: &HeaderLayout, cfg: &EncoderConfig, leaf_bits: usize
         bit_budget: leaf_bits,
         id_bits: layout.leaf_id_bits,
         k_max: cfg.k_max,
-        mode: cfg.mode,
     }
 }
 
@@ -279,36 +272,32 @@ pub fn encode_group_with(
 /// The sender-independent half of a group's packet headers: the downstream
 /// spine and leaf sections every sender carries (§3.1, §4.2). Built once
 /// per encoding; every header assembled from it by [`header_for_sender`]
-/// shares its two rule allocations, so a header costs its upstream rules
-/// and two reference counts, whatever the size of the group.
+/// points at its two sections, so a header costs its upstream rules and two
+/// reference counts, and each section's wire bits are built once, on the
+/// first encode of any header that carries it.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DownstreamSections {
-    /// Downstream spine rules: the encoding's spine p-rules, or, for a
-    /// single-pod receiver tree, one rule for that pod.
-    pub d_spine: Arc<[DownstreamRule]>,
-    pub d_spine_default: Option<PortBitmap>,
-    /// Downstream leaf rules: the encoding's leaf p-rules, or, for a
-    /// single-leaf receiver tree, one rule for that leaf.
-    pub d_leaf: Arc<[DownstreamRule]>,
-    pub d_leaf_default: Option<PortBitmap>,
+    /// Downstream spine section: the encoding's spine p-rules and default,
+    /// or, for a single-pod receiver tree, one rule for that pod.
+    pub d_spine: Arc<DownstreamSection>,
+    /// Downstream leaf section: the encoding's leaf p-rules and default,
+    /// or, for a single-leaf receiver tree, one rule for that leaf.
+    pub d_leaf: Arc<DownstreamSection>,
 }
 
 impl DownstreamSections {
     /// Build both sections of `tree`'s encoding `enc`.
     pub fn new(topo: &Clos, layout: &HeaderLayout, tree: &GroupTree, enc: &GroupEncoding) -> Self {
         let mut sections = DownstreamSections {
-            d_spine: Arc::default(),
-            d_spine_default: None,
-            d_leaf: Arc::default(),
-            d_leaf_default: None,
+            d_spine: DownstreamSection::empty(),
+            d_leaf: DownstreamSection::empty(),
         };
         sections.rebuild_spine(topo, layout, tree, enc);
         sections.rebuild_leaf(topo, layout, tree, enc);
         sections
     }
 
-    /// Rebuild the spine section, leaving the leaf section's allocation in
-    /// place.
+    /// Rebuild the spine section, leaving the leaf section in place.
     pub fn rebuild_spine(
         &mut self,
         topo: &Clos,
@@ -320,8 +309,10 @@ impl DownstreamSections {
         // receiver-to-receiver traffic never crosses the core. A sender
         // outside that pod still does, so its header carries the one rule
         // the encoding omitted — the same rule for every such sender.
-        self.d_spine = if enc.d_spine.is_unencoded() {
-            tree.pods()
+        let synthesized: Vec<DownstreamRule>;
+        let rules = if enc.d_spine.is_unencoded() {
+            synthesized = tree
+                .pods()
                 .map(|p| DownstreamRule {
                     bitmap: PortBitmap::from_ports(
                         layout.spine_down_ports,
@@ -329,15 +320,16 @@ impl DownstreamSections {
                     ),
                     switches: vec![p.0],
                 })
-                .collect()
+                .collect();
+            &synthesized
         } else {
-            Arc::from(enc.d_spine.p_rules.as_slice())
+            &enc.d_spine.p_rules
         };
-        self.d_spine_default = enc.d_spine.default_rule.clone();
+        let default = enc.d_spine.default_rule.clone();
+        self.d_spine = Arc::new(DownstreamSection::new(rules, default, layout.pod_id_bits));
     }
 
-    /// Rebuild the leaf section, leaving the spine section's allocation in
-    /// place.
+    /// Rebuild the leaf section, leaving the spine section in place.
     pub fn rebuild_leaf(
         &mut self,
         topo: &Clos,
@@ -348,8 +340,10 @@ impl DownstreamSections {
         // Likewise for a single-leaf tree: the sender's upstream leaf rule
         // covers it when the sender shares that leaf; a remote sender's
         // copy arrives downstream and needs an explicit rule.
-        self.d_leaf = if enc.d_leaf.is_unencoded() {
-            tree.leaves()
+        let synthesized: Vec<DownstreamRule>;
+        let rules = if enc.d_leaf.is_unencoded() {
+            synthesized = tree
+                .leaves()
                 .map(|l| DownstreamRule {
                     bitmap: PortBitmap::from_ports(
                         layout.leaf_down_ports,
@@ -357,11 +351,13 @@ impl DownstreamSections {
                     ),
                     switches: vec![l.0],
                 })
-                .collect()
+                .collect();
+            &synthesized
         } else {
-            Arc::from(enc.d_leaf.p_rules.as_slice())
+            &enc.d_leaf.p_rules
         };
-        self.d_leaf_default = enc.d_leaf.default_rule.clone();
+        let default = enc.d_leaf.default_rule.clone();
+        self.d_leaf = Arc::new(DownstreamSection::new(rules, default, layout.leaf_id_bits));
     }
 }
 
@@ -442,12 +438,10 @@ pub fn header_for_sender(
     if spine_goes_up {
         header.core = Some(core);
         header.d_spine = Arc::clone(&sections.d_spine);
-        header.d_spine_default = sections.d_spine_default.clone();
     }
 
     // --- shared downstream leaf section --------------------------------------
     header.d_leaf = Arc::clone(&sections.d_leaf);
-    header.d_leaf_default = sections.d_leaf_default.clone();
 
     header
 }
@@ -482,7 +476,6 @@ mod tests {
             h_spine_max: 2,
             h_leaf_max: layout.max_leaf_rules(325, 2, 2).min(2),
             budget_bytes: 325,
-            mode: RedundancyMode::Sum,
         };
         let mut spine_alloc = |_p: PodId| srules;
         let mut leaf_alloc = |_l: LeafId| srules;
@@ -584,9 +577,9 @@ mod tests {
         );
         // Shared downstream sections present, including defaults.
         assert_eq!(header.d_spine.len(), 2);
-        assert!(header.d_spine_default.is_some());
+        assert!(header.d_spine.default().is_some());
         assert_eq!(header.d_leaf.len(), 2);
-        assert!(header.d_leaf_default.is_some());
+        assert!(header.d_leaf.default().is_some());
     }
 
     #[test]
@@ -697,16 +690,15 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![0]
         );
-        let spine_rule = DownstreamRule {
-            bitmap: PortBitmap::from_ports(layout.spine_down_ports, [0]),
-            switches: vec![0],
+        let spine_rule = PortBitmap::from_ports(layout.spine_down_ports, [0]);
+        let leaf_rule = PortBitmap::from_ports(layout.leaf_down_ports, [0, 1]);
+        let rules = |s: &DownstreamSection| {
+            s.rules()
+                .map(|r| (r.bitmap.clone(), r.switches.to_vec()))
+                .collect::<Vec<_>>()
         };
-        let leaf_rule = DownstreamRule {
-            bitmap: PortBitmap::from_ports(layout.leaf_down_ports, [0, 1]),
-            switches: vec![0],
-        };
-        assert_eq!(&header.d_spine[..], &[spine_rule]);
-        assert_eq!(&header.d_leaf[..], &[leaf_rule]);
+        assert_eq!(rules(&header.d_spine), [(spine_rule, vec![0])]);
+        assert_eq!(rules(&header.d_leaf), [(leaf_rule, vec![0])]);
         // Every remote sender points at the same synthesized sections; a
         // member sender needs neither.
         let other = header_for_sender(&topo, &layout, &tree, &sections, HostId(57), &cover);

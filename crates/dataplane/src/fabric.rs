@@ -667,7 +667,6 @@ mod tests {
             h_spine_max: 2,
             h_leaf_max: 2,
             budget_bytes: 325,
-            mode: elmo_core::RedundancyMode::Sum,
         };
         let mut sa = |_p| true;
         let mut la = |_l| true;
@@ -735,7 +734,6 @@ mod tests {
             h_spine_max: 2,
             h_leaf_max: 2,
             budget_bytes: 325,
-            mode: elmo_core::RedundancyMode::Sum,
         };
         let mut sa = |_p| false;
         let mut la = |_l| false;

@@ -507,7 +507,7 @@ impl NetworkSwitch {
         let NetworkSwitch { stats, table, .. } = self;
         if let Some(rule) = pkt.find_d_leaf(leaf.0) {
             stats.hit_prule();
-            push_host_hops(&rule.bitmap, out);
+            push_host_hops(rule.bitmap, out);
         } else if let Some(rule) = table.get(pkt.group_ip) {
             stats.hit_srule();
             push_word_hops(rule.words(), HOST_STRIPPED, out);
@@ -652,10 +652,35 @@ impl NetworkSwitch {
 mod tests {
     use super::*;
     use crate::packet::ElmoPacketRepr;
-    use elmo_core::{ElmoHeader, HeaderLayout, UpstreamRule};
+    use elmo_core::{DownstreamRule, DownstreamSection, ElmoHeader, HeaderLayout, UpstreamRule};
     use elmo_net::ethernet::MacAddr;
     use elmo_net::vxlan::Vni;
     use elmo_topology::HostId;
+    use std::sync::Arc;
+
+    /// A downstream section of one-switch rules `(ports, switch)` and an
+    /// optional default, for `layout`'s spine or leaf layer.
+    fn section(
+        layout: &HeaderLayout,
+        spine: bool,
+        rules: &[(&[usize], u32)],
+        default: Option<&[usize]>,
+    ) -> Arc<DownstreamSection> {
+        let (width, id_bits) = if spine {
+            (layout.spine_down_ports, layout.pod_id_bits)
+        } else {
+            (layout.leaf_down_ports, layout.leaf_id_bits)
+        };
+        let bitmap = |ports: &[usize]| PortBitmap::from_ports(width, ports.iter().copied());
+        let rules: Vec<DownstreamRule> = rules
+            .iter()
+            .map(|&(ports, switch)| DownstreamRule {
+                bitmap: bitmap(ports),
+                switches: vec![switch],
+            })
+            .collect();
+        Arc::new(DownstreamSection::new(&rules, default.map(bitmap), id_bits))
+    }
 
     fn setup() -> (Clos, HeaderLayout) {
         let topo = Clos::paper_example();
@@ -751,12 +776,7 @@ mod tests {
     fn leaf_downstream_prefers_p_rule_over_srule_and_default() {
         let (topo, layout) = setup();
         let mut header = ElmoHeader::empty();
-        header.d_leaf = vec![elmo_core::DownstreamRule {
-            bitmap: PortBitmap::from_ports(layout.leaf_down_ports, [2]),
-            switches: vec![0],
-        }]
-        .into();
-        header.d_leaf_default = Some(PortBitmap::from_ports(layout.leaf_down_ports, [5]));
+        header.d_leaf = section(&layout, false, &[(&[2], 0)], Some(&[5]));
         let repr = base_repr(Some(header));
         let mut leaf = NetworkSwitch::new_leaf(topo, LeafId(0), SwitchConfig::default());
         leaf.install_srule(repr.group_ip, PortBitmap::from_ports(8, [7]))
@@ -772,12 +792,7 @@ mod tests {
     fn leaf_downstream_falls_to_srule_then_default() {
         let (topo, layout) = setup();
         let mut header = ElmoHeader::empty();
-        header.d_leaf = vec![elmo_core::DownstreamRule {
-            bitmap: PortBitmap::from_ports(layout.leaf_down_ports, [2]),
-            switches: vec![3], // some other leaf
-        }]
-        .into();
-        header.d_leaf_default = Some(PortBitmap::from_ports(layout.leaf_down_ports, [5]));
+        header.d_leaf = section(&layout, false, &[(&[2], 3)], Some(&[5])); // some other leaf
         let repr = base_repr(Some(header.clone()));
         let mut leaf = NetworkSwitch::new_leaf(topo, LeafId(0), SwitchConfig::default());
         leaf.install_srule(repr.group_ip, PortBitmap::from_ports(8, [7]))
@@ -813,16 +828,8 @@ mod tests {
             up: PortBitmap::new(layout.spine_up_ports),
         });
         header.core = Some(PortBitmap::from_ports(layout.core_ports, [3]));
-        header.d_spine = vec![elmo_core::DownstreamRule {
-            bitmap: PortBitmap::from_ports(layout.spine_down_ports, [0]),
-            switches: vec![3],
-        }]
-        .into();
-        header.d_leaf = vec![elmo_core::DownstreamRule {
-            bitmap: PortBitmap::from_ports(layout.leaf_down_ports, [0]),
-            switches: vec![1],
-        }]
-        .into();
+        header.d_spine = section(&layout, true, &[(&[0], 3)], None);
+        header.d_leaf = section(&layout, false, &[(&[0], 1)], None);
         let repr = base_repr(Some(header));
         let mut spine = NetworkSwitch::new_spine(topo, SpineId(0), SwitchConfig::default());
         let out = process(&mut spine, 0, &packet(&repr, &layout), &layout); // from leaf 0
@@ -847,16 +854,8 @@ mod tests {
     fn spine_downstream_matches_pod_and_pops_section() {
         let (topo, layout) = setup();
         let mut header = ElmoHeader::empty();
-        header.d_spine = vec![elmo_core::DownstreamRule {
-            bitmap: PortBitmap::from_ports(layout.spine_down_ports, [0, 1]),
-            switches: vec![1], // pod 1
-        }]
-        .into();
-        header.d_leaf = vec![elmo_core::DownstreamRule {
-            bitmap: PortBitmap::from_ports(layout.leaf_down_ports, [4]),
-            switches: vec![2],
-        }]
-        .into();
+        header.d_spine = section(&layout, true, &[(&[0, 1], 1)], None); // pod 1
+        header.d_leaf = section(&layout, false, &[(&[4], 2)], None);
         let repr = base_repr(Some(header));
         // S2 is in pod 1; ingress from a core is port >= 2.
         let mut spine = NetworkSwitch::new_spine(topo, SpineId(2), SwitchConfig::default());
@@ -876,11 +875,7 @@ mod tests {
         let (topo, layout) = setup();
         let mut header = ElmoHeader::empty();
         header.core = Some(PortBitmap::from_ports(layout.core_ports, [1, 3]));
-        header.d_spine = vec![elmo_core::DownstreamRule {
-            bitmap: PortBitmap::from_ports(layout.spine_down_ports, [0]),
-            switches: vec![1],
-        }]
-        .into();
+        header.d_spine = section(&layout, true, &[(&[0], 1)], None);
         let repr = base_repr(Some(header));
         let mut core = NetworkSwitch::new_core(topo, CoreId(0), SwitchConfig::default());
         let out = process(&mut core, 0, &packet(&repr, &layout), &layout);
@@ -899,12 +894,8 @@ mod tests {
         let (topo, layout) = setup();
         let mut header = ElmoHeader::empty();
         // Many d-leaf rules to blow a tiny header-vector limit.
-        header.d_leaf = (0..6)
-            .map(|i| elmo_core::DownstreamRule {
-                bitmap: PortBitmap::from_ports(layout.leaf_down_ports, [0]),
-                switches: vec![i],
-            })
-            .collect();
+        let rules: Vec<(&[usize], u32)> = (0..6).map(|i| (&[0][..], i)).collect();
+        header.d_leaf = section(&layout, false, &rules, None);
         let repr = base_repr(Some(header));
         let config = SwitchConfig {
             header_vector_limit: 60,

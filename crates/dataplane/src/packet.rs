@@ -23,7 +23,7 @@
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use elmo_core::{pop, DownstreamRule, ElmoHeader, HeaderLayout, PortBitmap, UpstreamRule};
+use elmo_core::{pop, ElmoHeader, HeaderLayout, PortBitmap, SectionRule, UpstreamRule};
 use elmo_net::ethernet::{self, EtherType, Frame, FrameRepr, MacAddr};
 use elmo_net::ipv4::{self, Ipv4Packet, Ipv4Repr, Protocol};
 use elmo_net::udp::{self, UdpPacket, UdpRepr, VXLAN_PORT};
@@ -478,11 +478,11 @@ impl FlightPacket {
 
     /// The downstream spine p-rule matching `switch`, if this copy still
     /// carries the d-spine section and a rule names that switch.
-    pub fn find_d_spine(&self, switch: u32) -> Option<&DownstreamRule> {
+    pub fn find_d_spine(&self, switch: u32) -> Option<SectionRule<'_>> {
         self.elmo
             .as_deref()
             .filter(|_| self.popped < pop::D_SPINE)
-            .and_then(|h| h.d_spine.iter().find(|r| r.switches.contains(&switch)))
+            .and_then(|h| h.d_spine.find(switch))
     }
 
     /// The default d-spine p-rule, if this copy still carries it.
@@ -490,21 +490,19 @@ impl FlightPacket {
         self.elmo
             .as_deref()
             .filter(|_| self.popped < pop::D_SPINE)
-            .and_then(|h| h.d_spine_default.as_ref())
+            .and_then(|h| h.d_spine.default())
     }
 
     /// The downstream leaf p-rule matching `switch`, if a rule names that
     /// switch (the d-leaf section is never popped in flight — the leaf
     /// strips the whole header on delivery).
-    pub fn find_d_leaf(&self, switch: u32) -> Option<&DownstreamRule> {
-        self.elmo
-            .as_deref()
-            .and_then(|h| h.d_leaf.iter().find(|r| r.switches.contains(&switch)))
+    pub fn find_d_leaf(&self, switch: u32) -> Option<SectionRule<'_>> {
+        self.elmo.as_deref().and_then(|h| h.d_leaf.find(switch))
     }
 
     /// The default d-leaf p-rule.
     pub fn d_leaf_default(&self) -> Option<&PortBitmap> {
-        self.elmo.as_deref().and_then(|h| h.d_leaf_default.as_ref())
+        self.elmo.as_deref().and_then(|h| h.d_leaf.default())
     }
 
     /// Serialize into a fresh exactly-sized buffer.
@@ -536,22 +534,7 @@ pub struct FlightBatch {
     /// `wire[i][d]` = wire bytes of packet `i` at pop depth `d` (0..=4);
     /// `wire[i][5]` = the header-stripped host-delivery length.
     wire: Vec<[u32; 6]>,
-    /// Memo of recently pushed headers' per-depth byte lengths, keyed by
-    /// `Arc` pointer identity: replayed flights share one immutable
-    /// header per group, so a handful of entries turns the per-packet
-    /// length-row walk into an 8-entry scan. Sound because every cached
-    /// header is kept alive by a packet already in `pkts` (its address
-    /// cannot be reused while the batch holds it); `clear` empties the
-    /// cache along with the packets.
-    row_cache: Vec<(usize, [u32; 5])>,
-    /// Round-robin eviction cursor for `row_cache`.
-    row_cache_at: usize,
 }
-
-/// Entries kept in [`FlightBatch`]'s header-length memo: enough for the
-/// distinct groups interleaved in a typical replay window, small enough
-/// that a miss costs a scan of eight words.
-const ROW_CACHE_CAP: usize = 8;
 
 impl FlightBatch {
     /// An empty batch.
@@ -569,40 +552,20 @@ impl FlightBatch {
         self.pkts.is_empty()
     }
 
-    /// Drop all packets, keeping the row storage for reuse. Also drops
-    /// the header-length memo: cleared packets no longer pin their
-    /// headers' addresses, so cached pointers could alias fresh
-    /// allocations.
+    /// Drop all packets, keeping the row storage for reuse.
     pub fn clear(&mut self) {
         self.pkts.clear();
         self.wire.clear();
-        self.row_cache.clear();
-        self.row_cache_at = 0;
     }
 
-    /// Append an already-parsed packet, computing its length row once —
-    /// or, for a header `Arc` seen recently, copying the memoized row.
+    /// Append an already-parsed packet, computing its length row once
+    /// (constant time: each downstream section knows its own length).
     pub fn push(&mut self, pkt: FlightPacket, layout: &HeaderLayout) {
         let host = (ElmoPacketRepr::OUTER_LEN + pkt.payload.len()) as u32;
         let mut row = [host; 6];
         if let Some(h) = pkt.elmo.as_ref() {
-            let key = Arc::as_ptr(h) as usize;
-            let lens = match self.row_cache.iter().find(|(k, _)| *k == key) {
-                Some((_, lens)) => *lens,
-                None => {
-                    let rows = h.byte_len_rows(layout);
-                    let lens = rows.map(|b| b as u32);
-                    if self.row_cache.len() < ROW_CACHE_CAP {
-                        self.row_cache.push((key, lens));
-                    } else {
-                        self.row_cache[self.row_cache_at] = (key, lens);
-                        self.row_cache_at = (self.row_cache_at + 1) % ROW_CACHE_CAP;
-                    }
-                    lens
-                }
-            };
-            for (slot, len) in row.iter_mut().zip(lens) {
-                *slot = host + len;
+            for (slot, len) in row.iter_mut().zip(h.byte_len_rows(layout)) {
+                *slot = host + len as u32;
             }
         }
         self.wire.push(row);
@@ -670,12 +633,17 @@ impl FlightBatch {
 #[derive(Clone, Debug, Default)]
 pub struct HostEmitCache {
     /// Cached `(outer fields, emitted outer stack)` pairs, scanned
-    /// linearly — one entry per concurrently replayed flow, sized like
-    /// [`ROW_CACHE_CAP`] so interleaved groups all stay resident.
+    /// linearly — one entry per concurrently replayed flow, up to
+    /// [`HOST_EMIT_CAP`] so interleaved groups all stay resident.
     entries: Vec<(HostEmitKey, [u8; ElmoPacketRepr::OUTER_LEN])>,
     /// Round-robin eviction cursor.
     at: usize,
 }
+
+/// Entries kept in a [`HostEmitCache`]: enough for the distinct flows
+/// interleaved in a typical replay window, small enough that a miss costs
+/// a scan of eight keys.
+const HOST_EMIT_CAP: usize = 8;
 
 /// Every outer field that shapes the host-delivery prefix *except* the
 /// flow entropy, which only surfaces as the UDP source port.
@@ -714,11 +682,11 @@ impl HostEmitCache {
             pkt.append_host_to(layout, out);
             let mut prefix = [0; ElmoPacketRepr::OUTER_LEN];
             prefix.copy_from_slice(&out[base..base + ElmoPacketRepr::OUTER_LEN]);
-            if self.entries.len() < ROW_CACHE_CAP {
+            if self.entries.len() < HOST_EMIT_CAP {
                 self.entries.push((key, prefix));
             } else {
                 self.entries[self.at] = (key, prefix);
-                self.at = (self.at + 1) % ROW_CACHE_CAP;
+                self.at = (self.at + 1) % HOST_EMIT_CAP;
             }
         }
         out.len() - base

@@ -13,9 +13,12 @@
 //! 0.20 ms ± 0.45 ms in Python and "consistently under a millisecond".
 
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use std::time::Instant;
 
-use elmo_core::{DownstreamRule, ElmoHeader, EncoderConfig, HeaderLayout, PortBitmap};
+use elmo_core::{
+    DownstreamRule, DownstreamSection, ElmoHeader, EncoderConfig, HeaderLayout, PortBitmap,
+};
 use elmo_dataplane::{HypervisorSwitch, SenderFlow};
 use elmo_net::vxlan::Vni;
 use elmo_topology::{Clos, GroupTree, HostId, LeafId, PodId};
@@ -62,7 +65,7 @@ pub fn header_with_rules(layout: &HeaderLayout, n: usize) -> ElmoHeader {
             up: PortBitmap::new(layout.spine_up_ports),
         });
         h.core = Some(PortBitmap::from_ports(layout.core_ports, [0]));
-        h.d_leaf = (0..n)
+        let rules: Vec<DownstreamRule> = (0..n)
             .map(|i| DownstreamRule {
                 bitmap: PortBitmap::from_ports(
                     layout.leaf_down_ports,
@@ -71,6 +74,7 @@ pub fn header_with_rules(layout: &HeaderLayout, n: usize) -> ElmoHeader {
                 switches: vec![(i % 64) as u32, (i % 64 + 64) as u32],
             })
             .collect();
+        h.d_leaf = Arc::new(DownstreamSection::new(&rules, None, layout.leaf_id_bits));
     }
     h
 }

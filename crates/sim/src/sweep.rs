@@ -224,8 +224,7 @@ fn run_row(
     r: usize,
 ) -> SweepRow {
     let _row_span = elmo_obs::span!("sweep_row");
-    let mut encoder = EncoderConfig::with_budget(layout, cfg.header_budget, r);
-    encoder.mode = elmo_core::RedundancyMode::Sum;
+    let encoder = EncoderConfig::with_budget(layout, cfg.header_budget, r);
     let mut acc = RowAccum::new(topo, cfg);
     for g in &workload.groups {
         let hosts = workload.member_hosts(g);

@@ -372,7 +372,6 @@ mod tests {
             r: 0,
             leaf_fmax: 100,
             spine_fmax: 100,
-            mode: elmo_core::RedundancyMode::Sum,
         };
         let mut ctl = Controller::new(topo, cfg);
         let gid = GroupId(1);

@@ -133,28 +133,28 @@ impl Walker<'_> {
         if let Some(core) = &self.header.core {
             width(core.width(), self.layout.core_ports, RuleRef::Core);
         }
-        for (i, r) in self.header.d_spine.iter().enumerate() {
+        for (i, r) in self.header.d_spine.rules().enumerate() {
             width(
                 r.bitmap.width(),
                 self.layout.spine_down_ports,
                 RuleRef::DSpine(i),
             );
         }
-        if let Some(bm) = &self.header.d_spine_default {
+        if let Some(bm) = self.header.d_spine.default() {
             width(
                 bm.width(),
                 self.layout.spine_down_ports,
                 RuleRef::DSpineDefault,
             );
         }
-        for (i, r) in self.header.d_leaf.iter().enumerate() {
+        for (i, r) in self.header.d_leaf.rules().enumerate() {
             width(
                 r.bitmap.width(),
                 self.layout.leaf_down_ports,
                 RuleRef::DLeaf(i),
             );
         }
-        if let Some(bm) = &self.header.d_leaf_default {
+        if let Some(bm) = self.header.d_leaf.default() {
             width(
                 bm.width(),
                 self.layout.leaf_down_ports,
@@ -163,8 +163,8 @@ impl Walker<'_> {
         }
 
         // Switch-id domains and back edges.
-        for (i, r) in self.header.d_spine.iter().enumerate() {
-            for &p in &r.switches {
+        for (i, r) in self.header.d_spine.rules().enumerate() {
+            for &p in r.switches {
                 if p as usize >= self.topo.num_pods() {
                     self.violation(
                         ViolationKind::PortDomain,
@@ -174,13 +174,13 @@ impl Walker<'_> {
                 }
             }
             self.check_back_edge(
-                &r.bitmap,
+                r.bitmap,
                 self.topo.spine_down_ports(),
                 RuleRef::DSpine(i),
                 "core",
             );
         }
-        if let Some(bm) = &self.header.d_spine_default.clone() {
+        if let Some(bm) = self.header.d_spine.default() {
             self.check_back_edge(
                 bm,
                 self.topo.spine_down_ports(),
@@ -188,8 +188,8 @@ impl Walker<'_> {
                 "core",
             );
         }
-        for (i, r) in self.header.d_leaf.iter().enumerate() {
-            for &l in &r.switches {
+        for (i, r) in self.header.d_leaf.rules().enumerate() {
+            for &l in r.switches {
                 if l as usize >= self.topo.num_leaves() {
                     self.violation(
                         ViolationKind::PortDomain,
@@ -202,13 +202,13 @@ impl Walker<'_> {
                 }
             }
             self.check_back_edge(
-                &r.bitmap,
+                r.bitmap,
                 self.topo.leaf_down_ports(),
                 RuleRef::DLeaf(i),
                 "spine",
             );
         }
-        if let Some(bm) = &self.header.d_leaf_default.clone() {
+        if let Some(bm) = self.header.d_leaf.default() {
             self.check_back_edge(
                 bm,
                 self.topo.leaf_down_ports(),
@@ -375,7 +375,7 @@ impl Walker<'_> {
         {
             Some(bm.clone())
         } else {
-            self.header.d_spine_default.clone()
+            self.header.d_spine.default().cloned()
         };
         let Some(bm) = bitmap else {
             return; // receivers in this pod show up as Loss in the diff
@@ -398,7 +398,7 @@ impl Walker<'_> {
         } else if let Some(bm) = self.fabric.leaf(leaf).srule(&outer) {
             Some(bm.clone())
         } else {
-            self.header.d_leaf_default.clone()
+            self.header.d_leaf.default().cloned()
         };
         let Some(bm) = bitmap else {
             return;
@@ -491,10 +491,10 @@ pub(crate) fn attribute_loss(
         let li = topo.leaf_index_in_pod(leaf);
         if let Some(i) = header
             .d_spine
-            .iter()
+            .rules()
             .position(|r| r.switches.contains(&pod.0))
         {
-            if !header.d_spine[i].bitmap.get(li) {
+            if !header.d_spine.rule(i).bitmap.get(li) {
                 return (
                     w(
                         Some(SwitchRef::Spine(topo.spine_in_pod(pod, 0))),
@@ -513,7 +513,7 @@ pub(crate) fn attribute_loss(
                     format!("leaf index {li} not set in the pod's s-rule"),
                 );
             }
-        } else if let Some(bm) = &header.d_spine_default {
+        } else if let Some(bm) = header.d_spine.default() {
             if !bm.get(li) {
                 return (
                     w(
@@ -534,7 +534,7 @@ pub(crate) fn attribute_loss(
     let port = topo.host_port_on_leaf(host);
     if let Some(i) = header
         .d_leaf
-        .iter()
+        .rules()
         .position(|r| r.switches.contains(&leaf.0))
     {
         (
@@ -549,7 +549,7 @@ pub(crate) fn attribute_loss(
             w(Some(SwitchRef::Leaf(leaf)), Some(RuleRef::SRule)),
             format!("host port {port} not set in the leaf's s-rule"),
         )
-    } else if header.d_leaf_default.is_some() {
+    } else if header.d_leaf.default().is_some() {
         (
             w(Some(SwitchRef::Leaf(leaf)), Some(RuleRef::DLeafDefault)),
             format!("host port {port} not set in d_leaf_default"),

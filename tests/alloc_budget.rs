@@ -2,13 +2,14 @@
 //!
 //! The objects every layer touches must cost bytes, not mallocs: a port
 //! bitmap of up to 128 ports lives inline, the hypervisor's receive path
-//! borrows instead of building, decoding a header allocates only its
-//! rule lists, deploying a sender's flow costs the same for a group of
-//! one rule as of nine, an s-rule write moves entries inside a switch's
-//! one group table, and a warm replay call makes one allocation. This
-//! binary installs a counting global allocator (the counter is per
-//! thread, so the harness's own threads do not disturb it) and holds
-//! those six budgets.
+//! borrows instead of building, decoding a header allocates at most three
+//! times per downstream section whatever its rule count, a downstream
+//! section serialises its rules once and never again per flow, deploying
+//! a sender's flow costs the same for a group of one rule as of nine, an
+//! s-rule write moves entries inside a switch's one group table, and a
+//! warm replay call makes one allocation. This binary installs a counting
+//! global allocator (the counter is per thread, so the harness's own
+//! threads do not disturb it) and holds those seven budgets.
 //! One `#[test]` only: a second test in this binary would share the
 //! allocator but not the reasoning about what is warm.
 
@@ -20,7 +21,9 @@ use std::sync::Arc;
 use elmo::controller::{Controller, ControllerConfig, GroupId, MemberRole};
 use elmo::core::bitmap::INLINE_PORTS;
 use elmo::core::bits::BitReader;
-use elmo::core::{DownstreamRule, ElmoHeader, HeaderLayout, PortBitmap, UpstreamRule};
+use elmo::core::{
+    DownstreamRule, DownstreamSection, ElmoHeader, HeaderLayout, PortBitmap, UpstreamRule,
+};
 use elmo::dataplane::{
     DeliveryBatch, ElmoPacketRepr, Fabric, FlightPacket, HypervisorSwitch, NetworkSwitch,
     SenderFlow, SwitchConfig, VmSlot,
@@ -98,16 +101,22 @@ fn figure3b_header(l: &HeaderLayout) -> ElmoHeader {
             up: PortBitmap::new(l.spine_up_ports),
         }),
         core: Some(PortBitmap::from_ports(l.core_ports, [2, 3])),
-        d_spine: Arc::from([
-            rule(l.spine_down_ports, &[0], &[0]),
-            rule(l.spine_down_ports, &[1], &[2]),
-        ]),
-        d_spine_default: Some(PortBitmap::from_ports(l.spine_down_ports, [0, 1])),
-        d_leaf: Arc::from([
-            rule(l.leaf_down_ports, &[0, 1], &[0, 6]),
-            rule(l.leaf_down_ports, &[2], &[5]),
-        ]),
-        d_leaf_default: Some(PortBitmap::from_ports(l.leaf_down_ports, [1])),
+        d_spine: Arc::new(DownstreamSection::new(
+            &[
+                rule(l.spine_down_ports, &[0], &[0]),
+                rule(l.spine_down_ports, &[1], &[2]),
+            ],
+            Some(PortBitmap::from_ports(l.spine_down_ports, [0, 1])),
+            l.pod_id_bits,
+        )),
+        d_leaf: Arc::new(DownstreamSection::new(
+            &[
+                rule(l.leaf_down_ports, &[0, 1], &[0, 6]),
+                rule(l.leaf_down_ports, &[2], &[5]),
+            ],
+            Some(PortBitmap::from_ports(l.leaf_down_ports, [1])),
+            l.leaf_id_bits,
+        )),
     }
 }
 
@@ -176,27 +185,52 @@ fn wire_path_stays_within_its_allocation_budget() {
     let (n, _) = allocations(|| black_box(PortBitmap::new(INLINE_PORTS + 1)));
     assert_eq!(n, 1, "a wider bitmap takes exactly its word vector");
 
-    // --- ElmoHeader::decode: the rule lists and nothing else ----------------
+    // --- ElmoHeader::decode: per present section, never per rule ----------
+    // A present section costs its `Arc` and its two flat columns (rules,
+    // identifiers); the rule count does not enter.
     let layout = HeaderLayout::for_clos(&Clos::paper_example());
     let header = figure3b_header(&layout);
     let bytes = header.encode(&layout);
-    let downstream_rules = (header.d_spine.len() + header.d_leaf.len()) as u64;
     let (n, decoded) = allocations(|| ElmoHeader::decode(&bytes, &layout).expect("valid"));
     assert_eq!(decoded.0, header);
     assert!(
-        n <= downstream_rules + 2,
-        "decode allocated {n} times for {downstream_rules} downstream rules: one identifier \
-         list per rule and one list per section is the budget"
+        n <= 6,
+        "decode of the 4-rule Figure 3b header allocated {n} times: three per section"
     );
     let (n, _) = allocations(|| ElmoHeader::validate(&bytes, &layout).expect("valid"));
     assert_eq!(n, 0, "validate builds nothing");
+    let fb = HeaderLayout::for_clos(&Clos::facebook_fabric());
+    let mut decode_costs = Vec::new();
+    for rules in [1usize, 4, 16, 30] {
+        let leaf_rules: Vec<DownstreamRule> = (0..rules)
+            .map(|i| DownstreamRule {
+                bitmap: PortBitmap::from_ports(fb.leaf_down_ports, [i % fb.leaf_down_ports]),
+                switches: vec![i as u32, i as u32 + 64],
+            })
+            .collect();
+        let wide = ElmoHeader {
+            d_leaf: Arc::new(DownstreamSection::new(&leaf_rules, None, fb.leaf_id_bits)),
+            ..ElmoHeader::empty()
+        };
+        let bytes = wide.encode(&fb);
+        let (n, decoded) = allocations(|| ElmoHeader::decode(&bytes, &fb).expect("valid"));
+        assert_eq!(decoded.0, wide);
+        decode_costs.push((rules, n));
+    }
+    assert!(
+        decode_costs
+            .iter()
+            .all(|&(_, n)| n == decode_costs[0].1 && n <= 3),
+        "decode of one leaf section of 1..30 rules: {decode_costs:?}"
+    );
 
-    // --- deploying a sender's flow: independent of the group's rule count --
+    // --- a section's wire bits: built on its first flow, then shared -------
     // The downstream sections are built once per encoding and shared, so
-    // fetching a header, building its flow and replacing the installed one
-    // moves reference counts, not rule lists: the serialised bytes and the
-    // flow's header `Arc` are the whole cost, for one rule or for nine
-    // (the header's upstream rules are inline bitmaps).
+    // fetching a header and building its flow moves reference counts, not
+    // rule lists: the serialised bytes and the flow's header `Arc` are the
+    // whole cost, for one rule or for nine (the header's upstream rules are
+    // inline bitmaps). The first flow of a section also serialises that
+    // section's rules, once; every later sender's flow splices those bits.
     let mut ctl = Controller::new(Clos::paper_example(), ControllerConfig::paper_default(0));
     let mut hv = HypervisorSwitch::new(HostId(0));
     // Hosts 0 and 8 share host port 0 on L0 and L1: one leaf rule, and no
@@ -211,15 +245,35 @@ fn wire_path_stays_within_its_allocation_budget() {
     for (gi, members) in [one_rule, nine_rules].iter().enumerate() {
         let gid = GroupId(gi as u64 + 10);
         let tenant = std::net::Ipv4Addr::new(225, 8, 8, gi as u8);
-        let members = members.iter().map(|&h| (HostId(h), MemberRole::Both));
-        ctl.create_group(gid, Vni(3), tenant, members);
+        let hosts = members.iter().map(|&h| (HostId(h), MemberRole::Both));
+        ctl.create_group(gid, Vni(3), tenant, hosts);
         let state = ctl.group(gid).expect("created group");
         let header = ctl.header_for(gid, HostId(0)).expect("sender header");
         let rules = header.d_spine.len() + header.d_leaf.len();
+        let sections = [&header.d_spine, &header.d_leaf]
+            .iter()
+            .filter(|s| s.bit_len() > 0)
+            .count() as u64;
+        drop(header);
+        let build = |sender: u32| {
+            let header = ctl.header_for(gid, HostId(sender)).expect("sender header");
+            SenderFlow::new(state.outer_addr, Vni(3), &header, ctl.layout(), vec![])
+        };
+        let (n, _) = allocations(|| build(0));
+        assert_eq!(
+            n,
+            2 + sections,
+            "the group's first flow also serialises its {sections} section(s) once"
+        );
+        for &sender in members.iter().skip(1) {
+            let (n, _) = allocations(|| build(sender));
+            assert_eq!(
+                n, 2,
+                "flow of sender {sender}: {rules} shared rules, no bit-writing"
+            );
+        }
         let deploy = |hv: &mut HypervisorSwitch| {
-            let header = ctl.header_for(gid, HostId(0)).expect("sender header");
-            let flow = SenderFlow::new(state.outer_addr, Vni(3), &header, ctl.layout(), vec![]);
-            drop(header);
+            let flow = build(0);
             hv.install_flow(Vni(3), tenant, flow)
         };
         deploy(&mut hv);

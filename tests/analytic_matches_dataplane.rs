@@ -66,7 +66,6 @@ fn check_agreement(r: usize, srules: bool, seed: u64, trials: usize) {
         h_spine_max: 2,
         h_leaf_max: 3, // tight, to exercise s-rules and defaults
         budget_bytes: 325,
-        mode: elmo::core::RedundancyMode::Sum,
     };
     let mut rng = SplitMix64::new(seed);
     for trial in 0..trials {

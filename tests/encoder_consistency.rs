@@ -5,10 +5,11 @@
 //! sender of every group.
 
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use elmo::controller::srules::SRuleSpace;
 use elmo::controller::{Controller, ControllerConfig, GroupId, MemberRole};
-use elmo::core::{encode_group, HeaderLayout, UpstreamRule};
+use elmo::core::{encode_group, DownstreamRule, DownstreamSection, HeaderLayout, UpstreamRule};
 use elmo::dataplane::ElmoPacketRepr;
 use elmo::net::vxlan::Vni;
 use elmo::topology::{Clos, GroupTree};
@@ -114,22 +115,31 @@ fn worst_case_static_header_is_within_the_parser_limit() {
         up: full(layout.spine_up_ports),
     });
     header.core = Some(full(layout.core_ports));
-    header.d_spine = (0..2u32)
-        .map(|pod| elmo::core::DownstreamRule {
+    let spine_rules: Vec<DownstreamRule> = (0..2u32)
+        .map(|pod| DownstreamRule {
             bitmap: full(layout.spine_down_ports),
             switches: (0..8).map(|i| pod * 6 + i % 12).collect(),
         })
         .collect();
-    header.d_spine_default = Some(full(layout.spine_down_ports));
-    header.d_leaf_default = Some(full(layout.leaf_down_ports));
+    let spine_default = Some(full(layout.spine_down_ports));
+    header.d_spine = Arc::new(DownstreamSection::new(
+        &spine_rules,
+        spine_default,
+        layout.pod_id_bits,
+    ));
+    let leaf_section = |rules: &[DownstreamRule]| {
+        let default = Some(full(layout.leaf_down_ports));
+        Arc::new(DownstreamSection::new(rules, default, layout.leaf_id_bits))
+    };
+    header.d_leaf = leaf_section(&[]);
     let mut leaf_rules = Vec::new();
     let mut i = 0u32;
     while header.byte_len(&layout) + layout.d_leaf_rule_bits(8).div_ceil(8) <= 325 {
-        leaf_rules.push(elmo::core::DownstreamRule {
+        leaf_rules.push(DownstreamRule {
             bitmap: full(layout.leaf_down_ports),
             switches: (0..8).map(|k| (i * 8 + k) % 576).collect(),
         });
-        header.d_leaf = leaf_rules.as_slice().into();
+        header.d_leaf = leaf_section(&leaf_rules);
         i += 1;
     }
     let bytes = header.encode(&layout);

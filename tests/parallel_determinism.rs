@@ -10,7 +10,6 @@ use std::net::Ipv4Addr;
 use std::sync::Mutex;
 
 use elmo::controller::{Controller, ControllerConfig, GroupId, MemberRole, UsageStats};
-use elmo::core::RedundancyMode;
 use elmo::net::vxlan::Vni;
 use elmo::sim::{sweep, SweepConfig, SweepResult};
 use elmo::topology::Clos;
@@ -124,7 +123,6 @@ fn serial_row(cfg: &SweepConfig, r: usize) -> SerialRow {
             r,
             leaf_fmax: cfg.leaf_fmax,
             spine_fmax: cfg.spine_fmax,
-            mode: RedundancyMode::Sum,
         },
     );
     let (mut covered, mut defaulted) = (0, 0);

@@ -11,12 +11,14 @@
 // the registry is reachable.
 #![cfg(feature = "proptest")]
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use elmo::controller::srules::{encode_group_admitted, SRuleSpace};
 use elmo::core::{
-    cluster_layer, header_for_sender, ClusterConfig, DownstreamRule, DownstreamSections,
-    ElmoHeader, EncodeScratch, EncoderConfig, HeaderLayout, PortBitmap, RedundancyMode,
+    cluster_layer, header_for_sender, ClusterConfig, DownstreamRule, DownstreamSection,
+    DownstreamSections, ElmoHeader, EncodeScratch, EncoderConfig, HeaderLayout, PortBitmap,
     UpstreamRule,
 };
 use elmo::topology::{Clos, GroupTree, HostId, UpstreamCover};
@@ -75,7 +77,9 @@ prop_compose! {
         d_leaf in arb_rules(8, 3, 5),
         d_leaf_default in proptest::option::of(arb_bitmap(8)),
     ) -> ElmoHeader {
-        ElmoHeader { u_leaf, u_spine, core, d_spine, d_spine_default, d_leaf, d_leaf_default }
+        let d_spine = Arc::new(DownstreamSection::new(&d_spine, d_spine_default, 2));
+        let d_leaf = Arc::new(DownstreamSection::new(&d_leaf, d_leaf_default, 3));
+        ElmoHeader { u_leaf, u_spine, core, d_spine, d_leaf }
     }
 }
 
@@ -131,7 +135,7 @@ proptest! {
     ) {
         let inputs: Vec<(u32, PortBitmap)> =
             bitmaps.into_iter().enumerate().map(|(i, b)| (i as u32, b)).collect();
-        let cfg = ClusterConfig { r, h_max, bit_budget: usize::MAX, id_bits: 8, k_max, mode: RedundancyMode::Sum };
+        let cfg = ClusterConfig { r, h_max, bit_budget: usize::MAX, id_bits: 8, k_max };
         let mut left = srule_budget;
         let mut alloc = |_s: u32| {
             if left > 0 { left -= 1; true } else { false }

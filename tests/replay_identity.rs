@@ -70,7 +70,6 @@ fn tight(_: &HeaderLayout) -> EncoderConfig {
         h_spine_max: 2,
         h_leaf_max: 2,
         budget_bytes: 325,
-        mode: elmo::core::RedundancyMode::Sum,
     }
 }
 

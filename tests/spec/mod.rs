@@ -212,8 +212,8 @@ fn forward(
             }
         }
         SwitchRef::Leaf(l) => {
-            let own = header.find_d_leaf(l.0).map(|r| &r.bitmap);
-            let default = header.d_leaf_default.as_ref();
+            let own = header.find_d_leaf(l.0).map(|r| r.bitmap);
+            let default = header.d_leaf.default();
             if let Some(ports) = downstream(own, node.srule(&repr.group_ip), default, stats) {
                 emit(&repr, &mut ports.iter_ones()); // header stripped for hosts
             }
@@ -244,8 +244,8 @@ fn forward(
         SwitchRef::Spine(s) => {
             let own = header
                 .find_d_spine(topo.pod_of_spine(s).0)
-                .map(|r| &r.bitmap);
-            let default = header.d_spine_default.as_ref();
+                .map(|r| r.bitmap);
+            let default = header.d_spine.default();
             let ports = downstream(own, node.srule(&repr.group_ip), default, stats).cloned();
             if let Some(ports) = ports {
                 header.pop_d_spine();
