@@ -170,13 +170,10 @@ pub fn deploy_group(ctl: &Controller, gid: GroupId) -> Vec<DeviceOp> {
 pub fn ops(ctl: &Controller, gid: GroupId, updates: &UpdateSet) -> Vec<DeviceOp> {
     let outer = Controller::outer_addr(gid);
     let state = ctl.group(gid);
-    let (leaf_rules, pod_rules) = match state {
-        Some(s) if !s.unicast_fallback => (&s.enc.d_leaf.s_rules[..], &s.enc.d_spine.s_rules[..]),
-        _ => (&[][..], &[][..]),
-    };
+    let enc = state.filter(|s| !s.unicast_fallback).map(|s| &s.enc);
     let mut out = Vec::new();
     for &leaf in &updates.leaves {
-        out.push(match srule_for(leaf_rules, leaf.0) {
+        out.push(match enc.and_then(|e| e.d_leaf.s_rule(leaf.0)) {
             Some(ports) => DeviceOp::SetLeafSRule {
                 leaf,
                 group: outer,
@@ -186,7 +183,7 @@ pub fn ops(ctl: &Controller, gid: GroupId, updates: &UpdateSet) -> Vec<DeviceOp>
         });
     }
     for &pod in &updates.spine_pods {
-        out.push(match srule_for(pod_rules, pod.0) {
+        out.push(match enc.and_then(|e| e.d_spine.s_rule(pod.0)) {
             Some(ports) => DeviceOp::SetPodSRule {
                 pod,
                 group: outer,
@@ -227,15 +224,6 @@ pub fn ops(ctl: &Controller, gid: GroupId, updates: &UpdateSet) -> Vec<DeviceOp>
     // Stable: within a phase the ops keep the order listed above.
     out.sort_by_key(DeviceOp::phase);
     out
-}
-
-/// The s-rule an encoding gives one switch; the encoder emits s-rules in
-/// ascending switch order.
-fn srule_for(rules: &[(u32, PortBitmap)], switch: u32) -> Option<&PortBitmap> {
-    rules
-        .binary_search_by_key(&switch, |(s, _)| *s)
-        .ok()
-        .map(|i| &rules[i].1)
 }
 
 /// The switch half of [`Deployment::apply`]: apply the s-rule ops of `ops`

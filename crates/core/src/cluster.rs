@@ -79,23 +79,14 @@ impl LayerEncoding {
         self.s_rules.is_empty() && self.default_rule.is_none()
     }
 
-    /// The output bitmap a switch will use, if it has any rule in this
-    /// encoding (p-rule, s-rule, or default).
-    pub fn bitmap_for(&self, switch: u32) -> Option<&PortBitmap> {
-        for r in &self.p_rules {
-            if r.switches.contains(&switch) {
-                return Some(&r.bitmap);
-            }
-        }
-        for (s, bm) in &self.s_rules {
-            if *s == switch {
-                return Some(bm);
-            }
-        }
-        if self.default_switches.contains(&switch) {
-            return self.default_rule.as_ref();
-        }
-        None
+    /// The s-rule this encoding gives `switch`: a binary search, because the
+    /// encoder emits s-rules in ascending switch order.
+    pub fn s_rule(&self, switch: u32) -> Option<&PortBitmap> {
+        let i = self
+            .s_rules
+            .binary_search_by_key(&switch, |(s, _)| *s)
+            .ok()?;
+        Some(&self.s_rules[i].1)
     }
 }
 
@@ -406,7 +397,7 @@ mod tests {
         let inputs = figure3_spine_inputs();
         let redundancy: usize = inputs
             .iter()
-            .map(|(s, bm)| enc.bitmap_for(*s).unwrap().count_ones() - bm.count_ones())
+            .map(|(s, bm)| sources(&enc, *s)[0].count_ones() - bm.count_ones())
             .sum();
         assert_eq!(redundancy, 1);
     }
@@ -544,8 +535,23 @@ mod tests {
         assert!(enc.covered_by_p_rules());
     }
 
+    /// Every bitmap `enc` gives `switch`: p-rules naming it, its s-rule,
+    /// and the default p-rule if it was defaulted.
+    fn sources(enc: &LayerEncoding, switch: u32) -> Vec<&PortBitmap> {
+        let p_rules = enc.p_rules.iter().filter(|r| r.switches.contains(&switch));
+        let default = enc
+            .default_switches
+            .contains(&switch)
+            .then_some(&enc.default_rule);
+        p_rules
+            .map(|r| &r.bitmap)
+            .chain(enc.s_rule(switch))
+            .chain(default.into_iter().flatten())
+            .collect()
+    }
+
     #[test]
-    fn bitmap_for_finds_rule_source() {
+    fn every_switch_has_exactly_one_rule_source() {
         let cfg = ClusterConfig {
             r: 0,
             h_max: 1,
@@ -564,11 +570,16 @@ mod tests {
             }
         };
         let enc = cluster_layer(&inputs, &cfg, &mut alloc);
-        // Every input switch must resolve to some bitmap covering its ports.
+        // One p-rule, one s-rule, one defaulted switch; each covers its ports.
+        assert_eq!((enc.p_rules.len(), enc.s_rules.len()), (1, 1));
+        assert_eq!(enc.default_switches.len(), 1);
         for (s, bm) in &inputs {
-            let out = enc.bitmap_for(*s).expect("every switch has a rule");
-            assert!(bm.is_subset_of(out), "switch {s} under-covered");
+            let out = sources(&enc, *s);
+            assert_eq!(out.len(), 1, "switch {s}");
+            assert!(bm.is_subset_of(out[0]), "switch {s} under-covered");
         }
-        assert_eq!(enc.bitmap_for(99), None);
+        assert!(sources(&enc, 99).is_empty());
+        assert_eq!(enc.s_rule(enc.s_rules[0].0), Some(&enc.s_rules[0].1));
+        assert_eq!(enc.s_rule(99), None);
     }
 }

@@ -205,11 +205,16 @@ impl DownstreamSection {
         (0..self.rules.len()).map(|i| self.rule(i))
     }
 
-    /// The rule naming `switch`, if any (the parser's match on its own
-    /// identifier, §4.1): one scan of the identifier column.
-    pub fn find(&self, switch: u32) -> Option<SectionRule<'_>> {
+    /// The index of the rule naming `switch`, if any (the parser's match on
+    /// its own identifier, §4.1): one scan of the identifier column.
+    pub fn position(&self, switch: u32) -> Option<usize> {
         let at = self.ids.iter().position(|&id| id == switch)? as u32;
-        Some(self.rule(self.rules.partition_point(|&(_, end)| end <= at)))
+        Some(self.rules.partition_point(|&(_, end)| end <= at))
+    }
+
+    /// The rule naming `switch`, if any.
+    pub fn find(&self, switch: u32) -> Option<SectionRule<'_>> {
+        self.position(switch).map(|i| self.rule(i))
     }
 
     /// The default p-rule, if any.
@@ -633,19 +638,6 @@ impl ElmoHeader {
             multipath,
             up,
         })
-    }
-
-    // ----- lookups (what the switch parser does) ----------------------------
-
-    /// The downstream spine rule matching a pod, if any (parser match-and-set
-    /// on the switch's own identifier, §4.1).
-    pub fn find_d_spine(&self, pod: u32) -> Option<SectionRule<'_>> {
-        self.d_spine.find(pod)
-    }
-
-    /// The downstream leaf rule matching a leaf, if any.
-    pub fn find_d_leaf(&self, leaf: u32) -> Option<SectionRule<'_>> {
-        self.d_leaf.find(leaf)
     }
 
     // ----- popping (what the egress pipeline does, D2d) ----------------------
@@ -1082,17 +1074,17 @@ mod tests {
         let header = figure3b_header(&layout);
         // P0 -> leaf 0 of the pod; P2 -> leaf index 1 (= L5); P3 unmatched.
         assert_eq!(
-            header.find_d_spine(0).unwrap().bitmap.to_binary_string(),
+            header.d_spine.find(0).unwrap().bitmap.to_binary_string(),
             "10"
         );
         assert_eq!(
-            header.find_d_spine(2).unwrap().bitmap.to_binary_string(),
+            header.d_spine.find(2).unwrap().bitmap.to_binary_string(),
             "01"
         );
-        assert!(header.find_d_spine(3).is_none()); // falls to s-rule/default
-        assert!(header.find_d_leaf(0).is_some());
-        assert!(header.find_d_leaf(6).is_some());
-        assert!(header.find_d_leaf(7).is_none());
+        assert!(header.d_spine.find(3).is_none()); // falls to s-rule/default
+        assert!(header.d_leaf.find(0).is_some());
+        assert!(header.d_leaf.find(6).is_some());
+        assert!(header.d_leaf.find(7).is_none());
     }
 
     #[test]

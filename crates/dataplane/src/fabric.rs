@@ -45,7 +45,8 @@ impl FabricStats {
 
 /// Fabric-wide mirrors of the per-`Fabric` link counters. These measure
 /// *actual* bytes moved by the packet model, so a snapshot can be
-/// cross-checked against `sim::metrics`' analytic traffic accounting.
+/// cross-checked against the static walk's traffic accounting
+/// (`sim::metrics`).
 pub(crate) struct FabricMetrics {
     pub(crate) host_to_leaf_bytes: elmo_obs::Counter,
     pub(crate) leaf_to_host_bytes: elmo_obs::Counter,

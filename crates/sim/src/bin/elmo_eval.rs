@@ -227,10 +227,14 @@ fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         elmo_obs::error!("usage", msg = msg);
     }
-    eprintln!(
-        "usage: elmo-eval <fig4|fig5|uniform|limited-srules|small-header|table1|table2|table3|\
-         fig6|fig7|telemetry|failures|latency|xpander|verify|churn|trace|timeline|all> [--full] \
-         [--groups N] \
+    eprintln!("{}", usage_text());
+    std::process::exit(2);
+}
+
+/// The usage message; its experiment list is [`ALL`].
+fn usage_text() -> String {
+    format!(
+        "usage: elmo-eval <{}|all> [--full] [--groups N] \
          [--tenants N] [--events N] [--pkt N] [--r 0,6,12] [--seed N] \
          [--samples N] [--report-out PATH] [--metrics-out PATH] \
          [--trace-pcap PATH] \
@@ -239,10 +243,34 @@ fn usage(msg: &str) -> ! {
          [--temporal-events N] [--temporal-senders N] \
          [--windows N] [--tick N] [--timeline-out PATH] \
          [-v|-vv|--quiet] [--log-json]\n\
-         \n       elmo-eval check-metrics <snapshot.json>"
-    );
-    std::process::exit(2);
+         \n       elmo-eval check-metrics <snapshot.json>",
+        ALL.join("|")
+    )
 }
+
+/// Every experiment, in the order `elmo-eval all` runs them.
+const ALL: [&str; 20] = [
+    "fig4",
+    "fig5",
+    "uniform",
+    "limited-srules",
+    "small-header",
+    "table2",
+    "table3",
+    "fig6",
+    "fig7",
+    "telemetry",
+    "failures",
+    "latency",
+    "xpander",
+    "ablation",
+    "two-tier",
+    "verify",
+    "trace",
+    "timeline",
+    "churn",
+    "table1",
+];
 
 fn fabric(opts: &Opts) -> Clos {
     if opts.full {
@@ -278,28 +306,7 @@ fn main() {
         return;
     }
     if opts.experiment == "all" {
-        for exp in [
-            "fig4",
-            "fig5",
-            "uniform",
-            "limited-srules",
-            "small-header",
-            "table2",
-            "table3",
-            "fig6",
-            "fig7",
-            "telemetry",
-            "failures",
-            "latency",
-            "xpander",
-            "ablation",
-            "two-tier",
-            "verify",
-            "trace",
-            "timeline",
-            "churn",
-            "table1",
-        ] {
+        for exp in ALL {
             let mut o = opts.clone();
             o.experiment = exp.into();
             println!("\n================ {exp} ================\n");
@@ -1285,4 +1292,15 @@ fn run_table1(opts: &Opts) {
         pct(t64.overlay_ratio - 1.0)
     );
     println!("  (iv)  run `elmo-eval table2` for control-plane update loads\n");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_every_experiment() {
+        let list = format!("usage: elmo-eval <{}|all> ", ALL.join("|"));
+        assert!(usage_text().starts_with(&list), "{}", usage_text());
+    }
 }

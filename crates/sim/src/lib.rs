@@ -35,5 +35,5 @@ pub mod trace_exp;
 pub mod verify_exp;
 pub mod xpander_exp;
 
-pub use metrics::{group_traffic, traffic_model, GroupTraffic, Summary, TrafficModel};
+pub use metrics::{traffic_model, GroupTraffic, Summary, TrafficModel};
 pub use sweep::{SweepConfig, SweepResult, SweepRow};

@@ -152,7 +152,7 @@ impl RowAccum {
     }
 
     /// Encode one group against this row's s-rule budget, then fold its
-    /// coverage, header size and traffic into the row. One fabric walk per
+    /// coverage, header size and traffic into the row. One static walk per
     /// group: [`metrics::traffic_model`] captures the payload-independent
     /// constants and each payload's traffic is derived arithmetically.
     fn fold(

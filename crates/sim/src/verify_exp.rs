@@ -8,10 +8,11 @@
 //! delivery, loop freedom, and resource budgets for every compiled group
 //! without injecting a packet, and the sampled differential replay must
 //! agree with the static walk byte for byte. On top of the checker's own
-//! passes, this module cross-checks the static walk's traffic accounting
-//! against [`crate::metrics::traffic_model`], the independent model used
-//! by the Figure-4/5 sweeps, and reports any disagreement as a
-//! `redundancy_mismatch` violation.
+//! passes, this module walks every sender a second time, over the
+//! encoding's own rules ([`crate::metrics::traffic_model`], what the
+//! Figure-4/5 sweeps report), and reports any disagreement with the walk
+//! over the installed fabric as a `redundancy_mismatch` violation: the
+//! fabric holds other s-rules than the encoding asked for.
 
 use elmo_controller::{Controller, ControllerConfig, Deployment, GroupId, GroupSpec, MemberRole};
 use elmo_dataplane::SwitchConfig;
@@ -32,7 +33,7 @@ pub struct VerifyRun {
     pub report: Report,
     /// (group, sender) pairs replayed through the fast-path fabric.
     pub differential_sampled: usize,
-    /// Sender walks compared against `metrics::traffic_model`.
+    /// Fabric walks compared against `metrics::traffic_model`.
     pub traffic_cross_checked: usize,
 }
 
@@ -94,10 +95,10 @@ pub fn run(topo: Clos, workload_cfg: WorkloadConfig, cfg: &VerifyExpConfig) -> V
         &opts,
     );
 
-    // Cross-check the walk's redundancy accounting against the traffic
-    // model the sweeps report. The model always assumes multipath
-    // upstream forwarding, so skip groups the controller gave explicit
-    // upstream covers.
+    // Install fidelity: the walk over the fabric must cost what the same
+    // walk over the encoding's rules costs, the number the sweeps report.
+    // The model always builds a multipath header, so skip groups the
+    // controller gave explicit upstream covers.
     let mut cross_checked = 0usize;
     let mut extra: Vec<Violation> = Vec::new();
     for t in &report.traffic {

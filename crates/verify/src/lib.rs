@@ -14,8 +14,10 @@
 //! 3. **Resource budgets** — encoded headers fit the controller's byte
 //!    budget and the switch parser's header-vector limit; group tables
 //!    respect `Fmax`, with a per-tier utilization report.
-//! 4. **Redundancy accounting** — static link/byte counts per sender,
-//!    cross-checkable against `elmo_sim::metrics::traffic_model`.
+//! 4. **Redundancy accounting** — static link/byte counts per sender.
+//!    The same walk ([`walk`]) run over an encoding's own rules prices
+//!    the Figure 4/5 traffic (`elmo_sim::metrics::traffic_model`), so
+//!    comparing the two is an install-fidelity check.
 //!
 //! Entry points: [`check_state`] (library API, callable after batch
 //! admission), the `elmo-eval verify` subcommand (JSON report), and
@@ -40,7 +42,7 @@ pub mod differential;
 pub mod report;
 mod tables;
 pub mod temporal;
-mod walk;
+pub mod walk;
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -86,7 +88,7 @@ pub fn static_walk_deliveries(
 #[derive(Clone, Copy, Debug, Default)]
 pub struct VerifyOptions {
     /// Record a [`SenderTraffic`] entry per (group, sender) pair, for
-    /// cross-checking against the analytic traffic model.
+    /// cross-checking against the same walk over the encoding's rules.
     pub collect_traffic: bool,
     /// Check at most this many senders per group (`0` = all). Properties
     /// are per-sender, so sampling trades completeness for time on very
@@ -159,11 +161,12 @@ pub fn check_state_with(
             let w = walk::walk_sender(topo, layout, fabric, state, sender, &header);
 
             // Budgets.
-            let vector = ElmoPacketRepr::OUTER_LEN + w.header_bytes;
-            report.budgets.max_header_bytes = report.budgets.max_header_bytes.max(w.header_bytes);
+            let vector = ElmoPacketRepr::OUTER_LEN + w.cost.header_bytes;
+            report.budgets.max_header_bytes =
+                report.budgets.max_header_bytes.max(w.cost.header_bytes);
             report.budgets.max_header_vector_bytes =
                 report.budgets.max_header_vector_bytes.max(vector);
-            if w.header_bytes > budget {
+            if w.cost.header_bytes > budget {
                 report.violations.push(Violation {
                     group: Some(state.id),
                     kind: ViolationKind::HeaderBudget,
@@ -173,7 +176,7 @@ pub fn check_state_with(
                     },
                     detail: format!(
                         "{}-byte header exceeds the {budget}-byte budget",
-                        w.header_bytes
+                        w.cost.header_bytes
                     ),
                 });
             }
@@ -252,15 +255,15 @@ pub fn check_state_with(
                 }
             }
 
-            report.redundancy.links += w.links;
-            report.redundancy.fixed_bytes += w.fixed_bytes;
+            report.redundancy.links += w.cost.links;
+            report.redundancy.fixed_bytes += w.cost.fixed_bytes;
             if opts.collect_traffic {
                 report.traffic.push(SenderTraffic {
                     group: state.id,
                     sender,
-                    links: w.links,
-                    fixed_bytes: w.fixed_bytes,
-                    header_len: w.header_bytes as u64,
+                    links: w.cost.links,
+                    fixed_bytes: w.cost.fixed_bytes,
+                    header_len: w.cost.header_bytes as u64,
                 });
             }
             report.violations.extend(w.violations);

@@ -95,7 +95,9 @@ pub enum ViolationKind {
     EncapMismatch,
     /// A hypervisor subscription exists without membership, or vice versa.
     SubscriptionMismatch,
-    /// Static link/byte counts disagree with `metrics::traffic_model`.
+    /// The walk over the installed fabric and the walk over the
+    /// encoding's rules (`metrics::traffic_model`) disagree on links or
+    /// bytes.
     RedundancyMismatch,
 }
 
@@ -195,8 +197,9 @@ pub struct RedundancySummary {
     pub spurious_host_copies: u64,
 }
 
-/// Per-(group, sender) static traffic, for cross-checking against the
-/// analytic `metrics::traffic_model`.
+/// Per-(group, sender) static traffic over the installed fabric, for
+/// cross-checking against the walk over the encoding's rules
+/// (`metrics::traffic_model`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SenderTraffic {
     pub group: GroupId,

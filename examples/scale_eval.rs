@@ -49,8 +49,9 @@ fn main() {
         if enc.leaf_covered_by_p_rules() {
             covered += 1;
         }
-        header.push(metrics::header_bytes(&topo, &layout, &tree, &enc, hosts[0]) as f64);
-        let t = metrics::group_traffic(&topo, &layout, &tree, &enc, hosts[0], 1500);
+        let model = metrics::traffic_model(&topo, &layout, &tree, &enc, hosts[0]);
+        header.push(model.header_len as f64);
+        let t = model.eval(1500);
         elmo_b += t.elmo;
         ideal_b += t.ideal;
     }

@@ -1,8 +1,9 @@
-//! Cross-validation: the analytic traffic model in `elmo_sim::metrics`
-//! (used to evaluate a million groups in seconds) must account exactly the
-//! same bytes as real packets pushed through the `elmo_dataplane::Fabric`.
-//! Any divergence means one of the two re-implementations of the forwarding
-//! semantics is wrong.
+//! Cross-validation: the traffic model in `elmo_sim::metrics` (used to
+//! evaluate a million groups in seconds) must account exactly the same
+//! bytes as real packets pushed through the `elmo_dataplane::Fabric`. The
+//! model's Elmo bytes come from the one static forwarding walk
+//! (`elmo_verify::walk`) run over the encoding's own rules, so a divergence
+//! means that walk or the engine is wrong.
 
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
@@ -51,10 +52,10 @@ fn measure_on_fabric(
     fabric.stats.total_link_bytes()
 }
 
-fn random_members(rng: &mut SplitMix64, topo: &Clos, size: usize) -> BTreeSet<HostId> {
-    (0..size)
-        .map(|_| HostId(rng.below(topo.num_hosts() as u64) as u32))
-        .collect()
+/// A random host of `hosts`, if there is one.
+fn pick(rng: &mut SplitMix64, hosts: impl Iterator<Item = HostId>) -> Option<HostId> {
+    let hosts: Vec<HostId> = hosts.collect();
+    (!hosts.is_empty()).then(|| hosts[rng.below(hosts.len() as u64) as usize])
 }
 
 fn check_agreement(r: usize, srules: bool, seed: u64, trials: usize) {
@@ -68,9 +69,17 @@ fn check_agreement(r: usize, srules: bool, seed: u64, trials: usize) {
         budget_bytes: 325,
     };
     let mut rng = SplitMix64::new(seed);
+    // A sender from another pod reaching a single-pod receiver tree carries
+    // the spine rule the encoding omits and `DownstreamSections` adds.
+    let mut remote_to_one_pod = 0;
     for trial in 0..trials {
         let size = rng.range_inclusive(2, 14);
-        let members = random_members(&mut rng, &topo, size);
+        // Odd trials draw their members from one pod.
+        let pod = (trial % 2 == 1).then(|| PodId(rng.below(topo.num_pods() as u64) as u32));
+        let in_pod = |h: &HostId| pod.is_none_or(|p| topo.pod_of_host(*h) == p);
+        let members: BTreeSet<HostId> = (0..size)
+            .filter_map(|_| pick(&mut rng, topo.hosts().filter(in_pod)))
+            .collect();
         let tree = GroupTree::new(&topo, members.iter().copied());
         if tree.size() < 2 {
             continue;
@@ -86,17 +95,32 @@ fn check_agreement(r: usize, srules: bool, seed: u64, trials: usize) {
             let mut la = |l: LeafId| cell.borrow_mut().alloc_leaf(l);
             encode_group(&topo, &tree, &encoder, &mut sa, &mut la)
         };
-        let sender = *members.iter().next().expect("non-empty");
-        for payload in [64u64, 700, 1500] {
-            let analytic = metrics::elmo_bytes(&topo, &layout, &tree, &enc, sender, payload);
-            let measured = measure_on_fabric(&topo, &layout, &tree, &enc, sender, payload as usize);
-            assert_eq!(
-                analytic, measured,
-                "trial {trial}, r={r}, srules={srules}, payload={payload}, \
-                 members={members:?}"
-            );
+        // Its first member, a random non-member, and a host from a pod the
+        // tree leaves empty, if there is one.
+        let outside = || topo.hosts().filter(|&h| !tree.contains(h));
+        let remote = pick(
+            &mut rng,
+            outside().filter(|&h| !tree.has_pod(topo.pod_of_host(h))),
+        );
+        let senders = [Some(tree.members()[0]), pick(&mut rng, outside()), remote];
+        for sender in senders.into_iter().flatten() {
+            if tree.num_pods() == 1 && !tree.has_pod(topo.pod_of_host(sender)) {
+                remote_to_one_pod += 1;
+            }
+            let model = metrics::traffic_model(&topo, &layout, &tree, &enc, sender);
+            for payload in [64u64, 700, 1500] {
+                let analytic = model.eval(payload).elmo;
+                let measured =
+                    measure_on_fabric(&topo, &layout, &tree, &enc, sender, payload as usize);
+                assert_eq!(
+                    analytic, measured,
+                    "trial {trial}, r={r}, srules={srules}, payload={payload}, \
+                     sender={sender:?}, members={members:?}"
+                );
+            }
         }
     }
+    assert!(remote_to_one_pod > 0, "no remote sender met a one-pod tree");
 }
 
 #[test]
@@ -126,20 +150,24 @@ fn agreement_with_sharing_and_defaults() {
 #[test]
 fn baseline_formulas_spot_check() {
     let topo = Clos::paper_example();
+    let layout = HeaderLayout::for_clos(&topo);
     let tree = GroupTree::new(&topo, [HostId(0), HostId(1), HostId(42)]);
+    let enc = encode_group(
+        &topo,
+        &tree,
+        &EncoderConfig::with_budget(&layout, 325, 0),
+        &mut |_| true,
+        &mut |_| true,
+    );
+    let t = metrics::traffic_model(&topo, &layout, &tree, &enc, HostId(0)).eval(1500);
     let pkt = metrics::OUTER + 1500;
     // Unicast from host 0: same-leaf copy (2 links) + cross-pod copy (6).
-    assert_eq!(
-        metrics::unicast_bytes(&topo, &tree, HostId(0), 1500),
-        8 * pkt
-    );
+    assert_eq!(t.unicast, 8 * pkt);
     // Overlay: sender proxies its own leaf (2 links to host 1) + one unicast
     // to pod 2's proxy (6 links), which has no further local members.
-    assert_eq!(
-        metrics::overlay_bytes(&topo, &tree, HostId(0), 1500),
-        8 * pkt
-    );
+    assert_eq!(t.overlay, 8 * pkt);
     // Ideal: sender link + 2 receiver links + up (leaf->spine, spine->core)
     // + down (core->spine, spine->leaf) = 7 links.
     assert_eq!(tree.ideal_link_count(&topo, HostId(0)), 7);
+    assert_eq!(t.ideal, 7 * pkt);
 }

@@ -145,9 +145,14 @@ proptest! {
         // Every input switch is covered by exactly one rule source, and its
         // assigned bitmap is a superset of its exact ports.
         for (s, bm) in &inputs {
-            let assigned = enc.bitmap_for(*s);
-            prop_assert!(assigned.is_some(), "switch {} uncovered", s);
-            prop_assert!(bm.is_subset_of(assigned.expect("assigned")));
+            let p_rules = enc.p_rules.iter().filter(|r| r.switches.contains(s));
+            let default = enc.default_switches.contains(s).then_some(&enc.default_rule);
+            let sources: Vec<&PortBitmap> = p_rules.map(|r| &r.bitmap)
+                .chain(enc.s_rule(*s))
+                .chain(default.into_iter().flatten())
+                .collect();
+            prop_assert_eq!(sources.len(), 1, "switch {} has {} rule sources", s, sources.len());
+            prop_assert!(bm.is_subset_of(sources[0]));
         }
         // Budgets respected.
         prop_assert!(enc.p_rules.len() <= h_max);

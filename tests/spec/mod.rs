@@ -212,7 +212,7 @@ fn forward(
             }
         }
         SwitchRef::Leaf(l) => {
-            let own = header.find_d_leaf(l.0).map(|r| r.bitmap);
+            let own = header.d_leaf.find(l.0).map(|r| r.bitmap);
             let default = header.d_leaf.default();
             if let Some(ports) = downstream(own, node.srule(&repr.group_ip), default, stats) {
                 emit(&repr, &mut ports.iter_ones()); // header stripped for hosts
@@ -243,7 +243,8 @@ fn forward(
         }
         SwitchRef::Spine(s) => {
             let own = header
-                .find_d_spine(topo.pod_of_spine(s).0)
+                .d_spine
+                .find(topo.pod_of_spine(s).0)
                 .map(|r| r.bitmap);
             let default = header.d_spine.default();
             let ports = downstream(own, node.srule(&repr.group_ip), default, stats).cloned();
